@@ -132,7 +132,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
 		os.Exit(1)
 	}
-	w.SetContext(ctx)
 	w.SetTimeout(*simTimeout)
 	w.SetCrashDir(*crashDir)
 	if sampling.Enabled() {
@@ -190,7 +189,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
 			os.Exit(1)
 		}
-		defer w.CloseCheckpoint()
 		if *resume {
 			fmt.Fprintf(os.Stderr, "braidbench: resumed %d finished simulations from %s\n", restored, *checkpoint)
 		}
@@ -275,8 +273,11 @@ func main() {
 			exit = 1
 		}
 	}
+	if err := w.CloseCheckpoint(); err != nil {
+		fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
+		exit = 1
+	}
 	if exit != 0 {
-		w.CloseCheckpoint() // os.Exit skips the defer
 		os.Exit(exit)
 	}
 }

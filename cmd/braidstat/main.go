@@ -25,10 +25,7 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,8 +38,10 @@ import (
 
 	"braid/internal/braid"
 	"braid/internal/cfg"
+	"braid/internal/experiments"
 	"braid/internal/interp"
 	"braid/internal/isa"
+	"braid/internal/journal"
 	"braid/internal/remote"
 	"braid/internal/uarch"
 	"braid/internal/workload"
@@ -77,11 +76,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var sim simFunc
+	// run executes the -ipc section's simulations: in-process by default,
+	// through the remote pool with -remote. Both are deterministic and return
+	// identical Stats, so reports are byte-identical either way. nil: no -ipc.
+	var run experiments.Runner
 	if *ipc && !*values {
-		sim = func(p *isa.Program, cfg uarch.Config) (*uarch.Stats, *uarch.SampleEstimate, error) {
-			return uarch.SimulateSampled(ctx, p, cfg, sampling)
-		}
+		run = experiments.LocalRunner{}
 		if *remoteList != "" {
 			fb, err := remote.ParseFallback(*fallback)
 			if err != nil {
@@ -106,9 +106,7 @@ func main() {
 				stopProbe := pool.StartProber(ctx, *probe)
 				defer stopProbe()
 			}
-			sim = func(p *isa.Program, cfg uarch.Config) (*uarch.Stats, *uarch.SampleEstimate, error) {
-				return pool.SimulateSampled(ctx, p, cfg, sampling)
-			}
+			run = pool
 			defer func() { fmt.Fprintf(os.Stderr, "braidstat: remote pool: %s\n", pool) }()
 		}
 	}
@@ -119,7 +117,7 @@ func main() {
 
 	switch {
 	case *suite:
-		characterizeSuite(ctx, *iters, *values, *jobs, *checkpoint, *resume, sim, sampling, *complexity)
+		characterizeSuite(ctx, *iters, *values, *jobs, *checkpoint, *resume, run, sampling, *complexity)
 	case *bench != "":
 		prof, ok := workload.ProfileByName(*bench)
 		if !ok {
@@ -129,24 +127,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		characterize(p, *values, sim, *complexity)
+		characterize(ctx, p, *values, run, sampling, *complexity)
 	case *kernel != "":
 		p, ok := workload.KernelByName(*kernel)
 		if !ok {
 			fatal(fmt.Errorf("unknown kernel %q", *kernel))
 		}
-		characterize(p, *values, sim, *complexity)
+		characterize(ctx, p, *values, run, sampling, *complexity)
 	default:
 		fatal(fmt.Errorf("need -bench, -kernel, or -suite"))
 	}
 }
-
-// simFunc executes one simulation for the -ipc report section: in-process by
-// default, through the remote pool with -remote. Both are deterministic and
-// return identical Stats, so reports are byte-identical either way. The
-// estimate is non-nil exactly when -sample produced an interval-sampled
-// result.
-type simFunc func(p *isa.Program, cfg uarch.Config) (*uarch.Stats, *uarch.SampleEstimate, error)
 
 // statRecord is one finished benchmark report in the -checkpoint JSONL. The
 // key fields guard against resuming a checkpoint taken with different
@@ -165,38 +156,23 @@ type statRecord struct {
 	Report     string `json:"report"`
 }
 
-// loadStatCheckpoint returns the reports already finished, keyed by benchmark
-// name, skipping records whose parameters do not match. A torn final line —
-// a crash mid-append — is ignored.
-func loadStatCheckpoint(path string, iters int, valuesOnly, ipc bool, sampling string, complexity bool) (map[string]string, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return map[string]string{}, nil
-	}
+// openStatCheckpoint opens the -checkpoint journal. With resume it also
+// returns the reports already finished, keyed by benchmark name, skipping
+// records whose parameters differ from key's (key has no Name or Report).
+func openStatCheckpoint(path string, resume bool, key statRecord) (*journal.Journal, map[string]string, error) {
+	j, recs, err := journal.Open[statRecord](path, resume)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	done := map[string]string{}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	tail := bytes.TrimRight(data, " \t\r\n")
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var rec statRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			if bytes.HasSuffix(tail, raw) {
-				break // torn final line from an interrupted append
-			}
-			return nil, fmt.Errorf("braidstat: corrupt checkpoint %s: %w", path, err)
-		}
-		if rec.Iters == iters && rec.ValuesOnly == valuesOnly && rec.IPC == ipc && rec.Sampling == sampling && rec.Complexity == complexity {
-			done[rec.Name] = rec.Report
+	for _, rec := range recs {
+		name, report := rec.Name, rec.Report
+		rec.Name, rec.Report = "", ""
+		if rec == key {
+			done[name] = report
 		}
 	}
-	return done, sc.Err()
+	return j, done, nil
 }
 
 // characterizeSuite runs every profile through a bounded worker pool and
@@ -204,10 +180,10 @@ func loadStatCheckpoint(path string, iters int, valuesOnly, ipc bool, sampling s
 // panic while characterizing one benchmark is contained to that benchmark;
 // Ctrl-C stops workers from starting new benchmarks and exits without
 // printing a partial suite.
-func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int, ckptPath string, resume bool, sim simFunc, sampling uarch.Sampling, complexity bool) {
-	sampStr := ""
+func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int, ckptPath string, resume bool, run experiments.Runner, sampling uarch.Sampling, complexity bool) {
+	key := statRecord{Iters: iters, ValuesOnly: valuesOnly, IPC: run != nil, Complexity: complexity}
 	if sampling.Enabled() {
-		sampStr = sampling.String()
+		key.Sampling = sampling.String()
 	}
 	profs := workload.Profiles()
 	if jobs < 1 {
@@ -219,14 +195,14 @@ func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int
 
 	reports := make([]string, len(profs))
 	errs := make([]error, len(profs))
-	var ckpt *os.File
-	var ckptMu sync.Mutex
+	var ckpt *journal.Journal
 	if ckptPath != "" {
+		j, done, err := openStatCheckpoint(ckptPath, resume, key)
+		if err != nil {
+			fatal(err)
+		}
+		ckpt = j
 		if resume {
-			done, err := loadStatCheckpoint(ckptPath, iters, valuesOnly, sim != nil, sampStr, complexity)
-			if err != nil {
-				fatal(err)
-			}
 			restored := 0
 			for i, prof := range profs {
 				if r, ok := done[prof.Name]; ok {
@@ -236,12 +212,6 @@ func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int
 			}
 			fmt.Fprintf(os.Stderr, "braidstat: resumed %d finished reports from %s\n", restored, ckptPath)
 		}
-		f, err := os.OpenFile(ckptPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		ckpt = f
 	}
 
 	work := make(chan int)
@@ -259,14 +229,13 @@ func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int
 					errs[i] = err
 					continue
 				}
-				reports[i], errs[i] = reportChecked(p, valuesOnly, sim, complexity)
+				reports[i], errs[i] = reportChecked(ctx, p, valuesOnly, run, sampling, complexity)
 				if errs[i] == nil && ckpt != nil {
-					rec := statRecord{Name: profs[i].Name, Iters: iters, ValuesOnly: valuesOnly, IPC: sim != nil, Sampling: sampStr, Complexity: complexity, Report: reports[i]}
-					if data, err := json.Marshal(&rec); err == nil {
-						ckptMu.Lock()
-						ckpt.Write(append(data, '\n')) // one write: a crash tears at most the last line
-						ckptMu.Unlock()
-					}
+					rec := key
+					rec.Name, rec.Report = profs[i].Name, reports[i]
+					// A failed append is kept by the journal and reported
+					// by its Close below.
+					_ = ckpt.Append(&rec)
 				}
 			}
 		}()
@@ -279,6 +248,11 @@ func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int
 	}
 	close(work)
 	wg.Wait()
+	if ckpt != nil {
+		if err := ckpt.Close(); err != nil {
+			fatal(fmt.Errorf("checkpoint %s: %w", ckptPath, err))
+		}
+	}
 
 	if ctx.Err() != nil {
 		msg := "braidstat: interrupted; no partial suite printed"
@@ -296,8 +270,8 @@ func characterizeSuite(ctx context.Context, iters int, valuesOnly bool, jobs int
 	}
 }
 
-func characterize(p *isa.Program, valuesOnly bool, sim simFunc, complexity bool) {
-	s, err := report(p, valuesOnly, sim, complexity)
+func characterize(ctx context.Context, p *isa.Program, valuesOnly bool, run experiments.Runner, sp uarch.Sampling, complexity bool) {
+	s, err := report(ctx, p, valuesOnly, run, sp, complexity)
 	if err != nil {
 		fatal(err)
 	}
@@ -306,20 +280,20 @@ func characterize(p *isa.Program, valuesOnly bool, sim simFunc, complexity bool)
 
 // reportChecked contains a panic in the characterization pipeline to the
 // benchmark that triggered it, so one bad program cannot kill the pool.
-func reportChecked(p *isa.Program, valuesOnly bool, sim simFunc, complexity bool) (s string, err error) {
+func reportChecked(ctx context.Context, p *isa.Program, valuesOnly bool, run experiments.Runner, sp uarch.Sampling, complexity bool) (s string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s = ""
 			err = fmt.Errorf("characterization panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return report(p, valuesOnly, sim, complexity)
+	return report(ctx, p, valuesOnly, run, sp, complexity)
 }
 
 // report builds one program's characterization text (§1 values, control
 // flow, Tables 1-3 braid statistics, and with -ipc the simulated IPC of the
-// 8-wide out-of-order and braid machines).
-func report(p *isa.Program, valuesOnly bool, sim simFunc, complexity bool) (string, error) {
+// 8-wide out-of-order and braid machines, simulated by run under sp).
+func report(ctx context.Context, p *isa.Program, valuesOnly bool, run experiments.Runner, sp uarch.Sampling, complexity bool) (string, error) {
 	var b strings.Builder
 	vs, err := interp.Characterize(p, 100_000_000)
 	if err != nil {
@@ -344,12 +318,12 @@ func report(p *isa.Program, valuesOnly bool, sim simFunc, complexity bool) (stri
 	}
 	st := ds.Stats()
 	b.WriteString(st.String())
-	if sim != nil {
-		ooo, oooEst, err := sim(p, uarch.OutOfOrderConfig(8))
+	if run != nil {
+		ooo, oooEst, err := run.SimulateSampled(ctx, p, uarch.OutOfOrderConfig(8), sp)
 		if err != nil {
 			return "", err
 		}
-		br, brEst, err := sim(res.Prog, uarch.BraidConfig(8))
+		br, brEst, err := run.SimulateSampled(ctx, res.Prog, uarch.BraidConfig(8), sp)
 		if err != nil {
 			return "", err
 		}

@@ -86,7 +86,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w.SetContext(ctx)
 	w.SetTimeout(*simTimeout)
 	w.SetCrashDir(*crashDir)
 	if sampling.Enabled() {
@@ -150,7 +149,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer ck.Close()
 		if *resume && ck.Generations() > 0 {
 			fmt.Fprintf(os.Stderr, "braidtune: resumed %d finished generations from %s\n",
 				ck.Generations(), *checkpoint)
@@ -174,6 +172,11 @@ func main() {
 			os.Exit(130)
 		}
 		fatal(err)
+	}
+	if ck != nil {
+		if err := ck.Close(); err != nil {
+			fatal(err)
+		}
 	}
 
 	report(w, benches, res)

@@ -1,17 +1,11 @@
 package experiments
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 
+	"braid/internal/journal"
 	"braid/internal/uarch"
 )
-
-// checkpointWriter is the sink completed points are appended to.
-type checkpointWriter = *os.File
 
 // ckptRecord is one completed simulation in the append-only JSONL
 // checkpoint: the memo key plus its result. Go's JSON encoding round-trips
@@ -38,101 +32,61 @@ var ckptDone = func() chan struct{} {
 	return ch
 }()
 
-// OpenCheckpoint attaches an append-only JSONL checkpoint at path: every
-// simulation that completes from now on is persisted. With resume set, any
-// existing records are first loaded into the memo cache (the returned count),
-// so an interrupted or crashed sweep restarts from its completed points. A
-// torn final line — the signature of a mid-write crash — is ignored; any
-// other malformed line is an error.
+// OpenCheckpoint attaches an append-only JSONL checkpoint (internal/journal)
+// at path: every simulation that completes from now on is persisted. Without
+// resume the file starts empty. With resume, existing records are first
+// loaded into the memo cache (the returned count), so an interrupted or
+// crashed sweep restarts from its completed points; a torn final line is
+// dropped, and any other malformed line is an error.
 func (w *Workloads) OpenCheckpoint(path string, resume bool) (int, error) {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
-	if w.ckptFile != nil {
+	if w.ckpt != nil {
 		return 0, fmt.Errorf("experiments: checkpoint already open")
 	}
-	restored := 0
-	if resume {
-		data, err := os.ReadFile(path)
-		switch {
-		case os.IsNotExist(err):
-			// Nothing to resume from; fresh start.
-		case err != nil:
-			return 0, err
-		default:
-			n, err := w.loadCheckpoint(data)
-			if err != nil {
-				return 0, fmt.Errorf("experiments: resuming %s: %w", path, err)
-			}
-			restored = n
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, recs, err := journal.Open[ckptRecord](path, resume)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("experiments: checkpoint: %w", err)
 	}
-	w.ckptFile = f
-	return restored, nil
+	w.ckpt = j
+	return w.restore(recs), nil
 }
 
-// CloseCheckpoint detaches and closes the checkpoint file, if any.
+// CloseCheckpoint detaches and closes the checkpoint, if any. It returns the
+// first error appending a point hit, so a sweep whose checkpoint stopped
+// recording (a full disk, say) does not pass for a resumable one.
 func (w *Workloads) CloseCheckpoint() error {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
-	if w.ckptFile == nil {
+	if w.ckpt == nil {
 		return nil
 	}
-	err := w.ckptFile.Close()
-	w.ckptFile = nil
+	err := w.ckpt.Close()
+	w.ckpt = nil
 	return err
 }
 
-// loadCheckpoint replays JSONL records into the memo cache as finished
-// cells, deduplicating repeated keys with last-write-wins: a kill → resume →
-// kill → resume cycle (or an explicit Retry) re-appends keys the file already
-// holds, and the newest record is the authoritative one. The restored count
-// is unique keys, not lines.
-func (w *Workloads) loadCheckpoint(data []byte) (int, error) {
+// restore replays records into the memo cache as finished cells,
+// deduplicating repeated keys with last-write-wins: a kill → resume → kill →
+// resume cycle (or an explicit Retry) re-appends keys the file already holds,
+// and the newest record is the authoritative one. The restored count is
+// unique keys, not lines.
+func (w *Workloads) restore(recs []ckptRecord) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	restored := 0
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var rec ckptRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			// A torn tail from a crash mid-append is expected; anything
-			// before the last line is real corruption.
-			if isLastLine(data, raw) {
-				break
-			}
-			return restored, fmt.Errorf("line %d: %w", line, err)
-		}
+	for _, rec := range recs {
 		var sp uarch.Sampling
 		if rec.Sampling != nil {
 			sp = *rec.Sampling
 		}
 		key := memoKey{rec.Bench, rec.Braided, rec.Cfg, sp}
-		w.mu.Lock()
 		if _, ok := w.memo[key]; !ok {
 			restored++
 		}
 		w.memo[key] = &memoCell{done: ckptDone, ipc: rec.IPC, ci: rec.CI}
-		w.mu.Unlock()
 	}
-	if err := sc.Err(); err != nil {
-		return restored, err
-	}
-	return restored, nil
-}
-
-// isLastLine reports whether raw is the final non-empty line of data.
-func isLastLine(data, raw []byte) bool {
-	tail := bytes.TrimRight(data, " \t\r\n")
-	return bytes.HasSuffix(tail, raw)
+	return restored
 }
 
 // checkpointPoint appends one completed simulation. Injected-fault configs
@@ -144,7 +98,7 @@ func (w *Workloads) checkpointPoint(key memoKey, ipc, ci float64) {
 	}
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
-	if w.ckptFile == nil {
+	if w.ckpt == nil {
 		return
 	}
 	rec := ckptRecord{Bench: key.bench, Braided: key.braided, IPC: ipc, Cfg: key.cfg}
@@ -153,11 +107,7 @@ func (w *Workloads) checkpointPoint(key memoKey, ipc, ci float64) {
 		rec.Sampling = &sp
 		rec.CI = ci
 	}
-	data, err := json.Marshal(&rec)
-	if err != nil {
-		return // Config is always marshalable; defensive only
-	}
-	// One Write call per record keeps lines whole even if the process dies
-	// mid-sweep; a torn line can only be the file's very last.
-	w.ckptFile.Write(append(data, '\n'))
+	// The journal keeps the first failure and CloseCheckpoint returns it;
+	// the sweep itself carries on, since its results are still correct.
+	_ = w.ckpt.Append(&rec)
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -216,7 +217,7 @@ func TestCancellationAbortsBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 4}
-	ws.SetContext(ctx)
+	ws.ctx = ctx
 	var pts []Point
 	for _, b := range w.Benches[:4] {
 		pts = append(pts, Point{b, true, uarch.BraidConfig(8)})
@@ -278,7 +279,8 @@ func TestCheckpointResume(t *testing.T) {
 }
 
 // TestCheckpointTornTail: a crash mid-append leaves a torn final line; resume
-// must keep every whole record and ignore the tear.
+// must keep every whole record, ignore the tear, and cut it off the file so
+// the points appended afterwards survive the next resume too.
 func TestCheckpointTornTail(t *testing.T) {
 	w := testSuite(t)
 	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
@@ -309,7 +311,6 @@ func TestCheckpointTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn tail must be tolerated: %v", err)
 	}
-	defer second.CloseCheckpoint()
 	if restored != 1 {
 		t.Fatalf("restored %d records, want the 1 whole one", restored)
 	}
@@ -318,6 +319,83 @@ func TestCheckpointTornTail(t *testing.T) {
 	}
 	if runs := second.SimRuns(); runs != 0 {
 		t.Errorf("whole record before the tear was not restored (%d runs)", runs)
+	}
+	// Two more points after the resume: they must land on lines of their
+	// own, not glued onto the torn half.
+	if _, err := second.IPC(b, false, uarch.OutOfOrderConfig(8)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := second.IPC(w.Benches[1], true, uarch.BraidConfig(8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.CloseCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	third := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	restored, err = third.OpenCheckpoint(ckpt, true)
+	if err != nil {
+		t.Fatalf("resume after a torn-tail resume: %v", err)
+	}
+	defer third.CloseCheckpoint()
+	if restored != 3 {
+		t.Fatalf("restored %d records, want 3", restored)
+	}
+}
+
+// parentFormatRecord is a checkpoint line as braidbench -checkpoint wrote it
+// before checkpoints moved onto internal/journal (gcc, braided, the Table 4
+// braid/8w machine); files in this format must keep resuming.
+const parentFormatRecord = `{"bench":"gcc","braided":true,"ipc":3.1817375886524824,"cfg":{"Core":2,"FetchWidth":8,"FetchBranches":3,"FrontDepth":8,"AllocWidth":4,"RenameSrc":8,"MispredictMin":19,"PerfectBP":false,"PredEntries":0,"PredHistory":0,"IssueWidth":8,"RetireWidth":0,"TotalFUs":16,"ROB":512,"RFEntries":8,"RFReadPorts":6,"RFWritePorts":3,"BypassLevels":1,"BypassValues":2,"ExtWakeupExtra":0,"DeadValueRelease":true,"Schedulers":0,"SchedEntries":0,"SteerFIFOs":0,"SteerFIFODeep":0,"BEUs":8,"BEUFIFO":32,"BEUWindow":2,"BEUFUs":2,"BEUQueueBraids":false,"Clusters":0,"InterClusterDelay":0,"Mem":{"L1I":{"SizeKB":64,"Assoc":4,"LineB":64,"Latency":3},"L1D":{"SizeKB":64,"Assoc":2,"LineB":64,"Latency":3},"L2":{"SizeKB":1024,"Assoc":8,"LineB":64,"Latency":6},"MemLatency":400,"Perfect":false},"LatIntALU":1,"LatIntMul":4,"LatIntDiv":12,"LatFPAdd":4,"LatFPMul":4,"LatFPDiv":12,"LatAGU":1,"ExceptionEvery":0,"ExceptionHandler":0,"MaxCycles":50000000,"Paranoid":false,"NoFastForward":false}}`
+
+// TestCheckpointResumesParentFormat: an existing checkpoint line restores to
+// the exact memo key and serves its recorded IPC without simulating.
+func TestCheckpointResumesParentFormat(t *testing.T) {
+	w := testSuite(t)
+	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
+	if err := os.WriteFile(ckpt, []byte(parentFormatRecord+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	restored, err := ws.OpenCheckpoint(ckpt, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.CloseCheckpoint()
+	if restored != 1 {
+		t.Fatalf("restored %d records, want 1", restored)
+	}
+	var gcc *Bench
+	for _, b := range w.Benches {
+		if b.Name == "gcc" {
+			gcc = b
+		}
+	}
+	got, err := ws.IPC(gcc, true, uarch.BraidConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 3.1817375886524824 || ws.SimRuns() != 0 {
+		t.Errorf("served %v after %d simulations, want the recorded 3.1817375886524824 after none", got, ws.SimRuns())
+	}
+}
+
+// TestCheckpointWriteErrorSurfaces: a checkpoint that cannot be written (a
+// full disk) does not stop the sweep, but CloseCheckpoint reports it.
+func TestCheckpointWriteErrorSurfaces(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	w := testSuite(t)
+	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	if _, err := ws.OpenCheckpoint("/dev/full", false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ws.IPC(w.Benches[0], true, uarch.BraidConfig(8)); err != nil {
+		t.Fatalf("a failed checkpoint write failed the point: %v", err)
+	}
+	if err := ws.CloseCheckpoint(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("CloseCheckpoint: %v, want ENOSPC", err)
 	}
 }
 

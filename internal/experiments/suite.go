@@ -12,6 +12,7 @@ import (
 	"braid/internal/braid"
 	"braid/internal/interp"
 	"braid/internal/isa"
+	"braid/internal/journal"
 	"braid/internal/uarch"
 	"braid/internal/workload"
 )
@@ -37,7 +38,7 @@ type Bench struct {
 // simulation and the rest wait for its result.
 //
 // The suite is fault-tolerant: simulations run through uarch.SimulateChecked
-// under the suite context (SetContext) with an optional per-simulation
+// under the suite context (LoadSuiteCtx) with an optional per-simulation
 // deadline (SetTimeout), engine panics surface as contained *uarch.SimFault
 // errors with a crash artifact (SetCrashDir), transient failures are not
 // memoized (Retry reruns a point), and completed points can be persisted to
@@ -56,8 +57,8 @@ type Workloads struct {
 	mu   sync.Mutex
 	memo map[memoKey]*memoCell
 
-	ckptMu   sync.Mutex
-	ckptFile checkpointWriter
+	ckptMu sync.Mutex
+	ckpt   *journal.Journal
 
 	failMu sync.Mutex
 	failed []PointFailure
@@ -108,11 +109,6 @@ func (w *Workloads) Jobs() int { return w.jobs }
 // one worker per processor.
 func (w *Workloads) SetJobs(n int) { w.jobs = defaultJobs(n) }
 
-// SetContext installs the base context every simulation runs under; cancel
-// it (e.g. from a Ctrl-C signal handler) to stop the whole suite. In-flight
-// simulations return errors wrapping uarch.ErrCanceled.
-func (w *Workloads) SetContext(ctx context.Context) { w.ctx = ctx }
-
 // SetTimeout bounds each individual simulation's wall-clock time; an expired
 // deadline surfaces as an error wrapping uarch.ErrTimeout and is treated as
 // transient (not memoized). Zero disables the deadline.
@@ -125,26 +121,27 @@ func (w *Workloads) SetCrashDir(dir string) { w.crashDir = dir }
 
 // Runner executes one simulation. The default runner is the in-process
 // simulator; installing a remote pool (internal/remote) makes every memoized
-// point and ablation run execute on braidd backends instead. A Runner must
-// be deterministic and must report failures in the local error taxonomy
-// (*uarch.SimFault, ErrCycleLimit, ErrTimeout, ErrCanceled) so memoization,
-// checkpointing, and Failures() accounting behave identically either way.
+// point and ablation run execute on braidd backends instead. A zero Sampling
+// means an exact run, whose estimate is nil. A Runner must be deterministic
+// and must report failures in the local error taxonomy (*uarch.SimFault,
+// ErrCycleLimit, ErrTimeout, ErrCanceled) so memoization, checkpointing, and
+// Failures() accounting behave identically either way.
 type Runner interface {
-	Simulate(ctx context.Context, p *isa.Program, cfg uarch.Config) (*uarch.Stats, error)
+	SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error)
+}
+
+// LocalRunner is the in-process simulator, the Runner a Workloads uses until
+// SetRunner installs another.
+type LocalRunner struct{}
+
+// SimulateSampled is uarch.SimulateSampled.
+func (LocalRunner) SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error) {
+	return uarch.SimulateSampled(ctx, p, cfg, sp)
 }
 
 // SetRunner installs the simulation executor; nil restores the in-process
 // simulator. Set it before starting a sweep, not during one.
 func (w *Workloads) SetRunner(r Runner) { w.runner = r }
-
-// SampledRunner is the optional Runner extension for interval-sampled
-// execution. A Runner that lacks it cannot serve a sampled suite —
-// silently falling back to exact would report exact results under a sampled
-// cache key — so simulate returns an error instead.
-type SampledRunner interface {
-	Runner
-	SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error)
-}
 
 // SetSampling selects interval sampling for every subsequent simulation
 // (zero value: exact). Sampled and exact results occupy disjoint memo and
@@ -155,26 +152,14 @@ func (w *Workloads) SetSampling(sp uarch.Sampling) { w.sampling = sp }
 // Sampling reports the suite's sampling geometry (zero when exact).
 func (w *Workloads) Sampling() uarch.Sampling { return w.sampling }
 
-// simulate dispatches one run through the installed Runner, defaulting to
-// the in-process simulator; with sampling enabled the estimate accompanies
-// the stats (nil for exact runs).
+// simulate runs one point under the suite's sampling geometry through the
+// installed Runner.
 func (w *Workloads) simulate(ctx context.Context, p *isa.Program, cfg uarch.Config) (*uarch.Stats, *uarch.SampleEstimate, error) {
-	if w.sampling.Enabled() {
-		if w.runner != nil {
-			sr, ok := w.runner.(SampledRunner)
-			if !ok {
-				return nil, nil, fmt.Errorf("experiments: runner %T does not support sampled simulation", w.runner)
-			}
-			return sr.SimulateSampled(ctx, p, cfg, w.sampling)
-		}
-		return uarch.SimulateSampled(ctx, p, cfg, w.sampling)
-	}
+	var r Runner = LocalRunner{}
 	if w.runner != nil {
-		st, err := w.runner.Simulate(ctx, p, cfg)
-		return st, nil, err
+		r = w.runner
 	}
-	st, err := uarch.SimulateChecked(ctx, p, cfg)
-	return st, nil, err
+	return r.SimulateSampled(ctx, p, cfg, w.sampling)
 }
 
 // baseCtx resolves the suite context, defaulting to Background.
@@ -210,18 +195,17 @@ func (w *Workloads) SimFFwdInstrs() uint64 { return w.simFFwd.Load() }
 // dynTarget dynamic instructions, and precomputes their characterization,
 // preparing one benchmark per processor at a time.
 func LoadSuite(dynTarget uint64) (*Workloads, error) {
-	return LoadSuiteJobs(dynTarget, 0)
+	return LoadSuiteCtx(context.Background(), dynTarget, 0)
 }
 
-// LoadSuiteJobs is LoadSuite with an explicit worker-pool width (jobs <= 0
-// means one worker per processor). The suite order is deterministic —
-// workload.Profiles order — regardless of which preparation finishes first.
-func LoadSuiteJobs(dynTarget uint64, jobs int) (*Workloads, error) {
-	return LoadSuiteCtx(context.Background(), dynTarget, jobs)
-}
-
-// LoadSuiteCtx is LoadSuiteJobs under a context: canceling ctx stops the
-// preparation between benchmarks (each in-flight preparation still finishes).
+// LoadSuiteCtx is LoadSuite under a context with an explicit worker-pool
+// width (jobs <= 0 means one worker per processor). The suite order is
+// deterministic — workload.Profiles order — regardless of which preparation
+// finishes first. Canceling ctx stops the preparation between benchmarks
+// (each in-flight preparation still finishes); ctx is also the base context
+// every simulation of the suite runs under, so canceling it (e.g. from a
+// Ctrl-C signal handler) stops sweeps too, with in-flight simulations
+// returning errors wrapping uarch.ErrCanceled.
 func LoadSuiteCtx(ctx context.Context, dynTarget uint64, jobs int) (*Workloads, error) {
 	if dynTarget < 1000 {
 		return nil, fmt.Errorf("experiments: dynTarget %d too small", dynTarget)

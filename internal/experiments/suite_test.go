@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -115,11 +116,11 @@ func TestLoadSuiteJobsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	w1, err := LoadSuiteJobs(1000, 1)
+	w1, err := LoadSuiteCtx(context.Background(), 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w8, err := LoadSuiteJobs(1000, 8)
+	w8, err := LoadSuiteCtx(context.Background(), 1000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package explore
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
+
+	"braid/internal/journal"
 )
 
 // Meta pins the search parameters a checkpoint was taken under. Resume
@@ -37,13 +35,13 @@ type ckptLine struct {
 	Fresh      []Eval   `json:"fresh,omitempty"` // evaluations this generation ran
 }
 
-// Checkpoint is the append-only JSONL persistence for a search. One write
-// per completed generation keeps the torn-write window to a single line; a
-// torn final line (SIGKILL mid-append) is detected and dropped on load, so
-// resume restarts from the last complete generation.
+// Checkpoint is the append-only JSONL persistence for a search, kept in an
+// internal/journal file. One record per completed generation keeps the
+// torn-write window to a single line; the journal drops a torn final line
+// (SIGKILL mid-append) on load, so resume restarts from the last complete
+// generation.
 type Checkpoint struct {
-	f    *os.File
-	meta Meta
+	j    *journal.Journal
 	gens []ckptLine // complete generation records, ascending contiguous
 }
 
@@ -54,91 +52,54 @@ type Checkpoint struct {
 // missing or empty file degrades to a fresh start.
 func OpenCheckpoint(path string, meta Meta, resume bool) (*Checkpoint, error) {
 	meta.Lattice = latticeVersion
-	if resume {
-		data, err := os.ReadFile(path)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, err
-		}
-		if len(bytes.TrimSpace(data)) > 0 {
-			return loadCheckpoint(path, data, meta)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	j, lines, err := journal.Open[ckptLine](path, resume)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("explore: %w", err)
 	}
-	ck := &Checkpoint{f: f, meta: meta}
-	if err := ck.appendLine(ckptLine{Kind: "meta", Meta: &meta}); err != nil {
-		f.Close()
-		return nil, err
+	ck := &Checkpoint{j: j}
+	if len(lines) == 0 {
+		err = j.Append(ckptLine{Kind: "meta", Meta: &meta})
+	} else {
+		ck.gens, err = validate(lines, meta)
+	}
+	if err != nil {
+		j.Close()
+		return nil, fmt.Errorf("explore: checkpoint %s: %w", path, err)
 	}
 	return ck, nil
 }
 
-func loadCheckpoint(path string, data []byte, want Meta) (*Checkpoint, error) {
-	ck := &Checkpoint{}
-	haveMeta := false
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	tail := bytes.TrimRight(data, " \t\r\n")
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
+// validate checks a resumed checkpoint's lines — one meta line equal to want,
+// then contiguous generations over lattice genomes — and returns the
+// generations.
+func validate(lines []ckptLine, want Meta) ([]ckptLine, error) {
+	if lines[0].Kind != "meta" || lines[0].Meta == nil {
+		return nil, fmt.Errorf("no meta line")
+	}
+	if m := *lines[0].Meta; !metaEqual(m, want) {
+		return nil, fmt.Errorf("taken with different parameters\n  have: %s\n  want: %s\n(delete the file or rerun with matching flags)",
+			metaString(m), metaString(want))
+	}
+	gens := lines[1:]
+	for i, line := range gens {
+		switch {
+		case line.Kind != "gen":
+			return nil, fmt.Errorf("misplaced or unknown record kind %q", line.Kind)
+		case line.Gen != i:
+			return nil, fmt.Errorf("generation %d out of order (want %d)", line.Gen, i)
 		}
-		var line ckptLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			if bytes.HasSuffix(tail, raw) {
-				break // torn final line from an interrupted append
+		for _, g := range line.Population {
+			if !g.valid() {
+				return nil, fmt.Errorf("generation %d holds a genome outside the lattice", line.Gen)
 			}
-			return nil, fmt.Errorf("explore: corrupt checkpoint %s: %w", path, err)
 		}
-		switch line.Kind {
-		case "meta":
-			if haveMeta || len(ck.gens) > 0 {
-				return nil, fmt.Errorf("explore: checkpoint %s: duplicate or misplaced meta line", path)
+		for _, e := range line.Fresh {
+			if !e.Genome.valid() {
+				return nil, fmt.Errorf("generation %d evaluated a genome outside the lattice", line.Gen)
 			}
-			if line.Meta == nil {
-				return nil, fmt.Errorf("explore: checkpoint %s: empty meta line", path)
-			}
-			haveMeta = true
-			m := *line.Meta
-			ck.meta = m
-			if !metaEqual(m, want) {
-				return nil, fmt.Errorf("explore: checkpoint %s was taken with different parameters\n  have: %s\n  want: %s\n(delete the file or rerun with matching flags)",
-					path, metaString(m), metaString(want))
-			}
-		case "gen":
-			if line.Gen != len(ck.gens) {
-				return nil, fmt.Errorf("explore: checkpoint %s: generation %d out of order (want %d)", path, line.Gen, len(ck.gens))
-			}
-			for _, g := range line.Population {
-				if !g.valid() {
-					return nil, fmt.Errorf("explore: checkpoint %s: generation %d holds a genome outside the lattice", path, line.Gen)
-				}
-			}
-			for _, e := range line.Fresh {
-				if !e.Genome.valid() {
-					return nil, fmt.Errorf("explore: checkpoint %s: generation %d evaluated a genome outside the lattice", path, line.Gen)
-				}
-			}
-			ck.gens = append(ck.gens, line)
-		default:
-			return nil, fmt.Errorf("explore: checkpoint %s: unknown record kind %q", path, line.Kind)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !haveMeta {
-		return nil, fmt.Errorf("explore: checkpoint %s has no meta line", path)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	ck.f = f
-	return ck, nil
+	return gens, nil
 }
 
 func metaEqual(a, b Meta) bool {
@@ -165,25 +126,14 @@ func metaString(m Meta) string {
 func (ck *Checkpoint) Generations() int { return len(ck.gens) }
 
 // appendGen records one completed generation: cumulative evaluation count,
-// the post-selection population, and the evaluations performed. One write
-// call, so a crash tears at most this line.
+// the post-selection population, and the evaluations performed. One journal
+// record, so a crash tears at most this line.
 func (ck *Checkpoint) appendGen(gen, evals int, population []Genome, fresh []Eval) error {
-	return ck.appendLine(ckptLine{Kind: "gen", Gen: gen, Evals: evals, Population: population, Fresh: fresh})
+	return ck.j.Append(ckptLine{Kind: "gen", Gen: gen, Evals: evals, Population: population, Fresh: fresh})
 }
 
-func (ck *Checkpoint) appendLine(line ckptLine) error {
-	data, err := json.Marshal(&line)
-	if err != nil {
-		return err
-	}
-	if _, err := ck.f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	return ck.f.Sync()
-}
-
-// Close releases the underlying file.
-func (ck *Checkpoint) Close() error { return ck.f.Close() }
+// Close releases the underlying file, reporting any failed append.
+func (ck *Checkpoint) Close() error { return ck.j.Close() }
 
 // restore seeds the searcher from a checkpoint's completed generations and
 // returns the next generation index to run. No simulation happens here: the
@@ -191,7 +141,7 @@ func (ck *Checkpoint) Close() error { return ck.f.Close() }
 // pays for generations the original never finished. (Points the memo cache
 // would recompute identically anyway — both are deterministic — but resume
 // must not depend on the simulator at all.)
-func (s *searcher) restore(ck *Checkpoint) (int, error) {
+func (s *searcher) restore(ck *Checkpoint) int {
 	for _, gen := range ck.gens {
 		for _, e := range gen.Fresh {
 			s.archiveEval(e)
@@ -199,5 +149,5 @@ func (s *searcher) restore(ck *Checkpoint) (int, error) {
 		s.pop = append([]Genome(nil), gen.Population...)
 		s.evals = gen.Evals
 	}
-	return len(ck.gens), nil
+	return len(ck.gens)
 }

@@ -89,10 +89,7 @@ func Search(ctx context.Context, w *experiments.Workloads, benches []*experiment
 
 	gen := 0
 	if ck != nil {
-		var err error
-		if gen, err = s.restore(ck); err != nil {
-			return nil, err
-		}
+		gen = s.restore(ck)
 	}
 
 	// The budget counts unique evaluations; a pathological lattice corner

@@ -209,6 +209,83 @@ func TestResumeRefusesParameterMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeAfterTornTail: resuming past a torn final line must cut
+// it off the file, so generations appended afterwards survive the next
+// resume instead of being glued onto the torn half.
+func TestCheckpointResumeAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	meta := Meta{Seed: 1, Pop: 2, Budget: 8, Workloads: []string{"gcc"}, DynTarget: testDyn}
+	pop := []Genome{{}, {Core: 2, Width: 1}}
+	appendGens := func(ck *Checkpoint, gens ...int) {
+		t.Helper()
+		for _, g := range gens {
+			if err := ck.appendGen(g, 2*(g+1), pop, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ck, err := OpenCheckpoint(path, meta, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendGens(ck, 0, 1)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"kind":"gen","gen":2,"evals":6,"popu`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	ck, err = OpenCheckpoint(path, meta, true)
+	if err != nil {
+		t.Fatalf("torn tail must be tolerated: %v", err)
+	}
+	if ck.Generations() != 2 {
+		t.Fatalf("restored %d generations, want 2", ck.Generations())
+	}
+	appendGens(ck, 2, 3)
+
+	ck, err = OpenCheckpoint(path, meta, true)
+	if err != nil {
+		t.Fatalf("resume after a torn-tail resume: %v", err)
+	}
+	defer ck.Close()
+	if ck.Generations() != 4 {
+		t.Fatalf("restored %d generations, want 4", ck.Generations())
+	}
+}
+
+// parentFormatCheckpoint is a braidtune -checkpoint file (-workloads gcc
+// -dyn 2000 -seed 1 -pop 2 -budget 2) as written before checkpoints moved
+// onto internal/journal; files in this format must keep resuming.
+const parentFormatCheckpoint = `{"kind":"meta","meta":{"lattice":1,"seed":1,"pop":2,"budget":2,"workloads":["gcc"],"dyn_target":2000}}
+{"kind":"gen","evals":2,"population":[{"core":1,"width":3,"retire":1,"beus":3,"iq":1,"window":0,"erf":3,"rports":0,"wports":1,"bypass":0,"predent":2,"predhist":1},{"core":2,"width":1,"retire":0,"beus":2,"iq":3,"window":2,"erf":0,"rports":1,"wports":0,"bypass":0,"predent":0,"predhist":1}],"fresh":[{"genome":{"core":1,"width":3,"retire":1,"beus":3,"iq":1,"window":0,"erf":3,"rports":0,"wports":1,"bypass":0,"predent":2,"predhist":1},"ipc":1.2795248078266945,"cost":33168,"feasible":true,"gen":0},{"genome":{"core":2,"width":1,"retire":0,"beus":2,"iq":3,"window":2,"erf":0,"rports":1,"wports":0,"bypass":0,"predent":0,"predhist":1},"ipc":1.812871287128713,"cost":154442,"feasible":true,"gen":0}]}
+`
+
+func TestCheckpointResumesParentFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	if err := os.WriteFile(path, []byte(parentFormatCheckpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	meta := Meta{Seed: 1, Pop: 2, Budget: 2, Workloads: []string{"gcc"}, DynTarget: 2000}
+	ck, err := OpenCheckpoint(path, meta, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	s := &searcher{archive: map[Genome]*Eval{}}
+	if next := s.restore(ck); next != 1 || s.evals != 2 || len(s.pop) != 2 || len(s.archive) != 2 {
+		t.Fatalf("restored next gen %d, %d evals, %d genomes, %d archived; want 1, 2, 2, 2",
+			next, s.evals, len(s.pop), len(s.archive))
+	}
+}
+
 // TestInjectedFaultContainedAndExcluded: arming the fault injector on one
 // evaluation must not abort the search — the genome comes back infeasible,
 // is excluded from the front, and the containment shows up in Failures().

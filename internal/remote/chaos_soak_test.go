@@ -73,7 +73,7 @@ func runChaosSweep(t *testing.T, disableBreaker bool) soakOutcome {
 		defer stop()
 	}
 
-	w, err := experiments.LoadSuiteJobs(1500, 0)
+	w, err := experiments.LoadSuiteCtx(context.Background(), 1500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestFlakyBackendsConvergeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := experiments.LoadSuiteJobs(1500, 0)
+	w, err := experiments.LoadSuiteCtx(context.Background(), 1500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 // and a verify mode cross-checks a deterministic sample of remote Stats
 // bit-for-bit against local simulation.
 //
-// The pool implements the experiments.Runner interface, so a Workloads suite
+// The pool implements experiments.Runner (SimulateSampled), so a Workloads suite
 // pointed at it keeps its memoization, checkpoint/resume, and Failures()
 // accounting unchanged: remote structured errors translate back into the
 // local taxonomy (*uarch.SimFault, ErrCycleLimit, ErrTimeout, ErrCanceled).
@@ -321,10 +321,8 @@ func (p *Pool) Ping(ctx context.Context) (down []string, err error) {
 	return down, nil
 }
 
-// Simulate runs one point remotely, satisfying experiments.Runner: the
-// returned Stats and error taxonomy match uarch.SimulateChecked on a live
-// fleet, so memoization, Failures() accounting, and checkpointing behave
-// identically to local execution.
+// Simulate runs one point remotely with exact timing: the returned Stats and
+// error taxonomy match uarch.SimulateChecked on a live fleet.
 func (p *Pool) Simulate(ctx context.Context, prog *isa.Program, cfg uarch.Config) (*uarch.Stats, error) {
 	r, err := p.SimulateFull(ctx, prog, cfg)
 	if err != nil {
@@ -333,11 +331,13 @@ func (p *Pool) Simulate(ctx context.Context, prog *isa.Program, cfg uarch.Config
 	return r.Stats, nil
 }
 
-// SimulateSampled runs one point remotely with interval-sampled timing,
-// satisfying experiments.SampledRunner. The routing key gains the sampling
-// geometry, so sampled and exact results occupy disjoint server cache
-// keyspaces, and verification compares the estimate within tolerance rather
-// than byte-for-byte.
+// SimulateSampled runs one point remotely, satisfying experiments.Runner: the
+// returned Stats, estimate and error taxonomy match uarch.SimulateSampled on
+// a live fleet, so memoization, Failures() accounting, and checkpointing
+// behave identically to local execution. A zero sp runs exact with a nil
+// estimate; otherwise the routing key gains the sampling geometry, so sampled
+// and exact results occupy disjoint server cache keyspaces, and verification
+// compares the estimate within tolerance rather than byte-for-byte.
 func (p *Pool) SimulateSampled(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error) {
 	r, err := p.run(ctx, prog, cfg, sp)
 	if err != nil {
@@ -630,16 +630,7 @@ func (p *Pool) runAttempts(ctx context.Context, key string, body []byte, cands [
 // downstream byte-equality consumers cannot tell the difference.
 func (p *Pool) runLocal(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*Result, error) {
 	p.localFallbacks.Add(1)
-	var (
-		st  *uarch.Stats
-		est *uarch.SampleEstimate
-		err error
-	)
-	if sp.Enabled() {
-		st, est, err = uarch.SimulateSampled(ctx, prog, cfg, sp)
-	} else {
-		st, err = uarch.SimulateChecked(ctx, prog, cfg)
-	}
+	st, est, err := uarch.SimulateSampled(ctx, prog, cfg, sp)
 	if err != nil {
 		return nil, err // already in the local taxonomy
 	}

@@ -184,7 +184,7 @@ func TestFallbackLocalBitIdentical(t *testing.T) {
 	}
 
 	// Sweep check: memoization and checkpoints stay clean.
-	w, err := experiments.LoadSuiteJobs(1000, 0)
+	w, err := experiments.LoadSuiteCtx(context.Background(), 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestFallbackLocalBitIdentical(t *testing.T) {
 
 	// The checkpoint written under fallback replays like any other: a fresh
 	// suite resumes every point from the file without touching a runner.
-	w2, err := experiments.LoadSuiteJobs(1000, 0)
+	w2, err := experiments.LoadSuiteCtx(context.Background(), 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
