@@ -121,11 +121,18 @@ func directive(p *isa.Program, line string, lineNo int) error {
 		if err != nil {
 			return err
 		}
+		if n < 0 || n > int64(isa.ImageLimit-len(p.Data)) {
+			return fmt.Errorf("asm:%d: .data %d outside the %d bytes left of the %d-byte data limit",
+				lineNo, n, isa.ImageLimit-len(p.Data), isa.ImageLimit)
+		}
 		p.Data = append(p.Data, make([]byte, n)...)
 	case ".word":
 		v, err := atoi(fields, lineNo)
 		if err != nil {
 			return err
+		}
+		if len(p.Data)+8 > isa.ImageLimit {
+			return fmt.Errorf("asm:%d: .word beyond the %d-byte data limit", lineNo, isa.ImageLimit)
 		}
 		var b [8]byte
 		u := uint64(v)

@@ -147,11 +147,28 @@ func TestParseErrors(t *testing.T) {
 		"\t.bogus 3\n\thalt\n",          // unknown directive
 		"\tadd r1, r2, r3 !wat\n\thalt\n",
 		"\tadd i9, r1, r2\n\thalt\n", // internal index out of range
+		// Data sizes are checked before they are allocated.
+		".data -1\n\thalt\n",
+		".data 999999999999\n\thalt\n",
+		".data 8388608\n.data 1\n\thalt\n",
+		".data 8388608\n.word 1\n\thalt\n",
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse accepted %q", src)
 		}
+	}
+}
+
+// TestDataSegmentAtLimit: a data segment may fill the image limit exactly
+// (TestParseErrors has the sizes beyond it).
+func TestDataSegmentAtLimit(t *testing.T) {
+	p, err := Parse(".data 8388600\n.word 7\n\thalt\n")
+	if err != nil {
+		t.Fatalf("data segment at the limit rejected: %v", err)
+	}
+	if len(p.Data) != isa.ImageLimit {
+		t.Errorf("data segment %d bytes, want %d", len(p.Data), isa.ImageLimit)
 	}
 }
 

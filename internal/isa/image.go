@@ -24,9 +24,10 @@ import (
 // Labels are not stored: they are assembler conveniences, not semantics.
 var imageMagic = [8]byte{'B', 'R', 'D', '6', '4', 0, 1, 0}
 
-// imageLimit bounds the declared sizes a reader will accept (64 MiB of
-// instructions or data), so corrupt headers cannot trigger huge allocations.
-const imageLimit = 8 << 20
+// ImageLimit bounds the declared sizes a reader will accept (8 Mi
+// instructions, or 8 MiB of data), so corrupt headers cannot trigger huge
+// allocations. The assembler holds data segments to the same bound.
+const ImageLimit = 8 << 20
 
 // WriteImage serializes the program to w in .brd format.
 func WriteImage(w io.Writer, p *Program) error {
@@ -73,7 +74,7 @@ func ReadImage(r io.Reader) (*Program, error) {
 		}
 	}
 	nameLen, instrs, dataLen, flags := hdr[0], hdr[1], hdr[2], hdr[3]
-	if nameLen > 4096 || instrs > imageLimit || dataLen > imageLimit {
+	if nameLen > 4096 || instrs > ImageLimit || dataLen > ImageLimit {
 		return nil, fmt.Errorf("isa: image: implausible sizes (name %d, instrs %d, data %d)", nameLen, instrs, dataLen)
 	}
 	name := make([]byte, nameLen)

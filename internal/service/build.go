@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"braid/internal/asm"
@@ -69,6 +70,19 @@ type Built struct {
 	ProgHash string
 	ConfHash string
 	Timeout  time.Duration // request-level wall-clock bound (0: server default)
+
+	half *programHalf // where Program and ProgHash came from
+}
+
+// programHalf is the part of a Built that depends only on the request's
+// program source and braided flag: the program, braided if asked, and its
+// image hash. braidd shares one among all requests naming the same source.
+type programHalf struct {
+	prog *isa.Program
+	hash string
+	// evicted is set once braidd's program cache has dropped this half and
+	// released its replay state.
+	evicted atomic.Bool
 }
 
 // Key is the result-cache and coalescing key: requests that resolve to the
@@ -101,33 +115,41 @@ const (
 // program, braid it if asked (or implied by the braid core), resolve and
 // validate the configuration, clamp it to the limits, and hash both halves.
 // Errors are client errors (bad input), except compile faults, which carry
-// *CompileFault.
+// *CompileFault. Build makes the program afresh on every call; braidd takes
+// it from its program cache instead (Server.build).
 func Build(req *SimRequest, lim Limits) (*Built, error) {
+	return build(req, lim, newProgramHalf)
+}
+
+// build is Build with the program half made by program, from the request
+// and its resolved braided flag.
+func build(req *SimRequest, lim Limits, program func(req *SimRequest, braided bool) (*programHalf, error)) (*Built, error) {
 	if lim.MaxCycles == 0 {
 		lim.MaxCycles = defaultMaxCycles
 	}
 	if lim.MaxSimTime == 0 {
 		lim.MaxSimTime = defaultMaxSimTime
 	}
-	p, err := buildProgram(req)
-	if err != nil {
-		return nil, err
+	sources := 0
+	for _, set := range []bool{req.Asm != "", req.Image != "", req.Workload != "", req.Kernel != ""} {
+		if set {
+			sources++
+		}
+	}
+	if sources != 1 {
+		return nil, fmt.Errorf("request needs exactly one of asm, image, workload, kernel (got %d)", sources)
 	}
 	cfg, err := buildConfig(req)
 	if err != nil {
 		return nil, err
 	}
-
 	braided := cfg.Core == uarch.CoreBraid
 	if req.Braid != nil {
 		braided = *req.Braid
 	}
-	if braided && !alreadyBraided(p) {
-		res, err := compileBraid(p)
-		if err != nil {
-			return nil, err
-		}
-		p = res.Prog
+	half, err := program(req, braided)
+	if err != nil {
+		return nil, err
 	}
 
 	if cfg.MaxCycles == 0 || cfg.MaxCycles > lim.MaxCycles {
@@ -149,15 +171,15 @@ func Build(req *SimRequest, lim Limits) (*Built, error) {
 		timeout = lim.MaxSimTime
 	}
 
-	b := &Built{Program: p, Config: cfg, Braided: braided, Timeout: timeout}
+	b := &Built{
+		Program: half.prog, Config: cfg, Braided: braided, Timeout: timeout,
+		ProgHash: half.hash, half: half,
+	}
 	if req.Sampling != nil {
 		if err := req.Sampling.Validate(); err != nil {
 			return nil, err
 		}
 		b.Sampling = *req.Sampling
-	}
-	if b.ProgHash, err = hashProgram(p); err != nil {
-		return nil, err
 	}
 	if b.ConfHash, err = hashConfig(&cfg); err != nil {
 		return nil, err
@@ -165,16 +187,30 @@ func Build(req *SimRequest, lim Limits) (*Built, error) {
 	return b, nil
 }
 
-func buildProgram(req *SimRequest) (*isa.Program, error) {
-	sources := 0
-	for _, set := range []bool{req.Asm != "", req.Image != "", req.Workload != "", req.Kernel != ""} {
-		if set {
-			sources++
+// newProgramHalf loads or generates the request's program, braids it when
+// braided is set and it carries no braid bits yet, and hashes its image.
+func newProgramHalf(req *SimRequest, braided bool) (*programHalf, error) {
+	p, err := loadProgram(req)
+	if err != nil {
+		return nil, err
+	}
+	if braided && !alreadyBraided(p) {
+		res, err := compileBraid(p)
+		if err != nil {
+			return nil, err
 		}
+		p = res.Prog
 	}
-	if sources != 1 {
-		return nil, fmt.Errorf("request needs exactly one of asm, image, workload, kernel (got %d)", sources)
+	hash, err := hashProgram(p)
+	if err != nil {
+		return nil, err
 	}
+	return &programHalf{prog: p, hash: hash}, nil
+}
+
+// loadProgram parses, decodes or generates the program of a request that
+// names exactly one source.
+func loadProgram(req *SimRequest) (*isa.Program, error) {
 	switch {
 	case req.Asm != "":
 		p, err := asm.Parse(req.Asm)
@@ -197,10 +233,7 @@ func buildProgram(req *SimRequest) (*isa.Program, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown workload %q", req.Workload)
 		}
-		iters := req.Iters
-		if iters <= 0 {
-			iters = defaultIters
-		}
+		iters := workloadIters(req)
 		if iters > isa.ImmMax {
 			return nil, fmt.Errorf("iters %d above the ISA limit %d", iters, isa.ImmMax)
 		}
@@ -216,6 +249,14 @@ func buildProgram(req *SimRequest) (*isa.Program, error) {
 		}
 		return p, nil
 	}
+}
+
+// workloadIters is a workload request's loop count, defaulted.
+func workloadIters(req *SimRequest) int {
+	if req.Iters <= 0 {
+		return defaultIters
+	}
+	return req.Iters
 }
 
 func buildConfig(req *SimRequest) (uarch.Config, error) {

@@ -2,10 +2,85 @@ package service
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 
 	"braid/internal/uarch"
 )
+
+// lru is a bounded map that evicts its least recently used entry, safe for
+// concurrent use. Both of braidd's caches are one: results by simulation
+// key, and built programs by program source.
+type lru[K comparable, V any] struct {
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List // of *lruItem[K, V]; front = most recently used
+	items map[K]*list.Element
+	// onEvict, when set, sees each value the capacity pushes out, after
+	// the lock is released, so it may take other locks.
+	onEvict func(V)
+}
+
+type lruItem[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// newLRU returns an empty cache of the given capacity; a capacity of zero
+// or less stores nothing.
+func newLRU[K comparable, V any](capacity int, onEvict func(V)) *lru[K, V] {
+	return &lru[K, V]{
+		cap:     capacity,
+		ll:      list.New(),
+		items:   make(map[K]*list.Element, max(capacity, 0)),
+		onEvict: onEvict,
+	}
+}
+
+// get returns key's value and marks it most recently used.
+func (c *lru[K, V]) get(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruItem[K, V]).val, true
+}
+
+// add stores val under key unless key already holds a value, marks the key
+// most recently used, and returns the value it now holds: val, or the one
+// stored first.
+func (c *lru[K, V]) add(key K, val V) V {
+	if c.cap <= 0 {
+		return val
+	}
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		c.mu.Unlock()
+		return el.Value.(*lruItem[K, V]).val
+	}
+	c.items[key] = c.ll.PushFront(&lruItem[K, V]{key: key, val: val})
+	var oldest *lruItem[K, V] // one in, at most one out
+	if c.ll.Len() > c.cap {
+		oldest = c.ll.Remove(c.ll.Back()).(*lruItem[K, V])
+		delete(c.items, oldest.key)
+	}
+	c.mu.Unlock()
+	if oldest != nil && c.onEvict != nil {
+		c.onEvict(oldest.val)
+	}
+	return val
+}
+
+func (c *lru[K, V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
 
 // resultCache is a keyed LRU over successful simulation results. The
 // simulator is deterministic, so a (program hash, config hash) key fully
@@ -13,24 +88,16 @@ import (
 // Failures are never cached: a fault or limit must re-execute so a fixed
 // input or a raised budget can succeed.
 type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	entries *lru[string, cacheEntry]
 }
 
 type cacheEntry struct {
-	key string
 	st  *uarch.Stats
 	est *uarch.SampleEstimate // non-nil only for sampled results
 }
 
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
+	return &resultCache{entries: newLRU[string, cacheEntry](capacity, nil)}
 }
 
 // cloneStats copies a Stats record. Stats is a flat struct of counters, so
@@ -55,46 +122,82 @@ func cloneEstimate(est *uarch.SampleEstimate) *uarch.SampleEstimate {
 }
 
 func (c *resultCache) get(key string) (*uarch.Stats, *uarch.SampleEstimate, bool) {
-	if c.cap <= 0 {
-		return nil, nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.entries.get(key)
 	if !ok {
 		return nil, nil, false
 	}
-	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
 	return cloneStats(e.st), cloneEstimate(e.est), true
 }
 
+// put stores a copy of a result: the cache owns its copy, the caller keeps
+// theirs.
 func (c *resultCache) put(key string, st *uarch.Stats, est *uarch.SampleEstimate) {
-	if c.cap <= 0 {
-		return
-	}
-	st = cloneStats(st) // the cache owns its copy; the caller keeps theirs
-	est = cloneEstimate(est)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.st, e.est = st, est
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, st: st, est: est})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
+	c.entries.add(key, cacheEntry{st: cloneStats(st), est: cloneEstimate(est)})
 }
 
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+func (c *resultCache) len() int { return c.entries.len() }
+
+// programCacheEntries bounds braidd's program cache. It holds the 52
+// programs of the benchmark suite (26 workloads, plain and braided).
+const programCacheEntries = 64
+
+// progKey identifies a program half: the request's program source and the
+// resolved braided flag. Sources are keyed by what determines the program,
+// so a hit skips generation, braid compilation and image hashing.
+type progKey struct {
+	kind    string            // asm, image, workload or kernel
+	name    string            // workload or kernel name
+	iters   int               // resolved workload iterations
+	digest  [sha256.Size]byte // SHA-256 of the asm text or image string
+	braided bool
+}
+
+func programKey(req *SimRequest, braided bool) progKey {
+	k := progKey{braided: braided}
+	switch {
+	case req.Asm != "":
+		k.kind, k.digest = "asm", sha256.Sum256([]byte(req.Asm))
+	case req.Image != "":
+		k.kind, k.digest = "image", sha256.Sum256([]byte(req.Image))
+	case req.Workload != "":
+		k.kind, k.name, k.iters = "workload", req.Workload, workloadIters(req)
+	default:
+		k.kind, k.name = "kernel", req.Kernel
+	}
+	return k
+}
+
+// build is Build with the program half served from the program cache, so a
+// request repeating a program shares one *isa.Program (and the simulator's
+// replay state for it) with every earlier one. The configuration half still
+// resolves, validates and hashes per request.
+func (s *Server) build(req *SimRequest) (*Built, error) {
+	return build(req, Limits{MaxCycles: s.cfg.MaxCycles, MaxSimTime: s.cfg.MaxSimTime}, s.cachedProgram)
+}
+
+// cachedProgram returns the program half for req's source, building and
+// storing it on a miss.
+func (s *Server) cachedProgram(req *SimRequest, braided bool) (*programHalf, error) {
+	key := programKey(req, braided)
+	if h, ok := s.programs.get(key); ok {
+		return h, nil
+	}
+	s.met.programBuilds.Add(1)
+	h, err := newProgramHalf(req, braided)
+	if err != nil {
+		return nil, err // only successful builds are cached
+	}
+	// A concurrent request may have stored the same source first; take its
+	// half, so this one's program is dropped before anything simulates it.
+	return s.programs.add(key, h), nil
+}
+
+// evictProgram releases the replay state of a program the cache dropped. A
+// request may still hold the program; lead releases it again when that
+// request's simulation ends, so a late run cannot pin it.
+func (s *Server) evictProgram(h *programHalf) {
+	h.evicted.Store(true)
+	s.releaseProgram(h.prog)
 }
 
 // flight is one in-progress simulation that concurrent identical requests

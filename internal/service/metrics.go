@@ -37,6 +37,8 @@ type metrics struct {
 	deadline    expvar.Int // wall-clock deadline failures
 	canceled    expvar.Int // client-abandoned simulations
 
+	programBuilds expvar.Int // program-cache misses that built a program half
+
 	histMu sync.Mutex
 	hists  map[string]*latencyHist // endpoint -> request latency
 }
@@ -66,6 +68,7 @@ func newMetrics(start time.Time) *metrics {
 		{"cycle_limit_total", &mt.cycleLim},
 		{"deadline_total", &mt.deadline},
 		{"canceled_total", &mt.canceled},
+		{"program_builds_total", &mt.programBuilds},
 	} {
 		mt.m.Set(v.name, v.v)
 	}

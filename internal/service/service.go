@@ -3,8 +3,9 @@
 // fault-containment machinery into service semantics — contained *SimFault
 // panics become structured 422s, context deadlines bound each request's
 // simulation, a bounded admission queue sheds overload with 429, identical
-// concurrent requests coalesce onto one run, and a deterministic-result LRU
-// answers repeats without simulating at all.
+// concurrent requests coalesce onto one run, a program cache builds each
+// program source once, and a deterministic-result LRU answers repeats
+// without simulating at all.
 package service
 
 import (
@@ -24,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"braid/internal/isa"
 	"braid/internal/uarch"
 )
 
@@ -86,11 +88,16 @@ type Server struct {
 	cfg      Config
 	adm      *admission
 	cache    *resultCache
+	programs *lru[progKey, *programHalf]
 	flights  *flightGroup
 	met      *metrics
 	mux      *http.ServeMux
 	draining atomic.Bool
 	logMu    sync.Mutex
+
+	// releaseProgram drops an evicted program's replay state
+	// (uarch.ReleaseProgram); tests replace it to count releases.
+	releaseProgram func(*isa.Program)
 
 	// testHookSimStart, when set, runs on the leader's goroutine after it
 	// holds a worker slot and before it simulates, with the request context.
@@ -108,10 +115,14 @@ func New(cfg Config) *Server {
 		cache:   newResultCache(cfg.CacheEntries),
 		flights: newFlightGroup(),
 		met:     newMetrics(time.Now()),
+
+		releaseProgram: uarch.ReleaseProgram,
 	}
+	s.programs = newLRU[progKey, *programHalf](programCacheEntries, s.evictProgram)
 	s.met.m.Set("queue_depth", expvar.Func(func() any { return s.adm.waiting() }))
 	s.met.m.Set("workers_busy", expvar.Func(func() any { return s.adm.busy() }))
 	s.met.m.Set("cache_entries", expvar.Func(func() any { return s.cache.len() }))
+	s.met.m.Set("program_cache_entries", expvar.Func(func() any { return s.programs.len() }))
 	s.met.m.Set("draining", expvar.Func(func() any { return s.draining.Load() }))
 
 	s.mux = http.NewServeMux()
@@ -195,7 +206,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Message: err.Error()})
 		return
 	}
-	b, err := Build(&req, Limits{MaxCycles: s.cfg.MaxCycles, MaxSimTime: s.cfg.MaxSimTime})
+	b, err := s.build(&req)
 	if err != nil {
 		status, body := buildErrorBody(err)
 		s.writeError(w, status, body)
@@ -265,7 +276,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			b, err := Build(&req.Requests[i], Limits{MaxCycles: s.cfg.MaxCycles, MaxSimTime: s.cfg.MaxSimTime})
+			b, err := s.build(&req.Requests[i])
 			if err != nil {
 				status, body := buildErrorBody(err)
 				items[i] = BatchItem{Status: status, Error: &body}
@@ -397,7 +408,11 @@ func (s *Server) lead(ctx context.Context, key string, b *Built, shed bool) (*ua
 	} else {
 		st, err = uarch.SimulateChecked(simCtx, b.Program, b.Config)
 	}
-	return st, est, float64(time.Since(t0).Nanoseconds()) / 1e6, err
+	simMS := float64(time.Since(t0).Nanoseconds()) / 1e6
+	if b.half.evicted.Load() {
+		s.releaseProgram(b.Program) // this run may have rebuilt what eviction released
+	}
+	return st, est, simMS, err
 }
 
 func (s *Server) classifyFailure(err error) {
@@ -489,7 +504,12 @@ func (s *Server) response(b *Built, res *simResult) SimResponse {
 }
 
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	return decodeJSON(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), dst)
+}
+
+// decodeJSON decodes one request body strictly: unknown fields are errors.
+func decodeJSON(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("decoding request: %w", err)

@@ -402,6 +402,9 @@ func TestBadRequests(t *testing.T) {
 		`{"workload":"no-such-profile"}`,
 		`{"kernel":"dot","core":"no-such-core"}`,
 		`{"kernel":"dot","bogus_field":1}`,
+		// A declared data size is checked before it is allocated; this one
+		// was a fatal out-of-memory (found by FuzzBuild).
+		`{"asm":".data 999999999999\n\thalt\n"}`,
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/simulate", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -412,7 +415,8 @@ func TestBadRequests(t *testing.T) {
 
 // TestBatch: a mixed batch returns per-item statuses in request order.
 func TestBatch(t *testing.T) {
-	ts := httptest.NewServer(New(Config{Workers: 2}).Handler())
+	svc := New(Config{Workers: 2})
+	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
 	body := `{"requests":[
@@ -442,6 +446,9 @@ func TestBatch(t *testing.T) {
 	}
 	if br.Items[0].Result.Stats.Retired != br.Items[2].Result.Stats.Retired {
 		t.Error("identical batch items disagree")
+	}
+	if n := svc.programs.len(); n != 1 {
+		t.Errorf("program_cache_entries = %d, want 1 (batch items share the program cache)", n)
 	}
 }
 

@@ -47,10 +47,46 @@ type staticMeta struct {
 	extDest, intDest       uint8 // valid when hasExtDest / hasIntDest
 }
 
+// replayEntry is one program's cached replay state. Each half is built at
+// most once, under its own sync.Once, so interpreting one program never
+// blocks a Machine that needs another program's trace or this program's
+// metadata.
+type replayEntry struct {
+	traceOnce sync.Once
+	trace     []traceEntry
+	metaOnce  sync.Once
+	meta      []staticMeta
+}
+
+// replayCache maps each simulated program to its entry. The mutex guards
+// only the map; building an entry's trace or metadata happens outside it.
 var replayCache struct {
 	sync.Mutex
-	m    map[*isa.Program][]traceEntry
-	meta map[*isa.Program][]staticMeta
+	m map[*isa.Program]*replayEntry
+}
+
+func replayFor(p *isa.Program) *replayEntry {
+	replayCache.Lock()
+	defer replayCache.Unlock()
+	e, ok := replayCache.m[p]
+	if !ok {
+		if replayCache.m == nil {
+			replayCache.m = make(map[*isa.Program]*replayEntry)
+		}
+		e = &replayEntry{}
+		replayCache.m[p] = e
+	}
+	return e
+}
+
+// ReleaseProgram drops p's cached replay trace and static metadata, so a
+// long-running process can bound the memory its simulations pin. A later
+// simulation of p rebuilds both, bit-identically; a simulation already
+// running keeps the copies it holds.
+func ReleaseProgram(p *isa.Program) {
+	replayCache.Lock()
+	delete(replayCache.m, p)
+	replayCache.Unlock()
 }
 
 // programTrace returns the program's dynamic instruction stream, computing
@@ -60,24 +96,21 @@ var replayCache struct {
 // interpreter. Returns nil (cached) if the program does not halt within
 // traceCap steps.
 func programTrace(p *isa.Program) []traceEntry {
-	replayCache.Lock()
-	defer replayCache.Unlock()
-	if tr, ok := replayCache.m[p]; ok {
-		return tr
-	}
-	if replayCache.m == nil {
-		replayCache.m = make(map[*isa.Program][]traceEntry)
-	}
+	e := replayFor(p)
+	e.traceOnce.Do(func() { e.trace = buildTrace(p) })
+	return e.trace
+}
+
+func buildTrace(p *isa.Program) []traceEntry {
 	im := interp.New(p)
 	var tr []traceEntry
 	var info interp.StepInfo
 	for {
 		if len(tr) >= traceCap {
-			tr = nil // non-halting: poison the cache entry
-			break
+			return nil // non-halting: poison the cache entry
 		}
 		if err := im.Step(&info); err != nil {
-			break // end of stream, exactly where live fetch stops
+			return tr // end of stream, exactly where live fetch stops
 		}
 		tr = append(tr, traceEntry{
 			idx:   int32(info.Index),
@@ -85,21 +118,17 @@ func programTrace(p *isa.Program) []traceEntry {
 			addr:  info.Addr,
 		})
 	}
-	replayCache.m[p] = tr
-	return tr
 }
 
 // programMeta returns the program's precomputed static metadata, computing
 // and caching it on first use (shared by every Machine simulating p).
 func programMeta(p *isa.Program) []staticMeta {
-	replayCache.Lock()
-	defer replayCache.Unlock()
-	if sm, ok := replayCache.meta[p]; ok {
-		return sm
-	}
-	if replayCache.meta == nil {
-		replayCache.meta = make(map[*isa.Program][]staticMeta)
-	}
+	e := replayFor(p)
+	e.metaOnce.Do(func() { e.meta = buildMeta(p) })
+	return e.meta
+}
+
+func buildMeta(p *isa.Program) []staticMeta {
 	meta := make([]staticMeta, len(p.Instrs))
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
@@ -142,6 +171,5 @@ func programMeta(p *isa.Program) []staticMeta {
 			sm.intDest = in.IDestIdx
 		}
 	}
-	replayCache.meta[p] = meta
 	return meta
 }
