@@ -81,16 +81,20 @@ func ReadImage(r io.Reader) (*Program, error) {
 	if _, err := io.ReadFull(r, name); err != nil {
 		return nil, fmt.Errorf("isa: image: reading name: %w", err)
 	}
-	words := make([]uint64, instrs)
-	if err := binary.Read(r, binary.LittleEndian, words); err != nil {
+	raw, err := readBounded(r, 8*int(instrs))
+	if err != nil {
 		return nil, fmt.Errorf("isa: image: reading instructions: %w", err)
+	}
+	words := make([]uint64, instrs)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(raw[8*i:])
 	}
 	ins, err := DecodeAll(words)
 	if err != nil {
 		return nil, fmt.Errorf("isa: image: %w", err)
 	}
-	data := make([]byte, dataLen)
-	if _, err := io.ReadFull(r, data); err != nil {
+	data, err := readBounded(r, int(dataLen))
+	if err != nil {
 		return nil, fmt.Errorf("isa: image: reading data: %w", err)
 	}
 	p := &Program{
@@ -103,4 +107,26 @@ func ReadImage(r io.Reader) (*Program, error) {
 		return nil, fmt.Errorf("isa: image: %w", err)
 	}
 	return p, nil
+}
+
+// readChunk is readBounded's first buffer size.
+const readChunk = 64 << 10
+
+// readBounded reads exactly n bytes from r. Its buffer starts at readChunk
+// and doubles only as bytes arrive, so a header that declares more than the
+// stream holds fails having allocated about what was sent, not what was
+// declared.
+func readBounded(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
+		}
+		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }

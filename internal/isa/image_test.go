@@ -2,6 +2,9 @@ package isa
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -123,4 +126,80 @@ func TestImageRejectsInvalidProgram(t *testing.T) {
 	if _, err := ReadImage(&buf); err == nil || !strings.Contains(err.Error(), "halt") {
 		t.Errorf("invalid program accepted or wrong error: %v", err)
 	}
+}
+
+// imageHeader is a .brd header declaring the given sizes, with no body.
+func imageHeader(nameLen, instrs, dataLen uint32) []byte {
+	b := append([]byte(nil), imageMagic[:]...)
+	for _, v := range []uint32{nameLen, instrs, dataLen, 0} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
+// TestReadImageAllocatesWhatArrives: a header that declares the largest
+// sizes ReadImage accepts, followed by few or no bytes, fails having
+// allocated about what was sent. Allocating by the declared sizes took
+// 128 MiB per request.
+func TestReadImageAllocatesWhatArrives(t *testing.T) {
+	halt, err := (&Instruction{Op: OpHALT}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"header only":          imageHeader(0, ImageLimit, ImageLimit),
+		"one instruction sent": binary.LittleEndian.AppendUint64(imageHeader(0, ImageLimit, 0), halt),
+		"data declared":        binary.LittleEndian.AppendUint64(imageHeader(0, 1, ImageLimit), halt),
+	}
+	for name, img := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadImage(bytes.NewReader(img))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes to reject a %d-byte image", name, alloc, len(img))
+		}
+	}
+}
+
+// FuzzReadImage: no input panics ReadImage, and every image that decodes
+// round-trips through WriteImage to the same program and the same bytes.
+func FuzzReadImage(f *testing.F) {
+	var good, empty bytes.Buffer
+	if err := WriteImage(&good, imageProgram()); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteImage(&empty, &Program{Instrs: []Instruction{{Op: OpHALT}}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add(empty.Bytes())
+	f.Add(good.Bytes()[:10])
+	f.Add(good.Bytes()[:good.Len()-4])
+	f.Add(imageHeader(0, ImageLimit, ImageLimit))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, img []byte) {
+		p, err := ReadImage(bytes.NewReader(img))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteImage(&out, p); err != nil {
+			t.Fatalf("decoded program does not encode: %v", err)
+		}
+		q, err := ReadImage(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded image does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the program:\n%+v\n%+v", p, q)
+		}
+		var again bytes.Buffer
+		if err := WriteImage(&again, q); err != nil || !bytes.Equal(again.Bytes(), out.Bytes()) {
+			t.Fatalf("re-encoding is not stable (err %v)", err)
+		}
+	})
 }

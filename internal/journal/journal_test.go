@@ -169,3 +169,45 @@ func TestAppendErrorIsSticky(t *testing.T) {
 		t.Fatalf("Close: %v, want the append error", err)
 	}
 }
+
+// FuzzJournalOpen: resuming arbitrary file bytes never panics. It either
+// fails and leaves the file alone, or returns records from complete lines and
+// leaves a prefix of the file that resumes to the same records, with the next
+// Append landing on a line of its own.
+func FuzzJournalOpen(f *testing.F) {
+	for _, seed := range []string{
+		"", "{\"n\":1}\n\n{\"n\":2}\n", `{"n":`, `{"n":9}`, "{\"n\n\n  \n", "\x00\x00\x00",
+		"{\"n\":1}\n\n{\"n\":\n{\"n\":3}\n", "{\"n\":\"one\"}\n{\"n\":2}\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, recs, err := Open[rec](path, true)
+		if err != nil {
+			if got := read(t, path); got != string(data) {
+				t.Fatalf("rejected journal was modified: %q -> %q", data, got)
+			}
+			return
+		}
+		kept := read(t, path)
+		if !strings.HasPrefix(string(data), kept) {
+			t.Fatalf("resume rewrote the journal: %q -> %q", data, kept)
+		}
+		if lines := strings.Count(kept, "\n"); len(recs) > lines {
+			t.Fatalf("%d records from %d complete lines of %q", len(recs), lines, kept)
+		}
+		appendAll(t, j, -1)
+		j, again, err := Open[rec](path, true)
+		if err != nil {
+			t.Fatalf("second resume of %q: %v", read(t, path), err)
+		}
+		j.Close()
+		if want := append(ns(recs), -1); !slices.Equal(ns(again), want) {
+			t.Fatalf("second resume of %q got %v, want %v", read(t, path), ns(again), want)
+		}
+	})
+}

@@ -771,7 +771,10 @@ func retryAfterDuration(s string, now time.Time) time.Duration {
 		return 0
 	}
 	if secs, err := strconv.ParseInt(s, 10, 64); err == nil {
-		if secs > 0 {
+		switch {
+		case secs > int64(math.MaxInt64/time.Second):
+			return math.MaxInt64 // too long for a Duration; never wrap negative
+		case secs > 0:
 			return time.Duration(secs) * time.Second
 		}
 		return 0

@@ -205,17 +205,39 @@ func TestFailoverAroundDeadBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run several distinct points so some are owned by the dead backend.
-	for _, k := range []string{"dot", "matmul", "fig2"} {
-		for w := 2; w <= 8; w *= 2 {
-			if _, err := pool.Simulate(context.Background(), mustKernel(t, k), uarch.OutOfOrderConfig(w)); err != nil {
-				t.Fatalf("%s/%d: %v", k, w, err)
-			}
+	// Choose the points by their ring owner, through the pool's own ring and
+	// request key, so three belong to the dead backend whatever ports the
+	// test servers got. Those run first, while its breaker is still closed.
+	type point struct {
+		p   *isa.Program
+		cfg uarch.Config
+	}
+	var onDead, onLive []point
+	kernels := []string{"dot", "matmul", "fig2"}
+	for i := 0; len(onDead) < 3 || len(onLive) < 6; i++ {
+		if i == 1000 {
+			t.Fatalf("1000 points give the dead backend %d and the live one %d", len(onDead), len(onLive))
+		}
+		pt := point{mustKernel(t, kernels[i%len(kernels)]), uarch.OutOfOrderConfig(8)}
+		pt.cfg.RFEntries += i
+		_, key, err := encodeRequest(pt.p, pt.cfg, pool.opt.TimeoutMS, uarch.Sampling{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pool.ring.candidates(key)[0] == 0 {
+			onDead = append(onDead, pt)
+		} else {
+			onLive = append(onLive, pt)
+		}
+	}
+	for _, pt := range append(onDead[:3], onLive[:6]...) {
+		if _, err := pool.Simulate(context.Background(), pt.p, pt.cfg); err != nil {
+			t.Fatalf("%s/%d RF entries: %v", pt.p.Name, pt.cfg.RFEntries, err)
 		}
 	}
 	s := pool.Snapshot()
 	if s.Failovers == 0 {
-		t.Error("no failovers recorded; every point landed on the live backend by luck?")
+		t.Error("no failovers recorded for three points the dead backend owns")
 	}
 	if s.PerBackend[pool.Backends()[0]] != 0 {
 		t.Error("dead backend recorded successful responses")

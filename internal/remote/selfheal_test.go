@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,12 +37,37 @@ func TestRetryAfterDuration(t *testing.T) {
 		{now.Format(http.TimeFormat), 0},
 		{"Mon, 07 Aug 2026 12:00:10 UTC", 0}, // not an RFC 9110 HTTP-date
 		{"soon", 0},
+		// Too many seconds for a Duration: clamped, not wrapped negative
+		// (which sleepBackoff would drop instead of capping at MaxBackoff).
+		{"10000000000", math.MaxInt64},
+		{"9223372036854775807", math.MaxInt64},
+		{"9223372036", 9223372036 * time.Second},
 	}
 	for _, c := range cases {
 		if got := retryAfterDuration(c.in, now); got != c.want {
 			t.Errorf("retryAfterDuration(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
+}
+
+// FuzzRetryAfter: no Retry-After header parses to a negative delay, and a
+// positive number of seconds is never dropped.
+func FuzzRetryAfter(f *testing.F) {
+	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	for _, seed := range []string{"", "3", " 120 ", "0", "-5", "soon",
+		now.Add(10 * time.Second).Format(http.TimeFormat), now.Add(-time.Hour).Format(http.TimeFormat),
+		"Mon, 07 Aug 2026 12:00:10 UTC"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d := retryAfterDuration(s, now)
+		if d < 0 {
+			t.Fatalf("retryAfterDuration(%q) = %v", s, d)
+		}
+		if secs, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64); err == nil && secs > 0 && d == 0 {
+			t.Fatalf("retryAfterDuration(%q) dropped a %d-second hint", s, secs)
+		}
+	})
 }
 
 // TestRetryHonorsHTTPDateRetryAfter is the end-to-end shape of the new

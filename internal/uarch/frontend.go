@@ -10,17 +10,21 @@ import (
 // instruction occupies 8 bytes for instruction-cache purposes.
 const textBase = 0x1000
 
-// frontend fetches the correct dynamic instruction stream by executing the
-// program functionally, applying instruction-cache and branch-prediction
-// timing. A mispredicted conditional branch stops fetch; the engine restarts
-// it when the branch executes, after the configured redirect gap.
+// frontend fetches the correct dynamic instruction stream from the program's
+// shared trace, applying instruction-cache and branch-prediction timing. A
+// mispredicted conditional branch stops fetch; the engine restarts it when the
+// branch executes, after the configured redirect gap.
 type frontend struct {
-	prog  *isa.Program
-	meta  []staticMeta    // per-static-instruction decode metadata
-	trace []traceEntry    // shared dynamic stream (nil: use the interpreter)
-	tpos  int             // next trace entry to fetch
-	m     *interp.Machine // live fallback for non-halting programs
-	pred  bpred.Predictor
+	prog *isa.Program
+	meta []staticMeta // per-static-instruction decode metadata
+	tr   *trace       // shared dynamic stream (nil: use the interpreter)
+	cur  cursor       // next trace instruction to fetch
+	miss bitset       // conditional branches this geometry mispredicts (nil: none)
+
+	// Live fallback for non-halting programs: the interpreter, and the
+	// predictor the shared mispredict set stands in for.
+	m    *interp.Machine
+	pred bpred.Predictor
 
 	queue    dynRing // fetched, awaiting dispatch
 	queueCap int
@@ -36,38 +40,48 @@ type frontend struct {
 	intOwner [isa.NumInternalRegs]*dyn
 }
 
-// newPredictor builds the branch predictor a configuration asks for. The
-// geometry fields default to Table 4's 512-entry, 64-bit-history perceptron
-// when zero so canonical configurations keep their golden results.
+// predGeom is a perceptron geometry: weight-table entries and history bits.
+type predGeom struct{ entries, hist int }
+
+// predGeometry resolves the configuration's perceptron geometry. The fields
+// default to Table 4's 512-entry, 64-bit-history perceptron when zero so
+// canonical configurations keep their golden results.
+func predGeometry(cfg *Config) predGeom {
+	g := predGeom{cfg.PredEntries, cfg.PredHistory}
+	if g.entries == 0 {
+		g.entries = 512
+	}
+	if g.hist == 0 {
+		g.hist = 64
+	}
+	return g
+}
+
+// newPredictor builds the branch predictor a configuration asks for.
 func newPredictor(cfg *Config) bpred.Predictor {
 	if cfg.PerfectBP {
 		return bpred.Perfect{}
 	}
-	entries, hist := cfg.PredEntries, cfg.PredHistory
-	if entries == 0 {
-		entries = 512
-	}
-	if hist == 0 {
-		hist = 64
-	}
-	return bpred.NewPerceptron(entries, hist)
+	g := predGeometry(cfg)
+	return bpred.NewPerceptron(g.entries, g.hist)
 }
 
 func newFrontend(p *isa.Program, cfg *Config) *frontend {
+	e := replayFor(p)
 	fe := &frontend{
 		prog: p,
-		meta: programMeta(p),
-		pred: newPredictor(cfg),
+		meta: e.metaOf(p),
 		// The fetch-to-dispatch buffer must cover the front end's
 		// bandwidth-delay product (instructions are in flight for
 		// FrontDepth cycles before dispatch) or it, rather than the
 		// modeled resources, becomes the IPC ceiling.
 		queueCap: cfg.FetchWidth * (cfg.FrontDepth + 4),
 	}
-	if tr := programTrace(p); tr != nil {
-		fe.trace = tr
+	if fe.tr = e.traceOf(p); fe.tr != nil {
+		fe.miss, _ = e.mispredictsOf(p, cfg)
 	} else {
 		fe.m = interp.New(p)
+		fe.pred = newPredictor(cfg)
 	}
 	return fe
 }
@@ -86,14 +100,14 @@ func (fe *frontend) fetch(m *Machine, t uint64) {
 			return
 		}
 		var pc int
-		if fe.trace != nil {
-			if fe.tpos >= len(fe.trace) {
+		if fe.tr != nil {
+			if fe.cur.pos >= fe.tr.n {
 				// Past the last executed instruction: end of program,
 				// exactly where the interpreter would return an error.
 				fe.done = true
 				return
 			}
-			pc = int(fe.trace[fe.tpos].idx)
+			pc = fe.cur.pc
 		} else {
 			pc = fe.m.PC
 		}
@@ -111,10 +125,9 @@ func (fe *frontend) fetch(m *Machine, t uint64) {
 		}
 
 		var d *dyn
-		if fe.trace != nil {
-			e := &fe.trace[fe.tpos]
-			fe.tpos++
-			d = fe.buildDyn(m, &fe.prog.Instrs[pc], pc, e.addr, e.taken, t)
+		if fe.tr != nil {
+			_, taken, maddr := fe.cur.next(fe.tr, fe.meta)
+			d = fe.buildDyn(m, &fe.prog.Instrs[pc], pc, maddr, taken, t)
 		} else {
 			var info interp.StepInfo
 			if err := fe.m.Step(&info); err != nil {
@@ -136,9 +149,15 @@ func (fe *frontend) fetch(m *Machine, t uint64) {
 			branches++
 			if sm.isCondBranch {
 				m.stats.CondBranches++
-				predicted := fe.pred.Predict(addr, d.taken)
-				fe.pred.Train(addr, d.taken)
-				if predicted != d.taken {
+				var wrong bool
+				if fe.tr != nil {
+					// cur.br has just moved past this branch.
+					wrong = fe.miss != nil && fe.miss.has(fe.cur.br-1)
+				} else {
+					wrong = fe.pred.Predict(addr, d.taken) != d.taken
+					fe.pred.Train(addr, d.taken)
+				}
+				if wrong {
 					d.mispredicted = true
 					m.stats.Mispredicts++
 					fe.stalledOn = d

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -113,9 +114,14 @@ func TestGoldenStats(t *testing.T) {
 			fmt.Fprintf(&sb, "%s/%s: %s\n", name, pt.label, goldenLine(st, m))
 		}
 	}
-	got := sb.String()
+	checkGolden(t, "golden_stats.txt", sb.String())
+}
 
-	path := filepath.Join("testdata", "golden_stats.txt")
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -140,6 +146,45 @@ func TestGoldenStats(t *testing.T) {
 				break
 			}
 		}
-		t.Fatalf("golden stats diverged; a timing-semantics change must be deliberate (regenerate with -update)")
+		t.Fatalf("%s diverged; a timing-semantics change must be deliberate (regenerate with -update)", name)
 	}
+}
+
+// TestGoldenSampledStats pins sampled runs the way TestGoldenStats pins exact
+// ones: the complete Stats and estimate of every core paradigm, plus a
+// non-default predictor geometry and a perfect predictor, at a geometry that
+// alternates fast-forward and detailed intervals many times. It guards what
+// only sampled runs exercise — the functional warmer's cache traffic, the
+// hand-over between warmer and detailed machine, and the architectural
+// counts taken from the trace — against any change that moves a number.
+func TestGoldenSampledStats(t *testing.T) {
+	progs := goldenPrograms(t)
+	small := OutOfOrderConfig(8)
+	small.PredEntries, small.PredHistory = 128, 16
+	perfect := BraidConfig(8)
+	perfect.PerfectBP = true
+	pts := []goldenPoint{
+		{"inorder-8", false, InOrderConfig(8)},
+		{"depsteer-8", false, DepSteerConfig(8)},
+		{"ooo-8", false, OutOfOrderConfig(8)},
+		{"braid-8", true, BraidConfig(8)},
+		{"ooo-8-pred128x16", false, small},
+		{"braid-8-perfectbp", true, perfect},
+	}
+	sp := Sampling{Period: 1500, Detail: 300, Warmup: 200}
+	var sb strings.Builder
+	for _, name := range []string{"mcf", "gcc"} {
+		for _, pt := range pts {
+			p := progs[name][0]
+			if pt.braided {
+				p = progs[name][1]
+			}
+			st, est, err := SimulateSampled(context.Background(), p, pt.cfg, sp)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, pt.label, err)
+			}
+			fmt.Fprintf(&sb, "%s/%s: %+v %+v\n", name, pt.label, *st, *est)
+		}
+	}
+	checkGolden(t, "golden_sampled_stats.txt", sb.String())
 }

@@ -1,9 +1,14 @@
 package uarch
 
 import (
+	"context"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"braid/internal/asm"
+	"braid/internal/braid"
+	"braid/internal/interp"
 	"braid/internal/isa"
 	"braid/internal/workload"
 )
@@ -28,38 +33,60 @@ func cachedReplay(p *isa.Program) bool {
 	return ok
 }
 
+// geometries is a default-predictor configuration and one with a different
+// perceptron geometry, so a program's replay entry holds two mispredict sets.
+func geometries() []Config {
+	small := OutOfOrderConfig(8)
+	small.PredEntries, small.PredHistory = 128, 16
+	return []Config{OutOfOrderConfig(8), small}
+}
+
 // TestReleaseProgramRebuildsIdentically: releasing a program drops its replay
-// state, and the next simulation rebuilds it to the same Stats.
+// state, mispredict sets included, and the next simulations rebuild it to the
+// same Stats under either predictor geometry.
 func TestReleaseProgramRebuildsIdentically(t *testing.T) {
 	p := generated(t, "gcc", 40)
-	cfg := OutOfOrderConfig(8)
-	want, err := Simulate(p, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var want []*Stats
+	for _, cfg := range geometries() {
+		st, err := Simulate(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, st)
 	}
 	if !cachedReplay(p) {
 		t.Fatal("simulation cached no replay state")
+	}
+	e := replayFor(p)
+	e.predMu.Lock()
+	sets := len(e.preds)
+	e.predMu.Unlock()
+	if sets != 2 {
+		t.Fatalf("replay entry holds %d mispredict sets, want one per geometry (2)", sets)
 	}
 	ReleaseProgram(p)
 	if cachedReplay(p) {
 		t.Fatal("ReleaseProgram kept the replay state")
 	}
-	got, err := Simulate(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *want {
-		t.Errorf("Stats after release differ:\n got %+v\nwant %+v", got, want)
+	for i, cfg := range geometries() {
+		got, err := Simulate(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *want[i] {
+			t.Errorf("geometry %d: Stats after release differ:\n got %+v\nwant %+v", i, got, want[i])
+		}
 	}
 	ReleaseProgram(p)
 }
 
 // TestConcurrentColdReplayBuilds simulates two programs at once from cold,
-// two Machines per program, so trace and metadata builds of both run
-// concurrently (run with -race). Each result must equal the serial one.
+// three Machines per program over two predictor geometries, so trace,
+// metadata and mispredict-set builds of both programs run concurrently (run
+// with -race). Each result must equal the serial one.
 func TestConcurrentColdReplayBuilds(t *testing.T) {
 	progs := []*isa.Program{generated(t, "mcf", 40), generated(t, "equake", 40)}
-	cfgs := []Config{OutOfOrderConfig(8), InOrderConfig(4)}
+	cfgs := append(geometries(), InOrderConfig(4))
 	want := make([][]*Stats, len(progs))
 	for i, p := range progs {
 		for _, cfg := range cfgs {
@@ -104,4 +131,213 @@ func TestConcurrentColdReplayBuilds(t *testing.T) {
 		}
 		ReleaseProgram(p)
 	}
+}
+
+// suitePrograms returns every profile's program at iters iterations, plain
+// and braided.
+func suitePrograms(t *testing.T, iters int) []*isa.Program {
+	t.Helper()
+	var ps []*isa.Program
+	for _, prof := range workload.Profiles() {
+		orig, braided := genWorkload(t, prof.Name, iters)
+		ps = append(ps, orig, braided)
+	}
+	return ps
+}
+
+// TestTraceWalkMatchesInterpreter: walking a program's compact trace with a
+// cursor yields exactly the interpreter's (index, taken, address) sequence,
+// and ends exactly where the interpreter stops, whether at HALT or by
+// running off the end of the text.
+func TestTraceWalkMatchesInterpreter(t *testing.T) {
+	progs := suitePrograms(t, 10)
+	for _, k := range workload.Kernels() {
+		res, err := braid.Compile(k, braid.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, k, res.Prog)
+	}
+	for _, src := range []string{edgeFloatSrc, edgeIntSrc} {
+		p, err := asm.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	// A loop with a load, a store and a conditional branch whose program
+	// ends by running off its text: the HALT the assembler requires is cut.
+	runoff, err := asm.Parse(`
+.name runoff
+.data 64
+	ldimm r1, #65536
+	ldimm r2, #5
+loop:
+	ldq   r3, 0(r1)
+	add   r3, r3, r2
+	stq   r3, 8(r1)
+	sub   r2, r2, #1
+	bne   r2, loop
+	halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runoff.Instrs = runoff.Instrs[:len(runoff.Instrs)-1]
+	progs = append(progs, runoff)
+
+	for _, p := range progs {
+		tr := programTrace(p)
+		if tr == nil {
+			t.Fatalf("%s: no trace", p.Name)
+		}
+		meta := programMeta(p)
+		im := interp.New(p)
+		var (
+			info                 interp.StepInfo
+			c                    cursor
+			conds, loads, stores uint64
+		)
+		for c.pos < tr.n {
+			if err := im.Step(&info); err != nil {
+				t.Fatalf("%s: interpreter stopped after %d instructions, trace holds %d", p.Name, c.pos, tr.n)
+			}
+			pos := c.pos
+			pc, taken, addr := c.next(tr, meta)
+			if pc != info.Index || taken != info.Taken || addr != info.Addr {
+				t.Fatalf("%s instruction %d: trace (%d, %v, %#x), interpreter (%d, %v, %#x)",
+					p.Name, pos, pc, taken, addr, info.Index, info.Taken, info.Addr)
+			}
+			switch {
+			case info.Instr.IsCondBranch():
+				conds++
+			case info.Instr.IsLoad():
+				loads++
+			case info.Instr.IsStore():
+				stores++
+			}
+		}
+		if err := im.Step(&info); err == nil {
+			t.Fatalf("%s: trace ends after %d instructions, the interpreter does not", p.Name, tr.n)
+		}
+		if tr.condBranches != conds || tr.loads != loads || tr.stores != stores {
+			t.Errorf("%s: trace totals %d/%d/%d (branches/loads/stores), walk counted %d/%d/%d",
+				p.Name, tr.condBranches, tr.loads, tr.stores, conds, loads, stores)
+		}
+		if c.br != int(conds) || c.mem != int(loads+stores) {
+			t.Errorf("%s: cursor ended at branch %d, memory %d; want %d, %d", p.Name, c.br, c.mem, conds, loads+stores)
+		}
+		ReleaseProgram(p)
+	}
+}
+
+// forceLiveFetch makes every replay entry built until the test ends hold no
+// trace, as if its program never halted, so Machines fetch through the live
+// interpreter and a predictor of their own.
+func forceLiveFetch(t *testing.T) {
+	old := traceCap
+	traceCap = 0
+	t.Cleanup(func() { traceCap = old })
+}
+
+// TestLiveFetchMatchesTrace: the live-interpreter fallback, which only
+// non-halting programs reach in normal use, gives the trace path's Stats on
+// halting programs for every core. A sampled request on it runs exact, and
+// its architectural counts, Mispredicts included, equal the sampled trace
+// path's, whose Mispredicts come from the shared mispredict set.
+func TestLiveFetchMatchesTrace(t *testing.T) {
+	orig, braided := genWorkload(t, "gcc", 150)
+	sp := Sampling{Period: 8000, Detail: 2000, Warmup: 2000}
+	small := OutOfOrderConfig(8)
+	small.PredEntries, small.PredHistory = 256, 32
+	cases := []struct {
+		p   *isa.Program
+		cfg Config
+	}{
+		{orig, InOrderConfig(4)},
+		{orig, DepSteerConfig(8)},
+		{orig, OutOfOrderConfig(8)},
+		{orig, small},
+		{braided, BraidConfig(8)},
+	}
+	type result struct {
+		exact, sampled *Stats
+		est            *SampleEstimate
+	}
+	run := func() []result {
+		var out []result
+		for _, c := range cases {
+			exact, err := SimulateChecked(context.Background(), c.p, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sampled, est, err := SimulateSampled(context.Background(), c.p, c.cfg, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, result{exact, sampled, est})
+		}
+		ReleaseProgram(orig)
+		ReleaseProgram(braided)
+		return out
+	}
+	viaTrace := run()
+	forceLiveFetch(t)
+	live := run()
+	for i, c := range cases {
+		tr, lv := viaTrace[i], live[i]
+		if tr.est.Exact {
+			t.Fatalf("%s: trace path did not sample; lengthen the program", c.cfg.Core)
+		}
+		if *lv.exact != *tr.exact {
+			t.Errorf("%s exact: live fetch Stats differ from the trace path's:\n live  %+v\n trace %+v", c.cfg.Core, lv.exact, tr.exact)
+		}
+		if !lv.est.Exact || *lv.sampled != *tr.exact {
+			t.Errorf("%s sampled: live fetch gave exact=%v and Stats %+v, want the trace path's exact %+v",
+				c.cfg.Core, lv.est.Exact, lv.sampled, tr.exact)
+		}
+		got := [...]uint64{tr.sampled.Retired, tr.sampled.CondBranches, tr.sampled.Mispredicts, tr.sampled.Loads, tr.sampled.StoreCount}
+		want := [...]uint64{lv.sampled.Retired, lv.sampled.CondBranches, lv.sampled.Mispredicts, lv.sampled.Loads, lv.sampled.StoreCount}
+		if got != want {
+			t.Errorf("%s: sampled trace path counts %v (retired, branches, mispredicts, loads, stores), live %v", c.cfg.Core, got, want)
+		}
+	}
+}
+
+// replayBytes is what p's replay entry holds for cfg: the trace, the static
+// metadata and cfg's mispredict set.
+func replayBytes(p *isa.Program, cfg *Config) int {
+	e := replayFor(p)
+	tr := e.traceOf(p)
+	bits, _ := e.mispredictsOf(p, cfg)
+	return int(unsafe.Sizeof(*tr)) + 8*cap(tr.taken) + 8*cap(tr.addrs) +
+		int(unsafe.Sizeof(staticMeta{}))*cap(e.metaOf(p)) + 8*cap(bits)
+}
+
+// TestReplayFootprint bounds the replay layer's memory: every suite program,
+// sized as a sweep sizes it, costs at most 2 bytes per dynamic instruction
+// for its trace, metadata and default mispredict set (a trace entry per
+// instruction took 16).
+func TestReplayFootprint(t *testing.T) {
+	const dyn = 100_000
+	cfg := OutOfOrderConfig(8)
+	var bytes, instrs int
+	for _, prof := range workload.Profiles() {
+		probe := generated(t, prof.Name, 8)
+		fs, err := interp.RunProgram(probe, 10_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig, braided := genWorkload(t, prof.Name, max(dyn/int(max(fs.Steps/8, 1)), 4))
+		for _, p := range []*isa.Program{orig, braided} {
+			b, n := replayBytes(p, &cfg), programTrace(p).n
+			if perInstr := float64(b) / float64(n); perInstr > 2 {
+				t.Errorf("%s: replay holds %d bytes for %d instructions (%.2f per instruction, bound 2)", p.Name, b, n, perInstr)
+			}
+			bytes += b
+			instrs += n
+			ReleaseProgram(p)
+		}
+	}
+	t.Logf("suite replay: %d bytes for %d instructions (%.2f per instruction)", bytes, instrs, float64(bytes)/float64(instrs))
 }

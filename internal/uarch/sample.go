@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"braid/internal/bpred"
 	"braid/internal/isa"
 	"braid/internal/mem"
 )
@@ -16,13 +15,14 @@ import (
 // Sampled simulation (SMARTS-style systematic interval sampling). The
 // simulator is functionally directed, so the dynamic instruction stream is a
 // precomputed trace shared by every configuration; sampling exploits that by
-// replaying most of the trace functionally — touching the instruction cache,
-// data cache, and branch predictor so their state stays warm, but building no
-// pipeline state — and running the detailed cycle-level engine only on
-// periodic measurement intervals. Architectural execution is exact either
-// way (same trace), so instruction counts and final architectural state are
-// identical to exact mode; only timing is estimated, with a confidence
-// interval derived from the per-interval CPI variance.
+// replaying most of the trace functionally — touching the instruction and
+// data caches so their state stays warm, but building no pipeline state —
+// and running the detailed cycle-level engine only on periodic measurement
+// intervals. Branch prediction needs no warming: every run reads the
+// program's shared mispredict set (replay.go). Architectural execution is
+// exact either way (same trace), so instruction counts and final
+// architectural state are identical to exact mode; only timing is estimated,
+// with a confidence interval derived from the per-interval CPI variance.
 
 // Sampling configures interval sampling. Every Period instructions the
 // engine runs a detailed interval: Warmup instructions to rebuild pipeline
@@ -50,9 +50,10 @@ func (s Sampling) Validate() error {
 	if s.Period == 0 || s.Detail == 0 {
 		return fmt.Errorf("uarch: sampling %s needs a positive period and detail length", s)
 	}
-	if s.Warmup+s.Detail >= s.Period {
-		return fmt.Errorf("uarch: sampling %s leaves nothing to fast-forward (warmup+detail %d >= period %d); use exact simulation instead",
-			s, s.Warmup+s.Detail, s.Period)
+	// Compared without summing: Warmup+Detail can wrap past zero.
+	if s.Warmup >= s.Period || s.Detail >= s.Period-s.Warmup {
+		return fmt.Errorf("uarch: sampling %s leaves nothing to fast-forward (warmup %d + detail %d >= period %d); use exact simulation instead",
+			s, s.Warmup, s.Detail, s.Period)
 	}
 	return nil
 }
@@ -147,7 +148,7 @@ func SimulateSampled(ctx context.Context, p *isa.Program, cfg Config, sp Samplin
 		return nil, nil, err
 	}
 	tr := programTrace(p)
-	if tr == nil || uint64(len(tr)) <= sp.Period {
+	if tr == nil || uint64(tr.n) <= sp.Period {
 		st, err := SimulateChecked(ctx, p, cfg)
 		if err != nil {
 			return nil, nil, err
@@ -162,51 +163,37 @@ func SimulateSampled(ctx context.Context, p *isa.Program, cfg Config, sp Samplin
 	return runSampled(ctx, p, cfg, sp, tr)
 }
 
-// warmer replays the trace functionally, keeping the structures with
-// long-lived state — instruction cache, data cache, branch predictor — warm
-// across fast-forwarded stretches. It mirrors the front end's access
-// pattern: one I-cache probe per line transition, predict-then-train per
-// conditional branch in fetch order (so its mispredict count equals exact
-// mode's), one D-cache touch per load or store.
+// warmer replays the trace functionally, keeping the caches — the
+// structures with long-lived state the detailed machine does not rebuild —
+// warm across fast-forwarded stretches. It mirrors the front end's access
+// pattern: one I-cache probe per line transition, one D-cache touch per load
+// or store. The branch predictor needs no warming: the program's shared
+// mispredict set already says what a predictor trained on the whole trace in
+// order would predict.
 type warmer struct {
+	tr       *trace
 	meta     []staticMeta
 	hier     *mem.Hierarchy
-	pred     bpred.Predictor
+	cur      cursor
 	lastLine uint64
 	haveLine bool
-
-	condBranches uint64
-	mispredicts  uint64
-	loads        uint64
-	stores       uint64
 }
 
-func (w *warmer) warm(e *traceEntry) {
-	addr := instrAddr(int(e.idx))
-	if line := addr >> 6; !w.haveLine || line != w.lastLine {
-		w.hier.AccessI(addr)
+func (w *warmer) warm() {
+	pc, _, addr := w.cur.next(w.tr, w.meta)
+	ia := instrAddr(pc)
+	if line := ia >> 6; !w.haveLine || line != w.lastLine {
+		w.hier.AccessI(ia)
 		w.lastLine, w.haveLine = line, true
 	}
-	sm := &w.meta[e.idx]
-	switch {
-	case sm.isCondBranch:
-		w.condBranches++
-		if w.pred.Predict(addr, e.taken) != e.taken {
-			w.mispredicts++
-		}
-		w.pred.Train(addr, e.taken)
-	case sm.isLoad:
-		w.loads++
-		w.hier.AccessD(e.addr)
-	case sm.isStore:
-		w.stores++
-		w.hier.AccessD(e.addr)
+	if sm := &w.meta[pc]; sm.isLoad || sm.isStore {
+		w.hier.AccessD(addr)
 	}
 }
 
 // runSampled alternates functional fast-forward with detailed measurement
 // intervals and scales the interval measurements into estimated Stats.
-func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr []traceEntry) (st *Stats, est *SampleEstimate, err error) {
+func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr *trace) (st *Stats, est *SampleEstimate, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			st, est = nil, nil
@@ -223,9 +210,9 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 	if err != nil {
 		return nil, nil, err
 	}
-	w := &warmer{meta: programMeta(p), hier: hier, pred: newPredictor(&cfg)}
+	w := &warmer{tr: tr, meta: programMeta(p), hier: hier}
 
-	n := uint64(len(tr))
+	n := uint64(tr.n)
 	var (
 		sumC, sumU float64   // ratio-estimator accumulators (measured windows)
 		cpis       []float64 // per-interval CPIs, for the variance
@@ -234,8 +221,9 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 		measured   uint64    // ... of which inside measurement windows
 	)
 	done := ctx.Done()
-	pos, nextSample := uint64(0), uint64(0)
-	for pos < n {
+	nextSample := uint64(0)
+	for uint64(w.cur.pos) < n {
+		pos := uint64(w.cur.pos)
 		if done != nil {
 			select {
 			case <-done:
@@ -245,27 +233,14 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 		}
 		if pos >= nextSample {
 			// Detailed interval. The machine shares the warmer's
-			// hierarchy and predictor, so its fetch IS the warming for
-			// the span it covers; the warmer resumes where fetch
-			// stopped, keeping the predictor's training sequence
-			// exactly the exact-mode sequence.
-			c, u, endPos, ist, ierr := runInterval(ctx, p, cfg, int(pos), w, sp.Warmup, sp.Detail)
+			// hierarchy and starts at its cursor, so its fetch IS the
+			// warming for the span it covers; the warmer resumes where
+			// fetch stopped.
+			c, u, ist, ierr := runInterval(ctx, p, cfg, w, sp.Warmup, sp.Detail)
 			if ierr != nil {
 				return nil, nil, ierr
 			}
-			detailed += endPos - pos
-			w.mispredicts += ist.Mispredicts
-			for i := pos; i < endPos; i++ {
-				sm := &w.meta[tr[i].idx]
-				switch {
-				case sm.isCondBranch:
-					w.condBranches++
-				case sm.isLoad:
-					w.loads++
-				case sm.isStore:
-					w.stores++
-				}
-			}
+			detailed += uint64(w.cur.pos) - pos
 			if u > 0 {
 				sumC += float64(c)
 				sumU += float64(u)
@@ -274,7 +249,6 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 			}
 			accumulateMicro(&micro, ist)
 			nextSample += sp.Period
-			pos = endPos
 			continue
 		}
 		// Functional fast-forward to the next sample point.
@@ -287,7 +261,7 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 				default:
 				}
 			}
-			w.warm(&tr[pos])
+			w.warm()
 		}
 	}
 	if sumU == 0 {
@@ -308,17 +282,19 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 	}
 
 	// Measured micro counters scale by the inverse sampling fraction; the
-	// architectural counts are exact from the trace and the warmer.
+	// architectural counts are exact from the trace and, for mispredicts,
+	// the program's shared mispredict set for this geometry.
+	_, mispredicts := replayFor(p).mispredictsOf(p, &cfg)
 	scale := float64(n) / float64(max(detailed, 1))
 	scaleU := func(v uint64) uint64 { return uint64(math.Round(float64(v) * scale)) }
 	st = &Stats{
 		Cycles:           estCycles,
 		Retired:          n,
 		Fetched:          n,
-		CondBranches:     w.condBranches,
-		Mispredicts:      w.mispredicts,
-		Loads:            w.loads,
-		StoreCount:       w.stores,
+		CondBranches:     tr.condBranches,
+		Mispredicts:      mispredicts,
+		Loads:            tr.loads,
+		StoreCount:       tr.stores,
 		ICacheMissCycles: scaleU(micro.ICacheMissCycles),
 		IssueStalls:      scaleU(micro.IssueStalls),
 		IdleCycles:       scaleU(micro.IdleCycles),
@@ -346,20 +322,19 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 }
 
 // runInterval runs one detailed measurement interval: a fresh machine is
-// built at trace position tpos directly on the warmer's hierarchy and
-// predictor (its fetch is the warming for the span it covers), simulated
-// through the warm-up, and measured for the detail window. It returns the
-// measured cycles and instructions (zero if the program ended inside the
-// warm-up), the trace position fetch reached — where the warmer resumes —
-// and the machine's full interval stats for micro-counter scaling.
-func runInterval(ctx context.Context, p *isa.Program, cfg Config, tpos int, w *warmer, warmup, detail uint64) (cycles, instrs, endPos uint64, st *Stats, err error) {
+// built at the warmer's cursor directly on its hierarchy (its fetch is the
+// warming for the span it covers), simulated through the warm-up, and
+// measured for the detail window. It returns the measured cycles and
+// instructions (zero if the program ended inside the warm-up) and the
+// machine's full interval stats for micro-counter scaling, and leaves the
+// warmer's cursor where fetch stopped.
+func runInterval(ctx context.Context, p *isa.Program, cfg Config, w *warmer, warmup, detail uint64) (cycles, instrs uint64, st *Stats, err error) {
 	cfg.Inject = nil // the fault injector targets the exact path only
 	m, err := newMachine(p, cfg, w.hier)
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, nil, err
 	}
-	m.fe.tpos = tpos
-	m.fe.pred = w.pred
+	m.fe.cur = w.cur
 
 	measureAt := warmup
 	stopAt := warmup + detail
@@ -369,13 +344,13 @@ func runInterval(ctx context.Context, p *isa.Program, cfg Config, tpos int, w *w
 	var nextPoll uint64
 	for {
 		if m.cycle >= m.cfg.MaxCycles {
-			return 0, 0, 0, nil, fmt.Errorf("uarch: %s on %q %w: %d cycles inside one sampled interval at instruction %d (fetched %d, retired %d — wedged machine or budget too small)",
-				m.cfg.Core, p.Name, ErrCycleLimit, m.cfg.MaxCycles, tpos, m.stats.Fetched, m.stats.Retired)
+			return 0, 0, nil, fmt.Errorf("uarch: %s on %q %w: %d cycles inside one sampled interval at instruction %d (fetched %d, retired %d — wedged machine or budget too small)",
+				m.cfg.Core, p.Name, ErrCycleLimit, m.cfg.MaxCycles, w.cur.pos, m.stats.Fetched, m.stats.Retired)
 		}
 		if done != nil && m.cycle >= nextPoll {
 			select {
 			case <-done:
-				return 0, 0, 0, nil, m.ctxErr(ctx)
+				return 0, 0, nil, m.ctxErr(ctx)
 			default:
 			}
 			nextPoll = m.cycle + ctxCheckInterval
@@ -390,14 +365,14 @@ func runInterval(ctx context.Context, p *isa.Program, cfg Config, tpos int, w *w
 		}
 	}
 	m.stats.Cycles = m.cycle
-	// Hand the I-cache line state back so the warmer's next probe pattern
-	// continues exactly where fetch left off.
+	// Hand the cursor and the I-cache line state back so the warmer's next
+	// probe pattern continues exactly where fetch left off.
+	w.cur = m.fe.cur
 	w.lastLine, w.haveLine = m.fe.lastLine, m.fe.haveLine
-	endPos = uint64(m.fe.tpos)
 	if !warmDone {
-		return 0, 0, endPos, &m.stats, nil
+		return 0, 0, &m.stats, nil
 	}
-	return m.cycle - warmCycles, m.stats.Retired - warmRetired, endPos, &m.stats, nil
+	return m.cycle - warmCycles, m.stats.Retired - warmRetired, &m.stats, nil
 }
 
 // accumulateMicro sums the interval machine's scalable micro counters.

@@ -46,11 +46,38 @@ func TestParseSampling(t *testing.T) {
 	if sp, err := ParseSampling(""); err != nil || sp.Enabled() {
 		t.Fatalf("empty spec: %+v, %v", sp, err)
 	}
-	for _, bad := range []string{"8000", "a:b", "400:400", "1:2:3:4"} {
+	// The last two wrap warmup+detail past zero.
+	for _, bad := range []string{"8000", "a:b", "400:400", "1:2:3:4",
+		"100:1:18446744073709551615", "100:18446744073709551615:1"} {
 		if _, err := ParseSampling(bad); err == nil {
 			t.Errorf("ParseSampling(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSampling: an accepted spec is a geometry that validates — a
+// positive detail window, and warm-up plus detail strictly inside the
+// period, summed without wrapping — and round-trips through String.
+func FuzzParseSampling(f *testing.F) {
+	for _, spec := range []string{"8000:400:200", "", "8000", "a:b", "400:400", "1:2:3:4", "100000:5000",
+		"100:1:18446744073709551615"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		sp, err := ParseSampling(spec)
+		if err != nil {
+			return
+		}
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("ParseSampling(%q) accepted %+v, which does not validate: %v", spec, sp, err)
+		}
+		if sp.Enabled() && (sp.Detail == 0 || sp.Warmup >= sp.Period || sp.Detail >= sp.Period-sp.Warmup) {
+			t.Fatalf("ParseSampling(%q) accepted %+v: warm-up plus detail does not fit in the period", spec, sp)
+		}
+		if rt, err := ParseSampling(sp.String()); err != nil || rt != sp {
+			t.Fatalf("ParseSampling(%q) = %+v does not round-trip: %q -> %+v, %v", spec, sp, sp.String(), rt, err)
+		}
+	})
 }
 
 // TestSampledMatchesExactCounts is the architectural-equivalence property:
