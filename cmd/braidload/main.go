@@ -466,6 +466,7 @@ func scrapeMetrics(client *http.Client, addr string) map[string]any {
 		"cache_hits", "cache_misses", "coalesced_total", "shed_total",
 		"sim_runs_total", "simulated_mips", "faults_contained_total",
 		"cycle_limit_total", "deadline_total", "latency_ms",
+		"program_builds_total", "unknown_program_total",
 	} {
 		if v, ok := all[k]; ok {
 			keep[k] = v

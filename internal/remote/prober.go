@@ -40,7 +40,15 @@ func canaryRequest() ([]byte, []byte, error) {
 			return
 		}
 		cfg := uarch.OutOfOrderConfig(2)
-		body, _, err := encodeRequest(prog, cfg, 10_000, uarch.Sampling{})
+		// The canary carries its image, not the digest: a backend that lost
+		// or never held the image must still answer the known-answer check
+		// in one request.
+		w, err := encodeRequest(prog, cfg, 10_000, uarch.Sampling{})
+		if err != nil {
+			canaryErr = err
+			return
+		}
+		body, err := w.imageBody()
 		if err != nil {
 			canaryErr = err
 			return

@@ -2,7 +2,9 @@
 // design-space sweep's simulation points out across one or more braidd
 // backends. The pool routes each point by its (program image, configuration)
 // content hash over a consistent-hash ring, so a repeated point lands on the
-// backend whose result LRU already holds it; transient failures — 429
+// backend whose result LRU already holds it; a point names its program image
+// by SHA-256 and sends the image only to a backend that answers it does not
+// hold it; transient failures — 429
 // overload, 5xx, connection errors — retry with exponential backoff and
 // jitter (honoring Retry-After) and fail over around the ring, so a backend
 // killed mid-sweep costs latency, not the sweep; optional hedged requests
@@ -109,6 +111,7 @@ type Pool struct {
 	failedAttempts    atomic.Uint64 // HTTP attempts that came back retryable
 	shortCircuits     atomic.Uint64 // attempts skipped because a breaker was open
 	localFallbacks    atomic.Uint64 // points degraded to in-process simulation
+	imageResends      atomic.Uint64 // unknown_program answers followed by the image
 	integrityFailures atomic.Uint64 // responses whose stats SHA-256 did not match
 	probeFailures     atomic.Uint64 // health-prober checks that failed
 	canaryMismatches  atomic.Uint64 // canary simulations whose stats diverged
@@ -140,6 +143,7 @@ type Stats struct {
 	BreakerTrips      uint64            `json:"breaker_trips"`
 	BreakerProbes     uint64            `json:"breaker_probes"`
 	LocalFallbacks    uint64            `json:"local_fallbacks"`
+	ImageResends      uint64            `json:"image_resends"`
 	IntegrityFailures uint64            `json:"integrity_failures"`
 	ProbeFailures     uint64            `json:"probe_failures"`
 	CanaryMismatches  uint64            `json:"canary_mismatches"`
@@ -244,6 +248,7 @@ func (p *Pool) Snapshot() Stats {
 		FailedAttempts:    p.failedAttempts.Load(),
 		ShortCircuits:     p.shortCircuits.Load(),
 		LocalFallbacks:    p.localFallbacks.Load(),
+		ImageResends:      p.imageResends.Load(),
 		IntegrityFailures: p.integrityFailures.Load(),
 		ProbeFailures:     p.probeFailures.Load(),
 		CanaryMismatches:  p.canaryMismatches.Load(),
@@ -269,6 +274,9 @@ func (p *Pool) String() string {
 		s.FailedAttempts, s.BreakerTrips, s.ShortCircuits)
 	if s.LocalFallbacks > 0 {
 		fmt.Fprintf(&b, ", %d local fallbacks", s.LocalFallbacks)
+	}
+	if s.ImageResends > 0 {
+		fmt.Fprintf(&b, ", %d image resends", s.ImageResends)
 	}
 	if s.IntegrityFailures > 0 {
 		fmt.Fprintf(&b, ", %d integrity failures", s.IntegrityFailures)
@@ -353,18 +361,18 @@ func (p *Pool) SimulateFull(ctx context.Context, prog *isa.Program, cfg uarch.Co
 }
 
 func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*Result, error) {
-	body, key, err := encodeRequest(prog, cfg, p.opt.TimeoutMS, sp)
+	w, err := encodeRequest(prog, cfg, p.opt.TimeoutMS, sp)
 	if err != nil {
 		return nil, err
 	}
 	p.requests.Add(1)
-	cands := p.ring.candidates(key)
+	cands := p.ring.candidates(w.key)
 
 	var res *Result
 	if p.opt.Hedge && p.opt.MaxAttempts > 1 {
-		res, err = p.runHedged(ctx, key, body, cands)
+		res, err = p.runHedged(ctx, w, cands)
 	} else {
-		res, err = p.runAttempts(ctx, key, body, cands, p.opt.MaxAttempts)
+		res, err = p.runAttempts(ctx, w, cands, p.opt.MaxAttempts)
 	}
 	if err != nil {
 		var un *Unavailable
@@ -377,7 +385,7 @@ func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp 
 		}
 		return nil, err
 	}
-	if p.opt.VerifyEvery > 0 && hashKey(key)%uint64(p.opt.VerifyEvery) == 0 {
+	if p.opt.VerifyEvery > 0 && hashKey(w.key)%uint64(p.opt.VerifyEvery) == 0 {
 		if err := p.verifyLocal(ctx, prog, cfg, sp, res); err != nil {
 			return nil, err
 		}
@@ -387,52 +395,76 @@ func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp 
 	return res, nil
 }
 
-// encodeRequest serializes the exact program image and full configuration.
-// Sending the image (rather than a workload name) guarantees the backend
-// simulates the same bytes the caller would locally — iteration calibration,
-// braid compilation, and any local program surgery are all already baked in —
-// and makes the routing key identical for identical points everywhere.
-func encodeRequest(prog *isa.Program, cfg uarch.Config, timeoutMS int64, sp uarch.Sampling) (body []byte, key string, err error) {
+// wireRequest is one point as a backend receives it. body names the program
+// image by its SHA-256; imageBody carries the image itself and is encoded
+// only when a backend answers unknown_program.
+type wireRequest struct {
+	key   string             // routing key: the server's result-cache key
+	req   service.SimRequest // the hash-only request
+	body  []byte             // req, encoded
+	image []byte             // the .brd image req's digest names
+}
+
+// encodeRequest serializes the program image's digest and the full
+// configuration. Naming the image (rather than a workload) guarantees the
+// backend simulates the same bytes the caller would locally — iteration
+// calibration, braid compilation, and any local program surgery are all
+// already baked in — and makes the routing key identical for identical
+// points everywhere.
+func encodeRequest(prog *isa.Program, cfg uarch.Config, timeoutMS int64, sp uarch.Sampling) (*wireRequest, error) {
 	var img bytes.Buffer
 	if err := isa.WriteImage(&img, prog); err != nil {
-		return nil, "", fmt.Errorf("remote: encoding %q: %w", prog.Name, err)
+		return nil, fmt.Errorf("remote: encoding %q: %w", prog.Name, err)
 	}
 	cfg.Inject = nil // process-local and json-excluded; never meaningful remotely
 	cfgJSON, err := json.Marshal(&cfg)
 	if err != nil {
-		return nil, "", fmt.Errorf("remote: encoding config: %w", err)
+		return nil, fmt.Errorf("remote: encoding config: %w", err)
 	}
 	progSum := sha256.Sum256(img.Bytes())
 	cfgSum := sha256.Sum256(cfgJSON)
-	key = hex.EncodeToString(progSum[:]) + ":" + hex.EncodeToString(cfgSum[:])
+	w := &wireRequest{
+		key:   hex.EncodeToString(progSum[:]) + ":" + hex.EncodeToString(cfgSum[:]),
+		image: img.Bytes(),
+	}
 	if sp.Enabled() {
 		// Mirror the server's cache-key suffix, so a sampled point routes to
 		// the backend whose LRU holds the sampled (not the exact) entry.
-		key += ":s" + sp.String()
+		w.key += ":s" + sp.String()
 	}
 
 	noBraid := false // the image is final; the backend must not recompile it
-	req := service.SimRequest{
-		Image:     base64.StdEncoding.EncodeToString(img.Bytes()),
-		Config:    &cfg,
-		Braid:     &noBraid,
-		TimeoutMS: timeoutMS,
+	w.req = service.SimRequest{
+		ImageSHA256: hex.EncodeToString(progSum[:]),
+		Config:      &cfg,
+		Braid:       &noBraid,
+		TimeoutMS:   timeoutMS,
 	}
 	if sp.Enabled() {
-		req.Sampling = &sp
+		w.req.Sampling = &sp
 	}
-	body, err = json.Marshal(&req)
+	if w.body, err = json.Marshal(&w.req); err != nil {
+		return nil, fmt.Errorf("remote: encoding request: %w", err)
+	}
+	return w, nil
+}
+
+// imageBody is the request with the image itself in place of its digest.
+func (w *wireRequest) imageBody() ([]byte, error) {
+	req := w.req
+	req.ImageSHA256, req.Image = "", base64.StdEncoding.EncodeToString(w.image)
+	body, err := json.Marshal(&req)
 	if err != nil {
-		return nil, "", fmt.Errorf("remote: encoding request: %w", err)
+		return nil, fmt.Errorf("remote: encoding request: %w", err)
 	}
-	return body, key, nil
+	return body, nil
 }
 
 // runHedged races the normal attempt chain against a second chain started on
 // the next ring backend once the first has been in flight longer than the
 // pool's observed p95 latency. Identical concurrent requests coalesce on the
 // server, so even a same-backend hedge costs a queue slot, not a simulation.
-func (p *Pool) runHedged(ctx context.Context, key string, body []byte, cands []int) (*Result, error) {
+func (p *Pool) runHedged(ctx context.Context, w *wireRequest, cands []int) (*Result, error) {
 	// Each side gets its own cancelable context so the losing request is
 	// torn down the moment the other side wins — not when this function
 	// happens to return. A hedged in-flight request holds a real queue
@@ -454,7 +486,7 @@ func (p *Pool) runHedged(ctx context.Context, key string, body []byte, cands []i
 		primaryAttempts = 1
 	}
 	go func() {
-		r, err := p.runAttempts(attemptCtx[0], key, body, cands, primaryAttempts)
+		r, err := p.runAttempts(attemptCtx[0], w, cands, primaryAttempts)
 		ch <- out{r, err, 0}
 	}()
 	timer := time.NewTimer(p.hedgeDelay())
@@ -491,7 +523,7 @@ func (p *Pool) runHedged(ctx context.Context, key string, body []byte, cands []i
 				attemptCtx[1], attemptCancel[1] = context.WithCancel(ctx)
 				defer attemptCancel[1]()
 				go func() {
-					r, err := p.runAttempts(attemptCtx[1], key, body, rotated, 1)
+					r, err := p.runAttempts(attemptCtx[1], w, rotated, 1)
 					ch <- out{r, err, 1}
 				}()
 			}
@@ -580,7 +612,7 @@ func (p *Pool) noteOutcome(idx int, failed bool, now time.Time) {
 // backend costs nothing while keeping its ring position (and therefore its
 // cache affinity) for when it heals. If every breaker is open the point
 // fails fast as Unavailable rather than burning the attempt budget.
-func (p *Pool) runAttempts(ctx context.Context, key string, body []byte, cands []int, maxAttempts int) (*Result, error) {
+func (p *Pool) runAttempts(ctx context.Context, w *wireRequest, cands []int, maxAttempts int) (*Result, error) {
 	var lastErr error
 	prev := -1
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -589,7 +621,7 @@ func (p *Pool) runAttempts(ctx context.Context, key string, body []byte, cands [
 			if lastErr == nil {
 				lastErr = errBreakersOpen
 			}
-			return nil, &Unavailable{Key: key, Attempts: attempt, Last: lastErr}
+			return nil, &Unavailable{Key: w.key, Attempts: attempt, Last: lastErr}
 		}
 		if attempt > 0 {
 			p.retries.Add(1)
@@ -598,7 +630,7 @@ func (p *Pool) runAttempts(ctx context.Context, key string, body []byte, cands [
 			}
 		}
 		prev = idx
-		res, retryAfter, err := p.call(ctx, p.backends[idx], body)
+		res, retryAfter, err := p.call(ctx, p.backends[idx], w)
 		if err == nil {
 			res.Attempts = attempt + 1
 			p.perBackend[idx].Add(1)
@@ -621,7 +653,7 @@ func (p *Pool) runAttempts(ctx context.Context, key string, body []byte, cands [
 			return nil, err
 		}
 	}
-	return nil, &Unavailable{Key: key, Attempts: maxAttempts, Last: lastErr}
+	return nil, &Unavailable{Key: w.key, Attempts: maxAttempts, Last: lastErr}
 }
 
 // runLocal degrades one point to in-process simulation (FallbackLocal). The
@@ -681,8 +713,26 @@ type retryableError struct {
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
 
-// call performs one HTTP attempt against one backend.
-func (p *Pool) call(ctx context.Context, backend string, body []byte) (*Result, time.Duration, error) {
+// call performs one attempt against one backend: the hash-only request,
+// then, if the backend answers unknown_program (it has never seen the image,
+// evicted it or restarted), the request with the image. The exchange is one
+// attempt: the unknown_program answer is not a failure, a retry or a latency
+// sample, and a second one is a terminal error.
+func (p *Pool) call(ctx context.Context, backend string, w *wireRequest) (*Result, time.Duration, error) {
+	res, retryAfter, err := p.post(ctx, backend, w.body)
+	if !errors.Is(err, errUnknownProgram) {
+		return res, retryAfter, err
+	}
+	p.imageResends.Add(1)
+	body, err := w.imageBody()
+	if err != nil {
+		return nil, 0, err
+	}
+	return p.post(ctx, backend, body)
+}
+
+// post sends one request body to one backend's /v1/simulate.
+func (p *Pool) post(ctx context.Context, backend string, body []byte) (*Result, time.Duration, error) {
 	actx, cancel := context.WithTimeout(ctx, p.opt.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, backend+"/v1/simulate", bytes.NewReader(body))
@@ -787,6 +837,10 @@ func retryAfterDuration(s string, now time.Time) time.Duration {
 	return 0
 }
 
+// errUnknownProgram is a backend's unknown_program answer: it does not hold
+// the image a hash-only request named.
+var errUnknownProgram = errors.New("backend does not hold the program image")
+
 // translateError maps a backend's structured error to the local simulation
 // error taxonomy, so experiments.Contained/Transient and braidbench's
 // Failures() accounting classify remote failures exactly like local ones.
@@ -809,6 +863,8 @@ func (p *Pool) translateError(backend string, status int, data []byte) error {
 		return fmt.Errorf("remote %s: %s: %w", backend, env.Error.Message, uarch.ErrTimeout)
 	case "compile_fault", "bad_request":
 		return fmt.Errorf("remote %s: status %d: %s", backend, status, env.Error.Message)
+	case "unknown_program":
+		return fmt.Errorf("remote %s: %w", backend, errUnknownProgram)
 	}
 	switch {
 	case status == http.StatusTooManyRequests || status >= 500:

@@ -220,11 +220,11 @@ func TestFailoverAroundDeadBackend(t *testing.T) {
 		}
 		pt := point{mustKernel(t, kernels[i%len(kernels)]), uarch.OutOfOrderConfig(8)}
 		pt.cfg.RFEntries += i
-		_, key, err := encodeRequest(pt.p, pt.cfg, pool.opt.TimeoutMS, uarch.Sampling{})
+		w, err := encodeRequest(pt.p, pt.cfg, pool.opt.TimeoutMS, uarch.Sampling{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pool.ring.candidates(key)[0] == 0 {
+		if pool.ring.candidates(w.key)[0] == 0 {
 			onDead = append(onDead, pt)
 		} else {
 			onLive = append(onLive, pt)
@@ -360,7 +360,7 @@ func TestHedgeWinsOnStraggler(t *testing.T) {
 	found := false
 	for w := 1; w <= 64 && !found; w++ {
 		cfg = uarch.OutOfOrderConfig(w)
-		if _, key, err := encodeRequest(prog, cfg, 0, uarch.Sampling{}); err == nil && pool.ring.candidates(key)[0] == 0 {
+		if w, err := encodeRequest(prog, cfg, 0, uarch.Sampling{}); err == nil && pool.ring.candidates(w.key)[0] == 0 {
 			found = true
 		}
 	}
@@ -517,11 +517,11 @@ func TestHedgeCancelsLoser(t *testing.T) {
 	pool.latN = 32
 	pool.latMu.Unlock()
 
-	body, key, err := encodeRequest(mustKernel(t, "dot"), uarch.OutOfOrderConfig(8), 0, uarch.Sampling{})
+	w, err := encodeRequest(mustKernel(t, "dot"), uarch.OutOfOrderConfig(8), 0, uarch.Sampling{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.runHedged(context.Background(), key, body, []int{0, 1})
+	res, err := pool.runHedged(context.Background(), w, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,11 +599,15 @@ func TestHedgedLoserFreesWorker(t *testing.T) {
 	// The ring decides which backend is primary for this point; pre-warm
 	// the OTHER backend's cache so the hedge wins instantly while the
 	// primary is still deep inside the long simulation.
-	body, key, err := encodeRequest(p, cfg, 0, uarch.Sampling{})
+	w, err := encodeRequest(p, cfg, 0, uarch.Sampling{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := pool.ring.candidates(key)
+	body, err := w.imageBody()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := pool.ring.candidates(w.key)
 	cold, warm := backends[cands[0]], backends[cands[1]]
 	resp, err := http.Post(warm.URL+"/v1/simulate", "application/json", bytes.NewReader(body))
 	if err != nil {

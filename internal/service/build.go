@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -18,19 +19,23 @@ import (
 )
 
 // SimRequest is the body of POST /v1/simulate: one program source (BRD64
-// assembly, a binary program image, a named workload profile, or a built-in
-// kernel) plus a machine configuration, either the core/width shorthand or a
-// full uarch.Config.
+// assembly, a binary program image or its SHA-256, a named workload profile,
+// or a built-in kernel) plus a machine configuration, either the core/width
+// shorthand or a full uarch.Config.
 type SimRequest struct {
-	// Program source: exactly one of the four. Image carries the exact
+	// Program source: exactly one of the five. Image carries the exact
 	// bytes a remote client wants simulated (base64 .brd), bypassing
 	// generation and calibration so distributed execution is bit-identical
-	// to local runs.
-	Asm      string `json:"asm,omitempty"`      // BRD64 assembly text
-	Image    string `json:"image,omitempty"`    // base64 .brd binary program image
-	Workload string `json:"workload,omitempty"` // named synthetic profile (e.g. "gcc")
-	Kernel   string `json:"kernel,omitempty"`   // built-in kernel (e.g. "dot")
-	Iters    int    `json:"iters,omitempty"`    // workload loop iterations (default 100)
+	// to local runs. ImageSHA256 names such an image by the SHA-256 of its
+	// bytes: braidd serves it from its program cache if an earlier image
+	// request put it there, and otherwise answers 404 unknown_program,
+	// building nothing.
+	Asm         string `json:"asm,omitempty"`          // BRD64 assembly text
+	Image       string `json:"image,omitempty"`        // base64 .brd binary program image
+	ImageSHA256 string `json:"image_sha256,omitempty"` // hex SHA-256 of a .brd image (64 characters)
+	Workload    string `json:"workload,omitempty"`     // named synthetic profile (e.g. "gcc")
+	Kernel      string `json:"kernel,omitempty"`       // built-in kernel (e.g. "dot")
+	Iters       int    `json:"iters,omitempty"`        // workload loop iterations (default 100)
 
 	// Machine configuration shorthand, mirroring braidsim's flags.
 	Core       string `json:"core,omitempty"`  // inorder, dep, braid, ooo (default ooo)
@@ -115,8 +120,10 @@ const (
 // program, braid it if asked (or implied by the braid core), resolve and
 // validate the configuration, clamp it to the limits, and hash both halves.
 // Errors are client errors (bad input), except compile faults, which carry
-// *CompileFault. Build makes the program afresh on every call; braidd takes
-// it from its program cache instead (Server.build).
+// *CompileFault, and a well-formed image_sha256 source, which fails with
+// errUnknownProgram: Build holds no images. Build makes the program afresh
+// on every call; braidd takes it from its program cache instead
+// (Server.build).
 func Build(req *SimRequest, lim Limits) (*Built, error) {
 	return build(req, lim, newProgramHalf)
 }
@@ -131,13 +138,13 @@ func build(req *SimRequest, lim Limits, program func(req *SimRequest, braided bo
 		lim.MaxSimTime = defaultMaxSimTime
 	}
 	sources := 0
-	for _, set := range []bool{req.Asm != "", req.Image != "", req.Workload != "", req.Kernel != ""} {
+	for _, set := range []bool{req.Asm != "", req.Image != "", req.ImageSHA256 != "", req.Workload != "", req.Kernel != ""} {
 		if set {
 			sources++
 		}
 	}
 	if sources != 1 {
-		return nil, fmt.Errorf("request needs exactly one of asm, image, workload, kernel (got %d)", sources)
+		return nil, fmt.Errorf("request needs exactly one of asm, image, image_sha256, workload, kernel (got %d)", sources)
 	}
 	cfg, err := buildConfig(req)
 	if err != nil {
@@ -208,8 +215,12 @@ func newProgramHalf(req *SimRequest, braided bool) (*programHalf, error) {
 	return &programHalf{prog: p, hash: hash}, nil
 }
 
+// errUnknownProgram answers a well-formed image_sha256 source whose image
+// the server does not hold; the client resends the point with the image.
+var errUnknownProgram = errors.New("image_sha256: no such image here; send the image itself")
+
 // loadProgram parses, decodes or generates the program of a request that
-// names exactly one source.
+// names exactly one source. A hash source has no program to load.
 func loadProgram(req *SimRequest) (*isa.Program, error) {
 	switch {
 	case req.Asm != "":
@@ -219,15 +230,20 @@ func loadProgram(req *SimRequest) (*isa.Program, error) {
 		}
 		return p, nil
 	case req.Image != "":
-		raw, err := base64.StdEncoding.DecodeString(req.Image)
+		raw, err := decodeImage(req.Image)
 		if err != nil {
-			return nil, fmt.Errorf("image: %w", err)
+			return nil, err
 		}
 		p, err := isa.ReadImage(bytes.NewReader(raw))
 		if err != nil {
 			return nil, fmt.Errorf("image: %w", err)
 		}
 		return p, nil
+	case req.ImageSHA256 != "":
+		if _, err := imageDigest(req.ImageSHA256); err != nil {
+			return nil, err
+		}
+		return nil, errUnknownProgram
 	case req.Workload != "":
 		prof, ok := workload.ProfileByName(req.Workload)
 		if !ok {
@@ -249,6 +265,27 @@ func loadProgram(req *SimRequest) (*isa.Program, error) {
 		}
 		return p, nil
 	}
+}
+
+// decodeImage decodes an image source's base64 text.
+func decodeImage(s string) ([]byte, error) {
+	raw, err := base64.StdEncoding.DecodeString(s)
+	if err != nil {
+		return nil, fmt.Errorf("image: %w", err)
+	}
+	return raw, nil
+}
+
+// imageDigest parses an image_sha256 source: exactly 64 hex characters.
+func imageDigest(s string) ([sha256.Size]byte, error) {
+	var d [sha256.Size]byte
+	if len(s) != hex.EncodedLen(sha256.Size) {
+		return d, fmt.Errorf("image_sha256: want %d hex characters, got %d", hex.EncodedLen(sha256.Size), len(s))
+	}
+	if _, err := hex.Decode(d[:], []byte(s)); err != nil {
+		return d, fmt.Errorf("image_sha256: %w", err)
+	}
+	return d, nil
 }
 
 // workloadIters is a workload request's loop count, defaulted.

@@ -143,28 +143,35 @@ const programCacheEntries = 64
 
 // progKey identifies a program half: the request's program source and the
 // resolved braided flag. Sources are keyed by what determines the program,
-// so a hit skips generation, braid compilation and image hashing.
+// so a hit skips generation, braid compilation and image hashing. An image
+// and an image_sha256 source naming its digest share one key.
 type progKey struct {
 	kind    string            // asm, image, workload or kernel
 	name    string            // workload or kernel name
 	iters   int               // resolved workload iterations
-	digest  [sha256.Size]byte // SHA-256 of the asm text or image string
+	digest  [sha256.Size]byte // SHA-256 of the asm text or the decoded image bytes
 	braided bool
 }
 
-func programKey(req *SimRequest, braided bool) progKey {
+func programKey(req *SimRequest, braided bool) (progKey, error) {
 	k := progKey{braided: braided}
+	var err error
 	switch {
 	case req.Asm != "":
 		k.kind, k.digest = "asm", sha256.Sum256([]byte(req.Asm))
 	case req.Image != "":
-		k.kind, k.digest = "image", sha256.Sum256([]byte(req.Image))
+		var raw []byte
+		raw, err = decodeImage(req.Image)
+		k.kind, k.digest = "image", sha256.Sum256(raw)
+	case req.ImageSHA256 != "":
+		k.kind = "image"
+		k.digest, err = imageDigest(req.ImageSHA256)
 	case req.Workload != "":
 		k.kind, k.name, k.iters = "workload", req.Workload, workloadIters(req)
 	default:
 		k.kind, k.name = "kernel", req.Kernel
 	}
-	return k
+	return k, err
 }
 
 // build is Build with the program half served from the program cache, so a
@@ -176,11 +183,19 @@ func (s *Server) build(req *SimRequest) (*Built, error) {
 }
 
 // cachedProgram returns the program half for req's source, building and
-// storing it on a miss.
+// storing it on a miss. A hash source that misses builds and stores
+// nothing: the server only simulates programs it decoded and hashed itself.
 func (s *Server) cachedProgram(req *SimRequest, braided bool) (*programHalf, error) {
-	key := programKey(req, braided)
+	key, err := programKey(req, braided)
+	if err != nil {
+		return nil, err
+	}
 	if h, ok := s.programs.get(key); ok {
 		return h, nil
+	}
+	if req.ImageSHA256 != "" {
+		s.met.unknownProgram.Add(1)
+		return nil, errUnknownProgram
 	}
 	s.met.programBuilds.Add(1)
 	h, err := newProgramHalf(req, braided)

@@ -37,7 +37,8 @@ type metrics struct {
 	deadline    expvar.Int // wall-clock deadline failures
 	canceled    expvar.Int // client-abandoned simulations
 
-	programBuilds expvar.Int // program-cache misses that built a program half
+	programBuilds  expvar.Int // program-cache misses that built a program half
+	unknownProgram expvar.Int // image_sha256 requests the program cache could not serve
 
 	histMu sync.Mutex
 	hists  map[string]*latencyHist // endpoint -> request latency
@@ -69,6 +70,7 @@ func newMetrics(start time.Time) *metrics {
 		{"deadline_total", &mt.deadline},
 		{"canceled_total", &mt.canceled},
 		{"program_builds_total", &mt.programBuilds},
+		{"unknown_program_total", &mt.unknownProgram},
 	} {
 		mt.m.Set(v.name, v.v)
 	}

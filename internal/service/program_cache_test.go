@@ -1,7 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -259,4 +263,113 @@ func TestBraidloadStreamMetrics(t *testing.T) {
 			t.Errorf("%s = %s, want %s", name, got, want)
 		}
 	}
+}
+
+// TestImageSHA256Source: a hash-only request is served from the program
+// cache once an image request put the image there, on /v1/simulate and in
+// /v1/batch. Before that it is a 404 unknown_program that builds and stores
+// nothing. A malformed digest, and a request naming the image both ways,
+// are 400s whether or not the server holds the image.
+func TestImageSHA256Source(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	b, err := Build(&SimRequest{Kernel: "dot"}, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := isa.WriteImage(&img, b.Program); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(img.Bytes())
+	noBraid := false
+	byImage := SimRequest{Image: base64.StdEncoding.EncodeToString(img.Bytes()), Config: &b.Config, Braid: &noBraid}
+	byHash := byImage
+	byHash.Image, byHash.ImageSHA256 = "", hex.EncodeToString(sum[:])
+	cfg := uarch.InOrderConfig(4) // another configuration: the result cache misses
+	byHashOther := byHash
+	byHashOther.Config = &cfg
+	both := byImage
+	both.ImageSHA256 = byHash.ImageSHA256
+	malformed := byHash
+	malformed.ImageSHA256 = strings.Repeat("g", 64)
+	short := byHash
+	short.ImageSHA256 = byHash.ImageSHA256[:62]
+
+	post := func(path string, v any) (int, []byte) {
+		t.Helper()
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, out := postJSON(t, ts.URL+path, string(data))
+		return resp.StatusCode, out
+	}
+	simulate := func(req SimRequest, want int, kind string) rawResponse {
+		t.Helper()
+		status, data := post("/v1/simulate", req)
+		if status != want {
+			t.Fatalf("status %d (%s), want %d", status, data, want)
+		}
+		var rr rawResponse
+		if status != http.StatusOK {
+			var env errorEnvelope
+			if err := json.Unmarshal(data, &env); err != nil || env.Error.Kind != kind {
+				t.Fatalf("error body %s, want kind %s", data, kind)
+			}
+		} else if err := json.Unmarshal(data, &rr); err != nil {
+			t.Fatal(err)
+		}
+		return rr
+	}
+	batchItem := func(req SimRequest) BatchItem {
+		t.Helper()
+		status, data := post("/v1/batch", BatchRequest{Requests: []SimRequest{req}})
+		var br BatchResponse
+		if err := json.Unmarshal(data, &br); status != http.StatusOK || err != nil || len(br.Items) != 1 {
+			t.Fatalf("batch: status %d: %s", status, data)
+		}
+		return br.Items[0]
+	}
+	counters := func(builds, unknown int64, entries int) {
+		t.Helper()
+		if got := svc.met.programBuilds.Value(); got != builds {
+			t.Errorf("program_builds_total = %d, want %d", got, builds)
+		}
+		if got := svc.met.unknownProgram.Value(); got != unknown {
+			t.Errorf("unknown_program_total = %d, want %d", got, unknown)
+		}
+		if got := svc.programs.len(); got != entries {
+			t.Errorf("program_cache_entries = %d, want %d", got, entries)
+		}
+	}
+
+	simulate(byHash, http.StatusNotFound, "unknown_program")
+	if item := batchItem(byHash); item.Status != http.StatusNotFound || item.Error == nil || item.Error.Kind != "unknown_program" {
+		t.Fatalf("batch item before the image: %+v", item)
+	}
+	for _, bad := range []SimRequest{both, malformed, short} {
+		simulate(bad, http.StatusBadRequest, "bad_request")
+	}
+	counters(0, 2, 0)
+
+	simulate(byImage, http.StatusOK, "")
+	rr := simulate(byHashOther, http.StatusOK, "")
+	direct, err := uarch.SimulateChecked(context.Background(), b.Program, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := json.Marshal(direct); !bytes.Equal(rr.Stats, want) || rr.Source != "run" {
+		t.Errorf("hash request served %s from %q, want a run giving %s", rr.Stats, rr.Source, want)
+	}
+	if item := batchItem(byHash); item.Status != http.StatusOK || item.Result == nil ||
+		item.Result.Source != "cache" || item.Result.ProgramHash != b.ProgHash {
+		t.Fatalf("batch item after the image: %+v", item)
+	}
+	for _, bad := range []SimRequest{both, malformed, short} {
+		simulate(bad, http.StatusBadRequest, "bad_request")
+	}
+	counters(1, 2, 1)
 }

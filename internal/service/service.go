@@ -431,13 +431,17 @@ func (s *Server) classifyFailure(err error) {
 	}
 }
 
-// buildErrorBody maps a Build failure: bad input is 400, a contained
-// compiler panic is 422 (the request was well-formed; the service hit a
-// contained fault processing it).
+// buildErrorBody maps a Build failure: bad input is 400, an image_sha256
+// this server does not hold is 404, and a contained compiler panic is 422
+// (the request was well-formed; the service hit a contained fault
+// processing it).
 func buildErrorBody(err error) (int, ErrorBody) {
 	var cf *CompileFault
 	if errors.As(err, &cf) {
 		return http.StatusUnprocessableEntity, ErrorBody{Kind: "compile_fault", Message: cf.Error()}
+	}
+	if errors.Is(err, errUnknownProgram) {
+		return http.StatusNotFound, ErrorBody{Kind: "unknown_program", Message: err.Error()}
 	}
 	return http.StatusBadRequest, ErrorBody{Kind: "bad_request", Message: err.Error()}
 }
