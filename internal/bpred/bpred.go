@@ -1,27 +1,9 @@
-// Package bpred implements the branch direction predictors used by the
-// simulators: the perceptron predictor from Table 4 (512-entry weight table,
-// 64-bit global history) and a perfect oracle used for the Figure 1
-// potential-performance study.
+// Package bpred implements the perceptron branch direction predictor of
+// Table 4 (512-entry weight table, 64-bit global history). The timing
+// simulator runs it over each program's dynamic branch stream to find the
+// branches it mispredicts; the perfect predictor of the Figure 1
+// potential-performance study needs no code, since it mispredicts none.
 package bpred
-
-// Predictor predicts conditional branch directions. Because the timing
-// simulator is functionally directed (the correct outcome is known when the
-// branch is fetched), Predict receives the actual outcome; real predictors
-// must ignore it, while the perfect oracle returns it. Train is called once
-// per dynamic branch with the actual outcome.
-type Predictor interface {
-	Predict(pc uint64, actual bool) bool
-	Train(pc uint64, taken bool)
-}
-
-// Perfect is the oracle predictor: never wrong.
-type Perfect struct{}
-
-// Predict returns the actual outcome.
-func (Perfect) Predict(_ uint64, actual bool) bool { return actual }
-
-// Train is a no-op.
-func (Perfect) Train(uint64, bool) {}
 
 // Perceptron is the perceptron predictor of Jiménez and Lin, configured per
 // the paper's Table 4: a 512-entry weight table indexed by PC, with 64 bits
@@ -39,10 +21,6 @@ type Perceptron struct {
 	lastHist  uint64
 	lastY     int32
 	lastValid bool
-
-	// Statistics.
-	Predictions uint64
-	Mispredicts uint64
 }
 
 // NewPerceptron builds a predictor with the given table size and history
@@ -85,9 +63,8 @@ func (p *Perceptron) output(pc uint64) int32 {
 	return y
 }
 
-// Predict returns the perceptron's direction guess; the actual outcome is
-// ignored (it is consumed by the simulator for oracle predictors only).
-func (p *Perceptron) Predict(pc uint64, _ bool) bool {
+// Predict returns the perceptron's direction guess.
+func (p *Perceptron) Predict(pc uint64) bool {
 	return p.output(pc) >= 0
 }
 
@@ -98,12 +75,7 @@ const weightMax = 127 // keep weights in signed-byte range, as hardware would
 // branch, in fetch order.
 func (p *Perceptron) Train(pc uint64, taken bool) {
 	y := p.output(pc)
-	pred := y >= 0
-	p.Predictions++
-	if pred != taken {
-		p.Mispredicts++
-	}
-	if pred != taken || abs32(y) <= p.theta {
+	if (y >= 0) != taken || abs32(y) <= p.theta {
 		w := p.row(pc)
 		adj := func(i int, agree bool) {
 			if agree {
@@ -122,15 +94,6 @@ func (p *Perceptron) Train(pc uint64, taken bool) {
 	}
 	p.history = p.history<<1 | b2u(taken)
 	p.lastValid = false
-}
-
-// MispredictRate returns the fraction of trained branches that were
-// mispredicted.
-func (p *Perceptron) MispredictRate() float64 {
-	if p.Predictions == 0 {
-		return 0
-	}
-	return float64(p.Mispredicts) / float64(p.Predictions)
 }
 
 func abs32(x int32) int32 {

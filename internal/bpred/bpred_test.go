@@ -5,21 +5,13 @@ import (
 	"testing"
 )
 
-func TestPerfect(t *testing.T) {
-	var p Perfect
-	if !p.Predict(10, true) || p.Predict(10, false) {
-		t.Error("perfect predictor is not perfect")
-	}
-	p.Train(10, true) // must not panic
-}
-
 func TestPerceptronLearnsAlwaysTaken(t *testing.T) {
 	p := NewPerceptron(512, 64)
 	for i := 0; i < 200; i++ {
-		p.Predict(0x40, true)
+		p.Predict(0x40)
 		p.Train(0x40, true)
 	}
-	if !p.Predict(0x40, false) {
+	if !p.Predict(0x40) {
 		t.Error("did not learn an always-taken branch")
 	}
 }
@@ -29,7 +21,7 @@ func TestPerceptronLearnsAlternating(t *testing.T) {
 	correct := 0
 	for i := 0; i < 2000; i++ {
 		taken := i%2 == 0
-		if p.Predict(0x80, taken) == taken {
+		if p.Predict(0x80) == taken {
 			correct++
 		}
 		p.Train(0x80, taken)
@@ -47,7 +39,7 @@ func TestPerceptronLearnsPeriodicPattern(t *testing.T) {
 		taken := i%7 == 0
 		if i > 2000 {
 			total++
-			if p.Predict(0x123, taken) == taken {
+			if p.Predict(0x123) == taken {
 				correct++
 			}
 		}
@@ -65,7 +57,7 @@ func TestPerceptronRandomIsHard(t *testing.T) {
 	const n = 10000
 	for i := 0; i < n; i++ {
 		taken := r.Intn(2) == 0
-		if p.Predict(0x200, taken) == taken {
+		if p.Predict(0x200) == taken {
 			correct++
 		}
 		p.Train(0x200, taken)
@@ -85,13 +77,13 @@ func TestPerceptronCorrelation(t *testing.T) {
 	last := false
 	for i := 0; i < 20000; i++ {
 		a := r.Intn(2) == 0
-		p.Predict(0x300, a)
+		p.Predict(0x300)
 		p.Train(0x300, a)
 		last = a
 		b := last
 		if i > 5000 {
 			total++
-			if p.Predict(0x308, b) == b {
+			if p.Predict(0x308) == b {
 				correctB++
 			}
 		}
@@ -99,19 +91,6 @@ func TestPerceptronCorrelation(t *testing.T) {
 	}
 	if rate := float64(correctB) / float64(total); rate < 0.9 {
 		t.Errorf("correlated branch accuracy %.2f, want > 0.9", rate)
-	}
-}
-
-func TestPerceptronStats(t *testing.T) {
-	p := NewPerceptron(64, 16)
-	for i := 0; i < 100; i++ {
-		p.Train(4, true)
-	}
-	if p.Predictions != 100 {
-		t.Errorf("Predictions = %d", p.Predictions)
-	}
-	if p.MispredictRate() > 0.2 {
-		t.Errorf("always-taken mispredict rate %.2f too high", p.MispredictRate())
 	}
 }
 

@@ -141,6 +141,12 @@ func (c *resultCache) len() int { return c.entries.len() }
 // programs of the benchmark suite (26 workloads, plain and braided).
 const programCacheEntries = 64
 
+// keptTraceInstrs is the longest replay trace, in dynamic instructions, that
+// a run leaves cached with its program. A program's trace grows as far as its
+// runs fetch, and a longer one would stay pinned until the program's
+// eviction.
+const keptTraceInstrs = 1 << 26
+
 // progKey identifies a program half: the request's program source and the
 // resolved braided flag. Sources are keyed by what determines the program,
 // so a hit skips generation, braid compilation and image hashing. An image

@@ -152,6 +152,41 @@ func TestProgramReleasedAfterLateRun(t *testing.T) {
 	}
 }
 
+// TestFailedOrLongRunReleasesProgram: a run that fails, or whose program is
+// longer than a kept trace, releases its program's replay state when it
+// ends; a shorter successful run keeps it.
+func TestFailedOrLongRunReleasesProgram(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	svc.keptTrace = 1000
+	rc := countReleases(svc)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct {
+		req              SimRequest
+		status, releases int
+	}{
+		{SimRequest{Asm: countdownAsm(100), Core: "inorder", Width: 4}, http.StatusOK, 0},  // ~200 instructions
+		{SimRequest{Asm: countdownAsm(1000), Core: "inorder", Width: 4}, http.StatusOK, 1}, // ~2000
+		{SimRequest{Asm: spinAsm, Core: "inorder", Width: 2, MaxCycles: 1000}, http.StatusUnprocessableEntity, 1},
+	} {
+		b, err := svc.build(&c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, data := postJSON(t, ts.URL+"/v1/simulate", string(body)); resp.StatusCode != c.status {
+			t.Fatalf("%s: status %d (%s), want %d", b.Program.Name, resp.StatusCode, data, c.status)
+		}
+		if got := rc.of(b.Program); got != c.releases {
+			t.Errorf("%s: released %d times, want %d", b.Program.Name, got, c.releases)
+		}
+	}
+}
+
 // TestProgramCacheSharesProgram: requests naming the same source share one
 // program; the braided flag and the workload's resolved loop count are part
 // of the source.

@@ -95,9 +95,12 @@ type Server struct {
 	draining atomic.Bool
 	logMu    sync.Mutex
 
-	// releaseProgram drops an evicted program's replay state
+	// releaseProgram drops a program's replay state
 	// (uarch.ReleaseProgram); tests replace it to count releases.
 	releaseProgram func(*isa.Program)
+	// keptTrace is the longest replay trace a run leaves cached
+	// (keptTraceInstrs); tests lower it.
+	keptTrace uint64
 
 	// testHookSimStart, when set, runs on the leader's goroutine after it
 	// holds a worker slot and before it simulates, with the request context.
@@ -117,6 +120,7 @@ func New(cfg Config) *Server {
 		met:     newMetrics(time.Now()),
 
 		releaseProgram: uarch.ReleaseProgram,
+		keptTrace:      keptTraceInstrs,
 	}
 	s.programs = newLRU[progKey, *programHalf](programCacheEntries, s.evictProgram)
 	s.met.m.Set("queue_depth", expvar.Func(func() any { return s.adm.waiting() }))
@@ -409,8 +413,12 @@ func (s *Server) lead(ctx context.Context, key string, b *Built, shed bool) (*ua
 		st, err = uarch.SimulateChecked(simCtx, b.Program, b.Config)
 	}
 	simMS := float64(time.Since(t0).Nanoseconds()) / 1e6
-	if b.half.evicted.Load() {
-		s.releaseProgram(b.Program) // this run may have rebuilt what eviction released
+	// Drop the program's replay state if this run may have rebuilt what
+	// eviction released, if the run failed (it stopped before the program
+	// ended, so the trace is as long as the run's budget let it grow and is
+	// never trimmed), or if the program is longer than a kept trace.
+	if b.half.evicted.Load() || err != nil || st.Retired > s.keptTrace {
+		s.releaseProgram(b.Program)
 	}
 	return st, est, simMS, err
 }

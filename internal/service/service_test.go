@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -387,6 +388,117 @@ func TestCycleLimit422(t *testing.T) {
 	}
 	if svc.met.cycleLim.Value() != 2 {
 		t.Errorf("cycle_limit_total = %d, want 2 (failures must not be cached)", svc.met.cycleLim.Value())
+	}
+}
+
+// spinAsm never halts: two loads and a branch back, forever.
+const spinAsm = `
+.name spin
+.data 64
+	ldimm r1, #65536
+loop:
+	ldq   r2, 0(r1)
+	ldq   r3, 8(r1)
+	br    loop
+	halt
+`
+
+// nestedLoopAsm halts after about 4·outer·inner dynamic instructions: a loop
+// of two loads nested in another.
+func nestedLoopAsm(outer, inner int) string {
+	return fmt.Sprintf(`
+.name nested
+.data 64
+	ldimm r1, #65536
+	ldimm r4, #%d
+outer:
+	ldimm r5, #%d
+inner:
+	ldq   r2, 0(r1)
+	ldq   r3, 8(r1)
+	sub   r5, r5, #1
+	bne   r5, inner
+	sub   r4, r4, #1
+	bne   r4, outer
+	halt
+`, outer, inner)
+}
+
+// TestLongProgramsStayWithinBudget: a request's cycle budget bounds the
+// program pre-execution it pays for. A non-halting loop and a halting loop of
+// ~60 M dynamic instructions, each under a 1000-cycle budget and a 1 s
+// timeout, answer 422 cycle_limit within that second, allocating less than
+// 64 MB; and 64 distinct long programs held in the program cache grow the
+// heap, after GC, by less than 64 MB.
+func TestLongProgramsStayWithinBudget(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	post := func(src string) {
+		t.Helper()
+		body, err := json.Marshal(SimRequest{Asm: src, Core: "inorder", Width: 2, MaxCycles: 1000, TimeoutMS: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postJSON(t, ts.URL+"/v1/simulate", string(body))
+		var env errorEnvelope
+		if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(data, &env) != nil || env.Error.Kind != "cycle_limit" {
+			t.Fatalf("status %d (%s), want 422 cycle_limit", resp.StatusCode, data)
+		}
+	}
+	const mb = 1 << 20
+	for _, src := range []string{spinAsm, nestedLoopAsm(3000, 5000)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		post(src)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if elapsed > time.Second {
+			t.Errorf("answered after %v, want within 1s", elapsed)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64*mb {
+			t.Errorf("request allocated %d MB, want under 64", alloc/mb)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 64; i++ {
+		post(nestedLoopAsm(3000+i, 5000+i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64*mb {
+		t.Errorf("64 long programs grew the heap by %d MB, want under 64", grew/mb)
+	}
+}
+
+// TestFailedRunKeepsNoTrace: a sampled request on the non-halting loop under
+// the server's default cycle budget pre-executes until its 2 s deadline. The
+// run fails, so the trace it grew is dropped with it: the heap after GC grows
+// by less than 64 MB.
+func TestFailedRunKeepsNoTrace(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Workers: 1}).Handler())
+	defer ts.Close()
+	body, err := json.Marshal(SimRequest{Asm: spinAsm, Core: "inorder", TimeoutMS: 2000,
+		Sampling: &uarch.Sampling{Period: 100_000, Detail: 5000, Warmup: 5000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if resp, data := postJSON(t, ts.URL+"/v1/simulate", string(body)); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%s), want 504", resp.StatusCode, data)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	const mb = 1 << 20
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64*mb {
+		t.Errorf("the failed request grew the heap by %d MB, want under 64", grew/mb)
 	}
 }
 

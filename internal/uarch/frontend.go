@@ -1,10 +1,6 @@
 package uarch
 
-import (
-	"braid/internal/bpred"
-	"braid/internal/interp"
-	"braid/internal/isa"
-)
+import "braid/internal/isa"
 
 // textBase is the virtual address of the text segment; each BRD64
 // instruction occupies 8 bytes for instruction-cache purposes.
@@ -16,15 +12,11 @@ const textBase = 0x1000
 // branch executes, after the configured redirect gap.
 type frontend struct {
 	prog *isa.Program
+	rep  *replayEntry // the program's shared replay state
 	meta []staticMeta // per-static-instruction decode metadata
-	tr   *trace       // shared dynamic stream (nil: use the interpreter)
+	tr   *trace       // the shared dynamic stream, as far as this run has seen it
 	cur  cursor       // next trace instruction to fetch
-	miss bitset       // conditional branches this geometry mispredicts (nil: none)
-
-	// Live fallback for non-halting programs: the interpreter, and the
-	// predictor the shared mispredict set stands in for.
-	m    *interp.Machine
-	pred bpred.Predictor
+	miss bitset       // conditional branches this geometry mispredicts in tr (nil: none)
 
 	queue    dynRing // fetched, awaiting dispatch
 	queueCap int
@@ -57,33 +49,19 @@ func predGeometry(cfg *Config) predGeom {
 	return g
 }
 
-// newPredictor builds the branch predictor a configuration asks for.
-func newPredictor(cfg *Config) bpred.Predictor {
-	if cfg.PerfectBP {
-		return bpred.Perfect{}
-	}
-	g := predGeometry(cfg)
-	return bpred.NewPerceptron(g.entries, g.hist)
-}
-
 func newFrontend(p *isa.Program, cfg *Config) *frontend {
 	e := replayFor(p)
-	fe := &frontend{
+	return &frontend{
 		prog: p,
+		rep:  e,
 		meta: e.metaOf(p),
+		tr:   &trace{}, // the first fetch grows the shared trace
 		// The fetch-to-dispatch buffer must cover the front end's
 		// bandwidth-delay product (instructions are in flight for
 		// FrontDepth cycles before dispatch) or it, rather than the
 		// modeled resources, becomes the IPC ceiling.
 		queueCap: cfg.FetchWidth * (cfg.FrontDepth + 4),
 	}
-	if fe.tr = e.traceOf(p); fe.tr != nil {
-		fe.miss, _ = e.mispredictsOf(p, cfg)
-	} else {
-		fe.m = interp.New(p)
-		fe.pred = newPredictor(cfg)
-	}
-	return fe
 }
 
 func instrAddr(idx int) uint64 { return textBase + uint64(idx)*8 }
@@ -99,18 +77,17 @@ func (fe *frontend) fetch(m *Machine, t uint64) {
 		if fe.queue.len() >= fe.queueCap {
 			return
 		}
-		var pc int
-		if fe.tr != nil {
+		if fe.cur.pos >= fe.tr.n {
+			// Past the trace this run holds: grow the shared one. Past
+			// the last executed instruction is the end of program,
+			// exactly where the interpreter returns an error.
+			fe.tr, fe.miss, _ = fe.rep.upTo(fe.prog, fe.cur.pos, cfg)
 			if fe.cur.pos >= fe.tr.n {
-				// Past the last executed instruction: end of program,
-				// exactly where the interpreter would return an error.
 				fe.done = true
 				return
 			}
-			pc = fe.cur.pc
-		} else {
-			pc = fe.m.PC
 		}
+		pc := fe.cur.pc
 		addr := instrAddr(pc)
 		line := addr >> 6
 		if !fe.haveLine || line != fe.lastLine {
@@ -124,19 +101,8 @@ func (fe *frontend) fetch(m *Machine, t uint64) {
 			}
 		}
 
-		var d *dyn
-		if fe.tr != nil {
-			_, taken, maddr := fe.cur.next(fe.tr, fe.meta)
-			d = fe.buildDyn(m, &fe.prog.Instrs[pc], pc, maddr, taken, t)
-		} else {
-			var info interp.StepInfo
-			if err := fe.m.Step(&info); err != nil {
-				// Out-of-range PC or similar: treat as end of program.
-				fe.done = true
-				return
-			}
-			d = fe.buildDyn(m, info.Instr, info.Index, info.Addr, info.Taken, t)
-		}
+		_, taken, maddr := fe.cur.next(fe.tr, fe.meta)
+		d := fe.buildDyn(m, pc, maddr, taken, t)
 		fe.queue.push(d)
 		m.stats.Fetched++
 
@@ -149,15 +115,8 @@ func (fe *frontend) fetch(m *Machine, t uint64) {
 			branches++
 			if sm.isCondBranch {
 				m.stats.CondBranches++
-				var wrong bool
-				if fe.tr != nil {
-					// cur.br has just moved past this branch.
-					wrong = fe.miss != nil && fe.miss.has(fe.cur.br-1)
-				} else {
-					wrong = fe.pred.Predict(addr, d.taken) != d.taken
-					fe.pred.Train(addr, d.taken)
-				}
-				if wrong {
+				// cur.br has just moved past this branch.
+				if fe.miss != nil && fe.miss.has(fe.cur.br-1) {
 					d.mispredicted = true
 					m.stats.Mispredicts++
 					fe.stalledOn = d
@@ -181,13 +140,13 @@ func (fe *frontend) fetch(m *Machine, t uint64) {
 // buildDyn wires the dependence edges using the owner tables. Records come
 // from the machine's arena; every producer pointer stored (sources and owner
 // slots) takes a reference so the producer cannot recycle underneath it.
-func (fe *frontend) buildDyn(m *Machine, in *isa.Instruction, idx int, addr uint64, taken bool, t uint64) *dyn {
+func (fe *frontend) buildDyn(m *Machine, idx int, addr uint64, taken bool, t uint64) *dyn {
 	sm := &fe.meta[idx]
 	m.seq++
 	d := m.allocDyn()
 	d.seq = m.seq
 	d.idx = idx
-	d.in = in
+	d.in = &fe.prog.Instrs[idx]
 	d.addr = addr
 	d.isLoad = sm.isLoad
 	d.isStore = sm.isStore

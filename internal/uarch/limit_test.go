@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"braid/internal/asm"
+	"braid/internal/isa"
 )
 
 // idleStretchSrc is a program whose execution contains a long, provably idle
@@ -95,5 +96,81 @@ func TestCanceledContextStopsInsideIdleStretch(t *testing.T) {
 	}
 	if _, err := m.RunContext(ctx); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled context returned %v, want ErrCanceled", err)
+	}
+}
+
+// spinSrc never halts: two loads and a branch back, forever.
+const spinSrc = `
+.name spin
+.data 64
+	ldimm r1, #65536
+loop:
+	ldq   r2, 0(r1)
+	ldq   r3, 8(r1)
+	br    loop
+	halt
+`
+
+// traceLen is how many instructions p's shared trace holds.
+func traceLen(p *isa.Program) int {
+	e := replayFor(p)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.tr == nil {
+		return 0
+	}
+	return e.tr.n
+}
+
+// TestPreExecutionBoundedByBudget: a non-halting program pre-executes at most
+// one growth step past what its run fetches. An exact run cut off at
+// MaxCycles C at fetch width W fetches at most C·W instructions, and a
+// sampled run stops with ErrCycleLimit once the trace passes C·W.
+func TestPreExecutionBoundedByBudget(t *testing.T) {
+	p, err := asm.Parse(spinSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ReleaseProgram(p)
+	cfg := InOrderConfig(2)
+	cfg.MaxCycles = 100_000
+	bound := int(cfg.MaxCycles)*cfg.FetchWidth + traceStep
+
+	m, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); !errors.Is(err, ErrCycleLimit) {
+		t.Fatalf("exact run of a non-halting program returned %v, want ErrCycleLimit", err)
+	}
+	if n, fetched := traceLen(p), int(m.stats.Fetched); n < fetched || n > fetched+traceStep || n > bound {
+		t.Errorf("exact run fetched %d instructions and left %d pre-executed, want at most one step (%d) more, and at most %d",
+			fetched, n, traceStep, bound)
+	}
+
+	ReleaseProgram(p)
+	sp := Sampling{Period: 10_000, Detail: 1000, Warmup: 1000}
+	if _, _, err := SimulateSampled(context.Background(), p, cfg, sp); !errors.Is(err, ErrCycleLimit) {
+		t.Fatalf("sampled run of a non-halting program returned %v, want ErrCycleLimit", err)
+	}
+	if n := traceLen(p); n == 0 || n > bound {
+		t.Errorf("sampled run left %d pre-executed instructions, want 1..%d", n, bound)
+	}
+}
+
+// TestSampledHugeBudgetSamples: MaxCycles × FetchWidth saturates instead of
+// wrapping, so a halting program under a 2^62-cycle budget at width 8 (a
+// product of 2^65) still samples.
+func TestSampledHugeBudgetSamples(t *testing.T) {
+	p, _ := genWorkload(t, "gcc", 150)
+	defer ReleaseProgram(p)
+	cfg := OutOfOrderConfig(8)
+	cfg.MaxCycles = 1 << 62
+	_, est, err := SimulateSampled(context.Background(), p, cfg, Sampling{Period: 8000, Detail: 2000, Warmup: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Exact || est.Intervals == 0 {
+		t.Errorf("estimate %+v: the run did not sample", est)
 	}
 }

@@ -65,7 +65,7 @@ func TestMispredictSetsMatchPerceptron(t *testing.T) {
 					continue
 				}
 				addr := uarch.InstrAddr(info.Index)
-				miss := pred.Predict(addr, info.Taken) != info.Taken
+				miss := pred.Predict(addr) != info.Taken
 				pred.Train(addr, info.Taken)
 				if bit := got[br/64]>>(br%64)&1 != 0; bit != miss {
 					t.Fatalf("%s geometry %v: branch %d (pc %d) set says mispredicted=%v, perceptron %v",

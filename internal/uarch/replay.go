@@ -3,31 +3,47 @@ package uarch
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"braid/internal/bpred"
 	"braid/internal/interp"
 	"braid/internal/isa"
 )
 
-// trace is one program's dynamic instruction stream in compact form. BRD64
-// has only direct branches and the simulator is functionally directed, so
-// the stream is fixed by the static program plus each dynamic conditional
-// branch's outcome and each dynamic load or store's address; a cursor
-// rebuilds the PC sequence from those. Its arrays hold no pointers, so cached
-// traces cost the garbage collector nothing to scan.
+// trace is a prefix of one program's dynamic instruction stream in compact
+// form. BRD64 has only direct branches and the simulator is functionally
+// directed, so the stream is fixed by the static program plus each dynamic
+// conditional branch's outcome and each dynamic load or store's address; a
+// cursor rebuilds the PC sequence from those. Its arrays hold no pointers, so
+// cached traces cost the garbage collector nothing to scan. Growth publishes a
+// longer trace that shares the arrays of the one before and never rewrites
+// them below its length.
 type trace struct {
 	n     int      // dynamic instructions
 	taken bitset   // bit i: the i-th dynamic conditional branch was taken
 	addrs []uint64 // effective address of each dynamic load and store, in order
+	ended bool     // the program stops after these n instructions
 
 	condBranches, loads, stores uint64
 }
 
-// bitset is a packed bit vector indexed from zero.
+// bitset is a packed bit vector indexed from zero. Growth sets bits in the
+// last word of a set that runs are reading, so words are read and written
+// atomically. Each bit is set once, so adding its value sets it.
 type bitset []uint64
 
-func (b bitset) has(i int) bool { return b[i>>6]>>(i&63)&1 != 0 }
-func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) has(i int) bool { return atomic.LoadUint64(&b[i>>6])>>(i&63)&1 != 0 }
+
+// add appends bit i, the set's next, with value v.
+func (b bitset) add(i int, v bool) bitset {
+	if i%64 == 0 {
+		b = append(b, 0)
+	}
+	if v {
+		atomic.AddUint64(&b[i>>6], 1<<(i&63))
+	}
+	return b
+}
 
 // cursor is a position in a trace: the next dynamic instruction's index and
 // static PC, and how many conditional branches and memory accesses precede
@@ -60,11 +76,10 @@ func (c *cursor) next(tr *trace, meta []staticMeta) (pc int, taken bool, addr ui
 	return pc, taken, addr
 }
 
-// traceCap bounds pre-execution so a non-halting program cannot hang trace
-// construction; such a program falls back to the live interpreter and runs
-// into the engine's MaxCycles budget as before. It is a variable only so
-// tests can push halting programs onto that fallback.
-var traceCap = 1 << 26
+// traceStep is how many instructions a replay entry pre-executes each time a
+// run reaches the end of its trace. It is a variable only so tests can grow
+// traces in small steps.
+var traceStep = 1 << 16
 
 // Source-operand kinds for staticMeta (where buildDyn finds each producer).
 const (
@@ -93,31 +108,33 @@ type staticMeta struct {
 	target int32 // a branch's taken successor
 }
 
-// replayEntry is one program's cached replay state: its trace, its static
-// metadata, and one mispredict set per predictor geometry. Each part is built
-// at most once, under its own sync.Once, so interpreting one program never
-// blocks a Machine that needs another program's trace or this program's
-// metadata.
+// replayEntry is one program's cached replay state: its static metadata, its
+// trace as far as it has been pre-executed, and one mispredict set per
+// predictor geometry over that trace. The trace grows on demand, a step at a
+// time, when a run reaches the end of the prefix it holds, so a run
+// pre-executes at most one step past the instructions it fetches. mu
+// serializes the entry's set-up and growth. A published trace or set is never
+// rewritten below its length, so runs read the prefix they hold without it.
 type replayEntry struct {
-	traceOnce sync.Once
-	trace     *trace
-	metaOnce  sync.Once
-	meta      []staticMeta
-
-	predMu sync.Mutex // guards preds, not the sets it points to
-	preds  map[predGeom]*mispredicts
+	mu    sync.Mutex
+	meta  []staticMeta
+	tr    *trace          // nil until first use
+	im    *interp.Machine // the pre-executor; nil once the program has ended
+	preds map[predGeom]*mispredicts
 }
 
 // mispredicts records which of a trace's dynamic conditional branches one
-// perceptron geometry mispredicts: bit i for the i-th.
+// perceptron geometry mispredicts: bit i for the i-th. It always covers its
+// entry's whole trace.
 type mispredicts struct {
-	once  sync.Once
+	pred  *bpred.Perceptron // trained through cur; nil once the program has ended
+	cur   cursor
 	bits  bitset
 	count uint64
 }
 
 // replayCache maps each simulated program to its entry. The mutex guards
-// only the map; building an entry's trace or metadata happens outside it.
+// only the map; building an entry's parts happens under the entry's own lock.
 var replayCache struct {
 	sync.Mutex
 	m map[*isa.Program]*replayEntry
@@ -140,80 +157,78 @@ func replayFor(p *isa.Program) *replayEntry {
 // ReleaseProgram drops p's cached replay trace, static metadata and
 // mispredict sets, so a long-running process can bound the memory its
 // simulations pin. A later simulation of p rebuilds them, bit-identically; a
-// simulation already running keeps the copies it holds.
+// simulation already running keeps the entry it holds.
 func ReleaseProgram(p *isa.Program) {
 	replayCache.Lock()
 	delete(replayCache.m, p)
 	replayCache.Unlock()
 }
 
-// programTrace returns the program's dynamic instruction stream, computing
-// and caching it on first use. The simulator is functionally directed, so the
-// stream depends only on the program — every Machine simulating it under any
-// configuration replays one shared trace instead of re-executing the
-// interpreter. Returns nil (cached) if the program does not halt within
-// traceCap steps.
-func programTrace(p *isa.Program) *trace { return replayFor(p).traceOf(p) }
-
 // programMeta returns the program's precomputed static metadata, computing
 // and caching it on first use (shared by every Machine simulating p).
 func programMeta(p *isa.Program) []staticMeta { return replayFor(p).metaOf(p) }
 
-func (e *replayEntry) traceOf(p *isa.Program) *trace {
-	e.traceOnce.Do(func() { e.trace = buildTrace(p, e.metaOf(p)) })
-	return e.trace
-}
-
 func (e *replayEntry) metaOf(p *isa.Program) []staticMeta {
-	e.metaOnce.Do(func() { e.meta = buildMeta(p) })
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.start(p)
 	return e.meta
 }
 
-// mispredictsOf returns which of the trace's conditional branches cfg's
-// predictor mispredicts, and how many; nil and zero under PerfectBP. Fetch is
-// the predictor's only client and it predicts, then trains, every
-// conditional branch once in trace order under every core, so the outcome
-// depends only on the program and the geometry: each geometry's set is
-// computed once per program and shared by every Machine that simulates it.
-// The trace must exist.
-func (e *replayEntry) mispredictsOf(p *isa.Program, cfg *Config) (bitset, uint64) {
-	if cfg.PerfectBP {
-		return nil, 0
+// start readies the entry on first use. Called with e.mu held.
+func (e *replayEntry) start(p *isa.Program) {
+	if e.tr == nil {
+		e.meta = buildMeta(p)
+		e.tr = &trace{}
+		e.im = interp.New(p)
+		e.preds = make(map[predGeom]*mispredicts)
 	}
-	g := predGeometry(cfg)
-	e.predMu.Lock()
-	mp := e.preds[g]
-	if mp == nil {
-		if e.preds == nil {
-			e.preds = make(map[predGeom]*mispredicts)
-		}
-		mp = &mispredicts{}
-		e.preds[g] = mp
-	}
-	e.predMu.Unlock()
-	mp.once.Do(func() { mp.bits, mp.count = buildMispredicts(e.traceOf(p), e.metaOf(p), g) })
-	return mp.bits, mp.count
 }
 
-func buildTrace(p *isa.Program, meta []staticMeta) *trace {
-	im := interp.New(p)
-	tr := &trace{}
+// upTo returns p's trace, grown until it holds instruction pos or the program
+// has ended, with cfg's mispredict set over it and the set's count; nil and
+// zero under PerfectBP. The simulator is functionally directed, so the stream
+// depends only on the program: every Machine simulating it under any
+// configuration replays one shared trace instead of re-executing the
+// interpreter. Fetch is the predictor's only client and it predicts, then
+// trains, every conditional branch once in trace order under every core, so
+// the mispredictions depend only on the program and the geometry: each
+// geometry's set is computed once per program and shared too.
+func (e *replayEntry) upTo(p *isa.Program, pos int, cfg *Config) (*trace, bitset, uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.start(p)
+	for pos >= e.tr.n && !e.tr.ended {
+		e.grow()
+	}
+	if cfg.PerfectBP {
+		return e.tr, nil, 0
+	}
+	g := predGeometry(cfg)
+	mp := e.preds[g]
+	if mp == nil {
+		mp = &mispredicts{}
+		mp.extend(e.tr, e.meta, g)
+		e.preds[g] = mp
+	}
+	return e.tr, mp.bits, mp.count
+}
+
+// grow pre-executes up to traceStep more instructions, publishes the longer
+// trace and extends every mispredict set over it. Once the program has ended
+// it drops the pre-executor and trims the arrays' spare capacity: the trace
+// lives as long as the program. Called with e.mu held.
+func (e *replayEntry) grow() {
+	tr := *e.tr
 	var info interp.StepInfo
-	for ; ; tr.n++ {
-		if tr.n >= traceCap {
-			return nil // non-halting: poison the cache entry
+	for stop := tr.n + traceStep; tr.n < stop; tr.n++ {
+		if err := e.im.Step(&info); err != nil {
+			tr.ended = true // end of stream, exactly where the interpreter stops
+			break
 		}
-		if err := im.Step(&info); err != nil {
-			break // end of stream, exactly where live fetch stops
-		}
-		switch sm := &meta[info.Index]; {
+		switch sm := &e.meta[info.Index]; {
 		case sm.isCondBranch:
-			if tr.condBranches%64 == 0 {
-				tr.taken = append(tr.taken, 0)
-			}
-			if info.Taken {
-				tr.taken.set(int(tr.condBranches))
-			}
+			tr.taken = tr.taken.add(int(tr.condBranches), info.Taken)
 			tr.condBranches++
 		case sm.isLoad:
 			tr.loads++
@@ -223,33 +238,44 @@ func buildTrace(p *isa.Program, meta []staticMeta) *trace {
 			tr.addrs = append(tr.addrs, info.Addr)
 		}
 	}
-	// Trim append's spare capacity: the trace lives as long as the program.
-	tr.taken = slices.Clone(tr.taken)
-	tr.addrs = slices.Clone(tr.addrs)
-	return tr
+	tr.ended = tr.ended || e.im.Halted // a halt can be the step's last instruction
+	if tr.ended {
+		e.im = nil
+		tr.taken = slices.Clone(tr.taken)
+		tr.addrs = slices.Clone(tr.addrs)
+	}
+	e.tr = &tr
+	for g, mp := range e.preds {
+		mp.extend(e.tr, e.meta, g)
+	}
 }
 
-// buildMispredicts runs a fresh predictor of geometry g over the trace's
-// conditional branches in trace order, exactly as fetch would.
-func buildMispredicts(tr *trace, meta []staticMeta, g predGeom) (bitset, uint64) {
-	pred := bpred.NewPerceptron(g.entries, g.hist)
-	bits := make(bitset, len(tr.taken))
-	var count uint64
-	var c cursor
-	for c.pos < tr.n {
-		br := c.br
-		pc, taken, _ := c.next(tr, meta)
+// extend runs the set's perceptron of geometry g over the trace's conditional
+// branches past those it has seen, in trace order, exactly as fetch would.
+// The perceptron carries its state from one extension to the next and is
+// dropped once the program has ended. Called with the entry's lock held.
+func (mp *mispredicts) extend(tr *trace, meta []staticMeta, g predGeom) {
+	if mp.pred == nil && mp.cur.pos < tr.n {
+		mp.pred = bpred.NewPerceptron(g.entries, g.hist)
+	}
+	for mp.cur.pos < tr.n {
+		br := mp.cur.br
+		pc, taken, _ := mp.cur.next(tr, meta)
 		if !meta[pc].isCondBranch {
 			continue
 		}
 		addr := instrAddr(pc)
-		if pred.Predict(addr, taken) != taken {
-			bits.set(br)
-			count++
+		wrong := mp.pred.Predict(addr) != taken
+		mp.pred.Train(addr, taken)
+		mp.bits = mp.bits.add(br, wrong)
+		if wrong {
+			mp.count++
 		}
-		pred.Train(addr, taken)
 	}
-	return bits, count
+	if tr.ended {
+		mp.pred = nil
+		mp.bits = slices.Clone(mp.bits)
+	}
 }
 
 func buildMeta(p *isa.Program) []staticMeta {

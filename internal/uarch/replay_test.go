@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"unsafe"
@@ -58,9 +59,9 @@ func TestReleaseProgramRebuildsIdentically(t *testing.T) {
 		t.Fatal("simulation cached no replay state")
 	}
 	e := replayFor(p)
-	e.predMu.Lock()
+	e.mu.Lock()
 	sets := len(e.preds)
-	e.predMu.Unlock()
+	e.mu.Unlock()
 	if sets != 2 {
 		t.Fatalf("replay entry holds %d mispredict sets, want one per geometry (2)", sets)
 	}
@@ -81,10 +82,13 @@ func TestReleaseProgramRebuildsIdentically(t *testing.T) {
 }
 
 // TestConcurrentColdReplayBuilds simulates two programs at once from cold,
-// three Machines per program over two predictor geometries, so trace,
+// three Machines per program over two predictor geometries, so trace growth,
 // metadata and mispredict-set builds of both programs run concurrently (run
-// with -race). Each result must equal the serial one.
+// with -race). Traces grow 7 instructions at a time, so fetch keeps reading
+// bit words that another Machine's growth is setting. Each result must equal
+// the serial one.
 func TestConcurrentColdReplayBuilds(t *testing.T) {
+	withTraceStep(t, 7)
 	progs := []*isa.Program{generated(t, "mcf", 40), generated(t, "equake", 40)}
 	cfgs := append(geometries(), InOrderConfig(4))
 	want := make([][]*Stats, len(progs))
@@ -187,9 +191,9 @@ loop:
 	progs = append(progs, runoff)
 
 	for _, p := range progs {
-		tr := programTrace(p)
-		if tr == nil {
-			t.Fatalf("%s: no trace", p.Name)
+		tr := wholeTraceOf(p)
+		if !tr.ended {
+			t.Fatalf("%s: the trace did not reach the program's end", p.Name)
 		}
 		meta := programMeta(p)
 		im := interp.New(p)
@@ -231,21 +235,27 @@ loop:
 	}
 }
 
-// forceLiveFetch makes every replay entry built until the test ends hold no
-// trace, as if its program never halted, so Machines fetch through the live
-// interpreter and a predictor of their own.
-func forceLiveFetch(t *testing.T) {
-	old := traceCap
-	traceCap = 0
-	t.Cleanup(func() { traceCap = old })
+// wholeTraceOf grows p's shared trace to the program's end.
+func wholeTraceOf(p *isa.Program) *trace {
+	tr, _, _ := replayFor(p).upTo(p, math.MaxInt, &Config{PerfectBP: true})
+	return tr
 }
 
-// TestLiveFetchMatchesTrace: the live-interpreter fallback, which only
-// non-halting programs reach in normal use, gives the trace path's Stats on
-// halting programs for every core. A sampled request on it runs exact, and
-// its architectural counts, Mispredicts included, equal the sampled trace
-// path's, whose Mispredicts come from the shared mispredict set.
-func TestLiveFetchMatchesTrace(t *testing.T) {
+// withTraceStep makes replay entries grow step instructions at a time until
+// the test ends.
+func withTraceStep(t *testing.T, step int) {
+	old := traceStep
+	traceStep = step
+	t.Cleanup(func() { traceStep = old })
+}
+
+// TestTraceGrowthMatchesOneStep: a trace grown 7 instructions at a time gives
+// the Stats and estimates of one pre-executed in a single step, exact and
+// sampled, on all four cores and two predictor geometries. The small steps
+// make bit words continue across steps and fetch reach the end of its prefix
+// every few cycles. The exact machines run in lockstep, so each grows the
+// trace the others read and extends the other geometry's mispredict set.
+func TestTraceGrowthMatchesOneStep(t *testing.T) {
 	orig, braided := genWorkload(t, "gcc", 150)
 	sp := Sampling{Period: 8000, Detail: 2000, Warmup: 2000}
 	small := OutOfOrderConfig(8)
@@ -261,55 +271,71 @@ func TestLiveFetchMatchesTrace(t *testing.T) {
 		{braided, BraidConfig(8)},
 	}
 	type result struct {
-		exact, sampled *Stats
-		est            *SampleEstimate
+		exact, sampled Stats
+		est            SampleEstimate
 	}
-	run := func() []result {
-		var out []result
-		for _, c := range cases {
-			exact, err := SimulateChecked(context.Background(), c.p, c.cfg)
+	run := func(step int) []result {
+		withTraceStep(t, step)
+		ReleaseProgram(orig)
+		ReleaseProgram(braided)
+		ms := make([]*Machine, len(cases))
+		for i, c := range cases {
+			m, err := New(c.p, c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ms[i] = m
+		}
+		for running := len(ms); running > 0; {
+			for _, m := range ms {
+				if m.fe.done && m.rob.len() == 0 && m.fe.queue.len() == 0 {
+					continue
+				}
+				if m.cycle >= m.cfg.MaxCycles {
+					t.Fatalf("%s: cycle budget exhausted", m.cfg.Core)
+				}
+				if m.step() {
+					m.stats.Cycles = m.cycle
+					running--
+				}
+			}
+		}
+		ReleaseProgram(orig)
+		ReleaseProgram(braided)
+		out := make([]result, len(cases))
+		for i, c := range cases {
 			sampled, est, err := SimulateSampled(context.Background(), c.p, c.cfg, sp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, result{exact, sampled, est})
+			if est.Exact {
+				t.Fatalf("%s: did not sample; lengthen the program", c.cfg.Core)
+			}
+			out[i] = result{ms[i].stats, *sampled, *est}
 		}
-		ReleaseProgram(orig)
-		ReleaseProgram(braided)
 		return out
 	}
-	viaTrace := run()
-	forceLiveFetch(t)
-	live := run()
+	whole := run(1 << 40)
+	small7 := run(7)
 	for i, c := range cases {
-		tr, lv := viaTrace[i], live[i]
-		if tr.est.Exact {
-			t.Fatalf("%s: trace path did not sample; lengthen the program", c.cfg.Core)
+		w, g := whole[i], small7[i]
+		if g.exact != w.exact {
+			t.Errorf("%s exact: Stats differ under 7-instruction growth:\n got  %+v\n want %+v", c.cfg.Core, g.exact, w.exact)
 		}
-		if *lv.exact != *tr.exact {
-			t.Errorf("%s exact: live fetch Stats differ from the trace path's:\n live  %+v\n trace %+v", c.cfg.Core, lv.exact, tr.exact)
-		}
-		if !lv.est.Exact || *lv.sampled != *tr.exact {
-			t.Errorf("%s sampled: live fetch gave exact=%v and Stats %+v, want the trace path's exact %+v",
-				c.cfg.Core, lv.est.Exact, lv.sampled, tr.exact)
-		}
-		got := [...]uint64{tr.sampled.Retired, tr.sampled.CondBranches, tr.sampled.Mispredicts, tr.sampled.Loads, tr.sampled.StoreCount}
-		want := [...]uint64{lv.sampled.Retired, lv.sampled.CondBranches, lv.sampled.Mispredicts, lv.sampled.Loads, lv.sampled.StoreCount}
-		if got != want {
-			t.Errorf("%s: sampled trace path counts %v (retired, branches, mispredicts, loads, stores), live %v", c.cfg.Core, got, want)
+		if g.sampled != w.sampled || g.est != w.est {
+			t.Errorf("%s sampled: Stats or estimate differ under 7-instruction growth:\n got  %+v %+v\n want %+v %+v",
+				c.cfg.Core, g.sampled, g.est, w.sampled, w.est)
 		}
 	}
+	ReleaseProgram(orig)
+	ReleaseProgram(braided)
 }
 
 // replayBytes is what p's replay entry holds for cfg: the trace, the static
 // metadata and cfg's mispredict set.
 func replayBytes(p *isa.Program, cfg *Config) int {
 	e := replayFor(p)
-	tr := e.traceOf(p)
-	bits, _ := e.mispredictsOf(p, cfg)
+	tr, bits, _ := e.upTo(p, math.MaxInt, cfg)
 	return int(unsafe.Sizeof(*tr)) + 8*cap(tr.taken) + 8*cap(tr.addrs) +
 		int(unsafe.Sizeof(staticMeta{}))*cap(e.metaOf(p)) + 8*cap(bits)
 }
@@ -317,7 +343,8 @@ func replayBytes(p *isa.Program, cfg *Config) int {
 // TestReplayFootprint bounds the replay layer's memory: every suite program,
 // sized as a sweep sizes it, costs at most 2 bytes per dynamic instruction
 // for its trace, metadata and default mispredict set (a trace entry per
-// instruction took 16).
+// instruction took 16). Once the program has ended, its entry holds neither
+// the pre-executor nor a perceptron.
 func TestReplayFootprint(t *testing.T) {
 	const dyn = 100_000
 	cfg := OutOfOrderConfig(8)
@@ -330,9 +357,12 @@ func TestReplayFootprint(t *testing.T) {
 		}
 		orig, braided := genWorkload(t, prof.Name, max(dyn/int(max(fs.Steps/8, 1)), 4))
 		for _, p := range []*isa.Program{orig, braided} {
-			b, n := replayBytes(p, &cfg), programTrace(p).n
+			b, n := replayBytes(p, &cfg), wholeTraceOf(p).n
 			if perInstr := float64(b) / float64(n); perInstr > 2 {
 				t.Errorf("%s: replay holds %d bytes for %d instructions (%.2f per instruction, bound 2)", p.Name, b, n, perInstr)
+			}
+			if e := replayFor(p); e.im != nil || e.preds[predGeometry(&cfg)].pred != nil {
+				t.Errorf("%s: the ended program's entry still holds its pre-executor or perceptron", p.Name)
 			}
 			bytes += b
 			instrs += n
@@ -340,4 +370,17 @@ func TestReplayFootprint(t *testing.T) {
 		}
 	}
 	t.Logf("suite replay: %d bytes for %d instructions (%.2f per instruction)", bytes, instrs, float64(bytes)/float64(instrs))
+
+	// An exact run stops fetching at the halt, so the growth step whose last
+	// instruction is the halt must itself end the trace.
+	p := generated(t, "gcc", 8)
+	withTraceStep(t, wholeTraceOf(p).n)
+	ReleaseProgram(p)
+	defer ReleaseProgram(p)
+	if _, err := SimulateChecked(context.Background(), p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if e := replayFor(p); !e.tr.ended || e.im != nil || e.preds[predGeometry(&cfg)].pred != nil {
+		t.Errorf("%s: a step ending on the halt left the trace open (ended %v) or kept the pre-executor or perceptron", p.Name, e.tr.ended)
+	}
 }

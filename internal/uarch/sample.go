@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -113,8 +114,7 @@ type SampleEstimate struct {
 	// than two intervals were measured.
 	IPCRelCI float64 `json:"ipc_rel_ci95"`
 	// Exact marks a degenerate fall-back: the program was shorter than
-	// one sampling period (or non-halting, so no replay trace exists) and
-	// ran exactly; the Stats are not estimates.
+	// one sampling period and ran exactly; the Stats are not estimates.
 	Exact bool `json:"exact,omitempty"`
 }
 
@@ -134,8 +134,9 @@ const ffCheckInterval = 8192
 // returning estimated Stats and the estimate's provenance. Like
 // SimulateChecked it contains engine panics as *SimFault and honors ctx
 // cancellation/deadlines (ErrCanceled/ErrTimeout). A disabled sp runs exact
-// with a nil estimate; a program shorter than one period (or without a
-// replay trace) runs exact with est.Exact set.
+// with a nil estimate; a program shorter than one period runs exact with
+// est.Exact set. A program longer than MaxCycles × FetchWidth instructions,
+// which no exact run could retire, fails with ErrCycleLimit.
 func SimulateSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling) (*Stats, *SampleEstimate, error) {
 	if !sp.Enabled() {
 		st, err := SimulateChecked(ctx, p, cfg)
@@ -147,8 +148,11 @@ func SimulateSampled(ctx context.Context, p *isa.Program, cfg Config, sp Samplin
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	tr := programTrace(p)
-	if tr == nil || uint64(tr.n) <= sp.Period {
+	tr, mispredicts, err := wholeTrace(ctx, p, &cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(tr.n) <= sp.Period {
 		st, err := SimulateChecked(ctx, p, cfg)
 		if err != nil {
 			return nil, nil, err
@@ -160,7 +164,33 @@ func SimulateSampled(ctx context.Context, p *isa.Program, cfg Config, sp Samplin
 			Exact:          true,
 		}, nil
 	}
-	return runSampled(ctx, p, cfg, sp, tr)
+	return runSampled(ctx, p, cfg, sp, tr, mispredicts)
+}
+
+// wholeTrace grows p's shared trace to the program's end, a step at a time,
+// polling ctx between steps, and returns it with cfg's mispredict count. It
+// stops with ErrCycleLimit past MaxCycles × FetchWidth instructions: exact
+// mode could fetch no more.
+func wholeTrace(ctx context.Context, p *isa.Program, cfg *Config) (*trace, uint64, error) {
+	e := replayFor(p)
+	limit := uint64(math.MaxUint64) // the product saturates: Validate bounds neither factor
+	if hi, lo := bits.Mul64(cfg.MaxCycles, uint64(cfg.FetchWidth)); hi == 0 {
+		limit = lo
+	}
+	for pos := 0; ; {
+		if ctx.Err() != nil {
+			return nil, 0, sampledCtxErr(ctx, cfg, p, "pre-execution", uint64(pos))
+		}
+		tr, _, mispredicts := e.upTo(p, pos, cfg)
+		if uint64(tr.n) > limit {
+			return nil, 0, fmt.Errorf("uarch: %s on %q %w: the program runs past %d instructions, more than %d cycles can fetch at width %d",
+				cfg.Core, p.Name, ErrCycleLimit, limit, cfg.MaxCycles, cfg.FetchWidth)
+		}
+		if tr.ended {
+			return tr, mispredicts, nil
+		}
+		pos = tr.n
+	}
 }
 
 // warmer replays the trace functionally, keeping the caches — the
@@ -193,7 +223,7 @@ func (w *warmer) warm() {
 
 // runSampled alternates functional fast-forward with detailed measurement
 // intervals and scales the interval measurements into estimated Stats.
-func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr *trace) (st *Stats, est *SampleEstimate, err error) {
+func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr *trace, mispredicts uint64) (st *Stats, est *SampleEstimate, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			st, est = nil, nil
@@ -227,7 +257,7 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 		if done != nil {
 			select {
 			case <-done:
-				return nil, nil, sampledCtxErr(ctx, &cfg, p, pos)
+				return nil, nil, sampledCtxErr(ctx, &cfg, p, "fast-forward", pos)
 			default:
 			}
 		}
@@ -257,7 +287,7 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 			if done != nil && pos%ffCheckInterval == 0 {
 				select {
 				case <-done:
-					return nil, nil, sampledCtxErr(ctx, &cfg, p, pos)
+					return nil, nil, sampledCtxErr(ctx, &cfg, p, "fast-forward", pos)
 				default:
 				}
 			}
@@ -284,7 +314,6 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 	// Measured micro counters scale by the inverse sampling fraction; the
 	// architectural counts are exact from the trace and, for mispredicts,
 	// the program's shared mispredict set for this geometry.
-	_, mispredicts := replayFor(p).mispredictsOf(p, &cfg)
 	scale := float64(n) / float64(max(detailed, 1))
 	scaleU := func(v uint64) uint64 { return uint64(math.Round(float64(v) * scale)) }
 	st = &Stats{
@@ -422,13 +451,14 @@ func relCI95(cpis []float64, cpiHat float64) float64 {
 	return ci
 }
 
-// sampledCtxErr mirrors Machine.ctxErr for cancellation during functional
-// fast-forward, where no machine exists.
-func sampledCtxErr(ctx context.Context, cfg *Config, p *isa.Program, pos uint64) error {
+// sampledCtxErr mirrors Machine.ctxErr for cancellation during trace
+// pre-execution or functional fast-forward (the phase), where no machine
+// exists.
+func sampledCtxErr(ctx context.Context, cfg *Config, p *isa.Program, phase string, pos uint64) error {
 	sentinel := ErrCanceled
 	if ctx.Err() == context.DeadlineExceeded {
 		sentinel = ErrTimeout
 	}
-	return fmt.Errorf("uarch: %s on %q %w during fast-forward at instruction %d",
-		cfg.Core, p.Name, sentinel, pos)
+	return fmt.Errorf("uarch: %s on %q %w during %s at instruction %d",
+		cfg.Core, p.Name, sentinel, phase, pos)
 }
