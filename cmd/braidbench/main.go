@@ -12,11 +12,12 @@
 // without re-simulating them.
 //
 // -remote host1,host2 runs the simulations on a fleet of braidd backends
-// instead of in-process, routing each design point by its content key on a
-// consistent-hash ring with retry and failover; output, checkpoints, and
-// -resume behave identically to local runs. -hedge duplicates straggling
-// requests onto a second backend, and -remote-verify N re-simulates ~1 in N
-// points locally and requires the remote stats to match byte for byte.
+// instead of in-process, routing all of a program's design points to one
+// backend by rendezvous hash on the program image, with retry and failover;
+// output, checkpoints, and -resume behave identically to local runs. -hedge
+// duplicates straggling requests onto a second backend, and -remote-verify N
+// re-simulates ~1 in N points locally and requires the remote stats to match
+// byte for byte.
 // Per-backend circuit breakers skip tripped backends automatically; -probe
 // adds a background health prober that ejects dead backends and reintegrates
 // them when they recover, and -fallback local degrades to in-process

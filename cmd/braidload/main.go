@@ -7,9 +7,10 @@
 //
 // With a single -addr, requests go straight at the backend (the classic
 // single-server load test). With a comma-separated list, braidload drives
-// the internal/remote pool: points route by consistent hash, retry with
-// backoff across backends, and optionally hedge stragglers with -hedge —
-// the same path braidbench -remote uses for distributed sweeps.
+// the internal/remote pool: each program's points route to one backend by
+// rendezvous hash, retry with backoff across backends, and optionally hedge
+// stragglers with -hedge — the same path braidbench -remote uses for
+// distributed sweeps.
 //
 //	braidd -addr 127.0.0.1:8080 &
 //	braidload -addr http://127.0.0.1:8080 -c 32 -n 512 -verify -out BENCH_service_throughput.json
@@ -234,8 +235,8 @@ type loadResult struct {
 }
 
 // runPoolMode drives the request mix through the internal/remote pool:
-// consistent-hash routing, retry/failover, and optional hedging across every
-// backend — the distributed analogue of the single-server burst.
+// per-program rendezvous routing, retry/failover, and optional hedging across
+// every backend — the distributed analogue of the single-server burst.
 func runPoolMode(addrs []string, mix []mixItem, conc, total int, verify, hedge bool, timeout, wait, probe time.Duration, client *http.Client) *loadResult {
 	ctx := context.Background()
 	pool, err := remote.NewPool(remote.Options{

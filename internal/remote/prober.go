@@ -183,7 +183,7 @@ func (p *Pool) checkHealthz(ctx context.Context, i int) (healthzBody, error) {
 }
 
 // canary runs the known-answer simulation directly against backend i
-// (bypassing the ring) and demands bit-exact Stats. The request is tiny and
+// (bypassing routing) and demands bit-exact Stats. The request is tiny and
 // deterministic, so repeats are served from the backend's result cache.
 func (p *Pool) canary(ctx context.Context, i int) error {
 	body, want, err := canaryRequest()

@@ -1,16 +1,16 @@
 // Package remote is the distributed-execution client for braidd: it fans a
 // design-space sweep's simulation points out across one or more braidd
-// backends. The pool routes each point by its (program image, configuration)
-// content hash over a consistent-hash ring, so a repeated point lands on the
-// backend whose result LRU already holds it; a point names its program image
-// by SHA-256 and sends the image only to a backend that answers it does not
-// hold it; transient failures — 429
-// overload, 5xx, connection errors — retry with exponential backoff and
-// jitter (honoring Retry-After) and fail over around the ring, so a backend
-// killed mid-sweep costs latency, not the sweep; optional hedged requests
-// duplicate a straggler onto the next backend after the pool's observed p95;
-// and a verify mode cross-checks a deterministic sample of remote Stats
-// bit-for-bit against local simulation.
+// backends. The pool routes every point of a program to one backend, chosen
+// by rendezvous hashing on the program image's SHA-256, so that backend
+// builds the program once and a repeated point lands on the result cache
+// that already holds it; a point names its program image by SHA-256 and
+// sends the image only to a backend that answers it does not hold it;
+// transient failures — 429 overload, 5xx, connection errors — retry with
+// exponential backoff and jitter (honoring Retry-After) and fail over to the
+// program's next-ranked backend, so a backend killed mid-sweep costs latency,
+// not the sweep; optional hedged requests duplicate a straggler onto the next
+// backend after the pool's observed p95; and a verify mode cross-checks a
+// deterministic sample of remote Stats bit-for-bit against local simulation.
 //
 // The pool implements experiments.Runner (SimulateSampled), so a Workloads suite
 // pointed at it keeps its memoization, checkpoint/resume, and Failures()
@@ -23,6 +23,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -31,6 +32,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,16 +55,13 @@ type Options struct {
 	TimeoutMS   int64         // per-request simulation deadline sent to the server (0: server default)
 	Hedge       bool          // duplicate stragglers onto the next backend
 	HedgeFloor  time.Duration // lower bound on the hedge delay (default 25ms)
-	VerifyEvery int           // locally re-simulate every point whose key hashes to 0 mod N (0: off)
-	Replicas    int           // virtual nodes per backend on the ring (default 64)
+	VerifyEvery int           // locally re-simulate every point whose request hashes to 0 mod N (0: off)
 	Client      *http.Client  // HTTP client (default: fresh client, per-attempt timeout via context)
 
 	Fallback       FallbackPolicy // what to do when every attempt fails (default FallbackFail)
 	DisableBreaker bool           // route to every backend regardless of breaker state
 
 	BreakerThreshold int           // consecutive failures that trip a backend's breaker (default 3)
-	BreakerWindow    int           // sliding outcome window for error-rate tripping (default 20)
-	BreakerRate      float64       // failure fraction over a full window that trips (default 0.5)
 	BreakerCooldown  time.Duration // open -> half-open probe delay (default 1s)
 }
 
@@ -96,7 +95,6 @@ func ParseFallback(s string) (FallbackPolicy, error) {
 // Pool routes simulation points to braidd backends.
 type Pool struct {
 	backends []string
-	ring     *ring
 	client   *http.Client
 	opt      Options
 
@@ -164,7 +162,8 @@ type Result struct {
 	Verified   bool                  // cross-checked against local simulation
 }
 
-// NewPool validates o and builds a routing pool.
+// NewPool validates o and builds a routing pool. Two entries that normalize
+// to one URL are an error: they would share a server but not a breaker.
 func NewPool(o Options) (*Pool, error) {
 	if len(o.Backends) == 0 {
 		return nil, errors.New("remote: no backends")
@@ -177,6 +176,9 @@ func NewPool(o Options) (*Pool, error) {
 		}
 		if !strings.Contains(b, "://") {
 			b = "http://" + b
+		}
+		if slices.Contains(backends, b) {
+			return nil, fmt.Errorf("remote: backend %s listed twice", b)
 		}
 		backends = append(backends, b)
 	}
@@ -201,16 +203,12 @@ func NewPool(o Options) (*Pool, error) {
 	if o.HedgeFloor <= 0 {
 		o.HedgeFloor = 25 * time.Millisecond
 	}
-	if o.Replicas <= 0 {
-		o.Replicas = 64
-	}
 	client := o.Client
 	if client == nil {
 		client = &http.Client{}
 	}
 	p := &Pool{
 		backends:   backends,
-		ring:       newRing(backends, o.Replicas),
 		client:     client,
 		opt:        o,
 		perBackend: make([]atomic.Uint64, len(backends)),
@@ -218,12 +216,7 @@ func NewPool(o Options) (*Pool, error) {
 		healthy:    make([]atomic.Bool, len(backends)),
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	bcfg := breakerConfig{
-		threshold: o.BreakerThreshold,
-		window:    o.BreakerWindow,
-		rate:      o.BreakerRate,
-		cooldown:  o.BreakerCooldown,
-	}
+	bcfg := breakerConfig{threshold: o.BreakerThreshold, cooldown: o.BreakerCooldown}
 	for i := range p.breakers {
 		p.breakers[i] = newBreaker(bcfg)
 		p.healthy[i].Store(true)
@@ -300,7 +293,7 @@ func (p *Pool) String() string {
 
 // Ping requires at least one live backend, so a sweep pointed at a dead
 // fleet fails before suite preparation rather than after. Unreachable
-// backends are tolerated (the ring fails over around them) and reported.
+// backends are tolerated (points fail over around them) and reported.
 func (p *Pool) Ping(ctx context.Context) (down []string, err error) {
 	up := 0
 	for _, b := range p.backends {
@@ -343,9 +336,9 @@ func (p *Pool) Simulate(ctx context.Context, prog *isa.Program, cfg uarch.Config
 // returned Stats, estimate and error taxonomy match uarch.SimulateSampled on
 // a live fleet, so memoization, Failures() accounting, and checkpointing
 // behave identically to local execution. A zero sp runs exact with a nil
-// estimate; otherwise the routing key gains the sampling geometry, so sampled
-// and exact results occupy disjoint server cache keyspaces, and verification
-// compares the estimate within tolerance rather than byte-for-byte.
+// estimate; otherwise verification compares the estimate within tolerance
+// rather than byte-for-byte. Sampled and exact points of one program route to
+// the same backend, whose result cache keys them apart.
 func (p *Pool) SimulateSampled(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error) {
 	r, err := p.run(ctx, prog, cfg, sp)
 	if err != nil {
@@ -366,7 +359,7 @@ func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp 
 		return nil, err
 	}
 	p.requests.Add(1)
-	cands := p.ring.candidates(w.key)
+	cands := rank(p.backends, w.req.ImageSHA256)
 
 	var res *Result
 	if p.opt.Hedge && p.opt.MaxAttempts > 1 {
@@ -385,7 +378,7 @@ func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp 
 		}
 		return nil, err
 	}
-	if p.opt.VerifyEvery > 0 && hashKey(w.key)%uint64(p.opt.VerifyEvery) == 0 {
+	if p.opt.VerifyEvery > 0 && sum64(w.body)%uint64(p.opt.VerifyEvery) == 0 {
 		if err := p.verifyLocal(ctx, prog, cfg, sp, res); err != nil {
 			return nil, err
 		}
@@ -395,11 +388,34 @@ func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp 
 	return res, nil
 }
 
+// rank orders the backends for the program whose image has SHA-256 digest
+// by rendezvous hashing (Thaler & Ravishankar 1998): each backend scores
+// SHA-256(URL ‖ digest), highest first. The first owns the program, so every
+// point of it, exact or sampled, reaches the one backend that holds its image,
+// its pre-executed trace and its results; the rest are the failover and hedge
+// order. A backend that joins or leaves changes no other backend's score, so
+// only the programs it gains or loses move.
+func rank(backends []string, digest string) []int {
+	scores := make([]uint64, len(backends))
+	order := make([]int, len(backends))
+	for i, b := range backends {
+		scores[i] = sum64([]byte(b + digest))
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return scores[order[i]] > scores[order[j]] })
+	return order
+}
+
+// sum64 is the first 64 bits of data's SHA-256.
+func sum64(data []byte) uint64 {
+	sum := sha256.Sum256(data)
+	return binary.BigEndian.Uint64(sum[:8])
+}
+
 // wireRequest is one point as a backend receives it. body names the program
-// image by its SHA-256; imageBody carries the image itself and is encoded
-// only when a backend answers unknown_program.
+// image by its SHA-256, which is also the routing key; imageBody carries the
+// image itself and is encoded only when a backend answers unknown_program.
 type wireRequest struct {
-	key   string             // routing key: the server's result-cache key
 	req   service.SimRequest // the hash-only request
 	body  []byte             // req, encoded
 	image []byte             // the .brd image req's digest names
@@ -409,44 +425,30 @@ type wireRequest struct {
 // configuration. Naming the image (rather than a workload) guarantees the
 // backend simulates the same bytes the caller would locally — iteration
 // calibration, braid compilation, and any local program surgery are all
-// already baked in — and makes the routing key identical for identical
-// points everywhere.
+// already baked in — and gives every point of one program the same routing
+// key everywhere.
 func encodeRequest(prog *isa.Program, cfg uarch.Config, timeoutMS int64, sp uarch.Sampling) (*wireRequest, error) {
 	var img bytes.Buffer
 	if err := isa.WriteImage(&img, prog); err != nil {
 		return nil, fmt.Errorf("remote: encoding %q: %w", prog.Name, err)
 	}
 	cfg.Inject = nil // process-local and json-excluded; never meaningful remotely
-	cfgJSON, err := json.Marshal(&cfg)
-	if err != nil {
-		return nil, fmt.Errorf("remote: encoding config: %w", err)
-	}
 	progSum := sha256.Sum256(img.Bytes())
-	cfgSum := sha256.Sum256(cfgJSON)
-	w := &wireRequest{
-		key:   hex.EncodeToString(progSum[:]) + ":" + hex.EncodeToString(cfgSum[:]),
-		image: img.Bytes(),
-	}
-	if sp.Enabled() {
-		// Mirror the server's cache-key suffix, so a sampled point routes to
-		// the backend whose LRU holds the sampled (not the exact) entry.
-		w.key += ":s" + sp.String()
-	}
-
 	noBraid := false // the image is final; the backend must not recompile it
-	w.req = service.SimRequest{
+	req := service.SimRequest{
 		ImageSHA256: hex.EncodeToString(progSum[:]),
 		Config:      &cfg,
 		Braid:       &noBraid,
 		TimeoutMS:   timeoutMS,
 	}
 	if sp.Enabled() {
-		w.req.Sampling = &sp
+		req.Sampling = &sp
 	}
-	if w.body, err = json.Marshal(&w.req); err != nil {
+	body, err := json.Marshal(&req)
+	if err != nil {
 		return nil, fmt.Errorf("remote: encoding request: %w", err)
 	}
-	return w, nil
+	return &wireRequest{req: req, body: body, image: img.Bytes()}, nil
 }
 
 // imageBody is the request with the image itself in place of its digest.
@@ -461,7 +463,7 @@ func (w *wireRequest) imageBody() ([]byte, error) {
 }
 
 // runHedged races the normal attempt chain against a second chain started on
-// the next ring backend once the first has been in flight longer than the
+// the next-ranked backend once the first has been in flight longer than the
 // pool's observed p95 latency. Identical concurrent requests coalesce on the
 // server, so even a same-backend hedge costs a queue slot, not a simulation.
 func (p *Pool) runHedged(ctx context.Context, w *wireRequest, cands []int) (*Result, error) {
@@ -574,7 +576,7 @@ func (p *Pool) observeLatency(d time.Duration) {
 // circuit breaker short-circuited the request before a single byte was sent.
 var errBreakersOpen = errors.New("every backend's circuit breaker is open")
 
-// pickBackend returns the first candidate, scanning ring order from the
+// pickBackend returns the first candidate, scanning rank order from the
 // attempt's rotation, whose circuit breaker admits a request. Skipped
 // backends count as short-circuits — the attempts the breaker saved.
 func (p *Pool) pickBackend(cands []int, attempt int, now time.Time) (int, bool) {
@@ -606,12 +608,12 @@ func (p *Pool) noteOutcome(idx int, failed bool, now time.Time) {
 
 // runAttempts walks the candidate backends, retrying retryable failures with
 // exponential backoff + jitter and honoring Retry-After. Attempt k starts
-// from cands[k % len(cands)] — the consistent-hash owner first, then
-// failover in ring order, returning to the owner on later rounds in case it
-// recovered — and skips past backends whose breakers are open, so a tripped
-// backend costs nothing while keeping its ring position (and therefore its
-// cache affinity) for when it heals. If every breaker is open the point
-// fails fast as Unavailable rather than burning the attempt budget.
+// from cands[k % len(cands)] — the program's owner first, then failover in
+// rank order, returning to the owner on later rounds in case it recovered —
+// and skips past backends whose breakers are open, so a tripped backend costs
+// nothing while keeping its programs (and therefore its cache affinity) for
+// when it heals. If every breaker is open the point fails fast as Unavailable
+// rather than burning the attempt budget.
 func (p *Pool) runAttempts(ctx context.Context, w *wireRequest, cands []int, maxAttempts int) (*Result, error) {
 	var lastErr error
 	prev := -1
@@ -621,7 +623,7 @@ func (p *Pool) runAttempts(ctx context.Context, w *wireRequest, cands []int, max
 			if lastErr == nil {
 				lastErr = errBreakersOpen
 			}
-			return nil, &Unavailable{Key: w.key, Attempts: attempt, Last: lastErr}
+			return nil, &Unavailable{Key: w.req.ImageSHA256, Attempts: attempt, Last: lastErr}
 		}
 		if attempt > 0 {
 			p.retries.Add(1)
@@ -653,7 +655,7 @@ func (p *Pool) runAttempts(ctx context.Context, w *wireRequest, cands []int, max
 			return nil, err
 		}
 	}
-	return nil, &Unavailable{Key: w.key, Attempts: maxAttempts, Last: lastErr}
+	return nil, &Unavailable{Key: w.req.ImageSHA256, Attempts: maxAttempts, Last: lastErr}
 }
 
 // runLocal degrades one point to in-process simulation (FallbackLocal). The
@@ -936,7 +938,7 @@ func ctxSentinel(ctx context.Context) error {
 // or drowning. It is transient — the point may succeed once backends return —
 // so suite memo caches must not poison its key.
 type Unavailable struct {
-	Key      string
+	Key      string // the point's routing key: its program image's SHA-256
 	Attempts int
 	Last     error
 }
