@@ -13,6 +13,14 @@
 // interruptions — Ctrl-C, then rerun with -checkpoint f -resume, converges to
 // the same front as an undisturbed run.
 //
+// -checkpoint is braidbench's point journal: every finished simulation is
+// appended as it completes, keyed by the SHA-256 of the simulated program.
+// -resume restores the journal's points and reruns the search, which
+// retraces the interrupted run (each generation reseeds its RNG from the
+// seed and the generation index) and simulates only the points the journal
+// lacks. A journal from other parameters restores the points they share;
+// one written by braidtune before it used the point journal is refused.
+//
 // Usage:
 //
 //	braidtune -budget 200 -seed 1 -front BENCH_pareto.json
@@ -54,8 +62,8 @@ func main() {
 		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations (0: one per processor)")
 		workloads  = flag.String("workloads", "", "comma-separated benchmark subset (empty: whole suite)")
 		sample     = flag.String("sample", "", "interval sampling geometry period:detail[:warmup]; empty runs exact")
-		checkpoint = flag.String("checkpoint", "", "append completed generations to this JSONL file")
-		resume     = flag.Bool("resume", false, "reload finished generations from -checkpoint before searching")
+		checkpoint = flag.String("checkpoint", "", "append every completed simulation to this JSONL file")
+		resume     = flag.Bool("resume", false, "reload finished simulations from -checkpoint before searching")
 		frontOut   = flag.String("front", "", "write the final front as JSON to this file ('-': stdout)")
 		crashDir   = flag.String("crashdir", "crashes", "directory for simulator-fault repro artifacts")
 		simTimeout = flag.Duration("sim-timeout", 0, "wall-clock budget per simulation (0: none)")
@@ -134,31 +142,20 @@ func main() {
 		Log:           os.Stderr,
 	}
 
-	var ck *explore.Checkpoint
 	if *checkpoint != "" {
-		meta := explore.Meta{
-			Seed:      *seed,
-			Pop:       *pop,
-			Budget:    *budget,
-			Workloads: names,
-			Sampling:  samplingKey(sampling),
-			DynTarget: *dyn,
-			Inject:    *inject,
-		}
-		ck, err = explore.OpenCheckpoint(*checkpoint, meta, *resume)
+		restored, err := w.OpenCheckpoint(*checkpoint, *resume)
 		if err != nil {
 			fatal(err)
 		}
-		if *resume && ck.Generations() > 0 {
-			fmt.Fprintf(os.Stderr, "braidtune: resumed %d finished generations from %s\n",
-				ck.Generations(), *checkpoint)
+		if *resume {
+			fmt.Fprintf(os.Stderr, "braidtune: resumed %d finished simulations from %s\n", restored, *checkpoint)
 		}
 	}
 
 	fmt.Fprintf(os.Stderr, "braidtune: suite ready in %v; searching (%d workloads, pop %d, budget %d, seed %d)\n",
 		time.Since(start).Round(time.Millisecond), len(benches), *pop, *budget, *seed)
 
-	res, err := explore.Search(ctx, w, benches, opt, ck)
+	res, err := explore.Search(ctx, w, benches, opt)
 	if err != nil {
 		if errors.Is(err, uarch.ErrCanceled) || errors.Is(err, context.Canceled) {
 			fmt.Fprintf(os.Stderr, "braidtune: interrupted")
@@ -166,17 +163,10 @@ func main() {
 				fmt.Fprintf(os.Stderr, "; rerun with -checkpoint %s -resume to continue", *checkpoint)
 			}
 			fmt.Fprintln(os.Stderr)
-			if ck != nil {
-				ck.Close()
-			}
+			w.CloseCheckpoint()
 			os.Exit(130)
 		}
 		fatal(err)
-	}
-	if ck != nil {
-		if err := ck.Close(); err != nil {
-			fatal(err)
-		}
 	}
 
 	report(w, benches, res)
@@ -184,6 +174,10 @@ func main() {
 		if err := writeFront(w, benches, res, *seed, *pop, *budget, names, sampling, *dyn, *frontOut); err != nil {
 			fatal(err)
 		}
+	}
+	// Closed only now, so the reference machines' points are journaled too.
+	if err := w.CloseCheckpoint(); err != nil {
+		fatal(err)
 	}
 	if failures := w.Failures(); len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "braidtune: %d simulations failed and were contained (their configs scored infeasible):\n", len(failures))
@@ -293,7 +287,7 @@ func writeFront(w *experiments.Workloads, benches []*experiments.Bench, res *exp
 	return enc.Encode(ff)
 }
 
-// samplingKey renders the sampling geometry for checkpoint meta ("" = exact).
+// samplingKey renders the sampling geometry for the -front meta ("" = exact).
 func samplingKey(sp uarch.Sampling) string {
 	if !sp.Enabled() {
 		return ""

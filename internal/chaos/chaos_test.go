@@ -21,7 +21,7 @@ func fakeBackend(t *testing.T, body string) *httptest.Server {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Braid-Stats-SHA256", "deadbeef")
+		w.Header().Set("X-Braid-Body-SHA256", "deadbeef")
 		io.WriteString(w, body)
 	}))
 }
@@ -143,7 +143,7 @@ func TestCorruptKeepsShapeButChangesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Header.Get("X-Braid-Stats-SHA256") != "deadbeef" {
+	if resp.Header.Get("X-Braid-Body-SHA256") != "deadbeef" {
 		t.Error("corrupt dropped the integrity header; it must relay headers verbatim")
 	}
 	if len(body) != len(statsBody) {

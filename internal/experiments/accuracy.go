@@ -63,10 +63,7 @@ func MeasureAccuracy(ctx context.Context, w *Workloads, cfg uarch.Config, braide
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("experiments: accuracy sweep: %w", uarch.ErrCanceled)
 		}
-		p := b.Orig
-		if braided {
-			p = b.Braided
-		}
+		p := b.program(braided)
 
 		t0 := time.Now()
 		exact, err := uarch.SimulateChecked(ctx, p, cfg)

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
+	"braid/internal/isa"
 	"braid/internal/journal"
 	"braid/internal/uarch"
 )
@@ -13,16 +16,28 @@ import (
 // to rerunning it (the simulator is deterministic). Only successes are
 // persisted — failures must re-execute so a fixed environment can pass.
 type ckptRecord struct {
-	Bench   string       `json:"bench"`
-	Braided bool         `json:"braided"`
-	IPC     float64      `json:"ipc"`
-	Cfg     uarch.Config `json:"cfg"`
+	Bench   string `json:"bench"`
+	Braided bool   `json:"braided"`
+	// Prog is the hex SHA-256 of the simulated program's .brd image. A
+	// record restores only into a suite whose program has this digest, so
+	// a journal written at another -dyn (another iteration count, so
+	// another program) restores nothing. Records written before the field
+	// have none and restore by benchmark name.
+	Prog string       `json:"prog,omitempty"`
+	IPC  float64      `json:"ipc"`
+	Cfg  uarch.Config `json:"cfg"`
 	// Sampling marks interval-sampled points; absent (nil) means exact.
 	// Sampled and exact records restore into disjoint memo keyspaces.
 	Sampling *uarch.Sampling `json:"sampling,omitempty"`
 	// CI is the sampled estimate's relative 95% confidence half-width on
 	// IPC; omitted for exact points.
 	CI float64 `json:"ipc_rel_ci95,omitempty"`
+}
+
+// binary names one of a benchmark's two programs.
+type binary struct {
+	bench   string
+	braided bool
 }
 
 // ckptDone is the shared pre-closed latch for restored memo cells.
@@ -34,22 +49,46 @@ var ckptDone = func() chan struct{} {
 
 // OpenCheckpoint attaches an append-only JSONL checkpoint (internal/journal)
 // at path: every simulation that completes from now on is persisted. Without
-// resume the file starts empty. With resume, existing records are first
-// loaded into the memo cache (the returned count), so an interrupted or
-// crashed sweep restarts from its completed points; a torn final line is
-// dropped, and any other malformed line is an error.
+// resume the file starts empty. With resume, existing records of this
+// suite's programs are first loaded into the memo cache (the returned count),
+// so an interrupted or crashed sweep restarts from its completed points; a
+// torn final line is dropped, and any other malformed line is an error.
 func (w *Workloads) OpenCheckpoint(path string, resume bool) (int, error) {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
 	if w.ckpt != nil {
 		return 0, fmt.Errorf("experiments: checkpoint already open")
 	}
+	progs, err := w.programDigests()
+	if err != nil {
+		return 0, fmt.Errorf("experiments: checkpoint: %w", err)
+	}
 	j, recs, err := journal.Open[ckptRecord](path, resume)
 	if err != nil {
 		return 0, fmt.Errorf("experiments: checkpoint: %w", err)
 	}
-	w.ckpt = j
-	return w.restore(recs), nil
+	restored, err := w.restore(recs, progs)
+	if err != nil {
+		j.Close()
+		return 0, fmt.Errorf("experiments: checkpoint %s: %w", path, err)
+	}
+	w.ckpt, w.ckptProgs = j, progs
+	return restored, nil
+}
+
+// programDigests hashes both programs of every benchmark in the suite.
+func (w *Workloads) programDigests() (map[binary]string, error) {
+	progs := make(map[binary]string, 2*len(w.Benches))
+	for _, b := range w.Benches {
+		for _, braided := range []bool{false, true} {
+			h := sha256.New()
+			if err := isa.WriteImage(h, b.program(braided)); err != nil {
+				return nil, fmt.Errorf("%s: %w", b.Name, err)
+			}
+			progs[binary{b.Name, braided}] = hex.EncodeToString(h.Sum(nil))
+		}
+	}
+	return progs, nil
 }
 
 // CloseCheckpoint detaches and closes the checkpoint, if any. It returns the
@@ -66,16 +105,26 @@ func (w *Workloads) CloseCheckpoint() error {
 	return err
 }
 
-// restore replays records into the memo cache as finished cells,
-// deduplicating repeated keys with last-write-wins: a kill → resume → kill →
-// resume cycle (or an explicit Retry) re-appends keys the file already holds,
-// and the newest record is the authoritative one. The restored count is
-// unique keys, not lines.
-func (w *Workloads) restore(recs []ckptRecord) int {
+// restore replays the records of the suite's programs into the memo cache
+// as finished cells, deduplicating repeated keys with last-write-wins: a
+// kill → resume → kill → resume cycle (or an explicit Retry) re-appends keys
+// the file already holds, and the newest record is the authoritative one.
+// The restored count is unique keys, not lines. A record whose digest names
+// another program is skipped: its result is not this suite's.
+func (w *Workloads) restore(recs []ckptRecord, progs map[binary]string) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	restored := 0
-	for _, rec := range recs {
+	for i, rec := range recs {
+		if rec.Bench == "" {
+			// braidtune's generation journal, which it kept before it
+			// shared this one, holds "meta" and "gen" records; they
+			// decode here with no benchmark.
+			return 0, fmt.Errorf("record %d is not a simulation point (a generation journal from an older braidtune?); rerun without -resume", i+1)
+		}
+		if rec.Prog != "" && rec.Prog != progs[binary{rec.Bench, rec.Braided}] {
+			continue
+		}
 		var sp uarch.Sampling
 		if rec.Sampling != nil {
 			sp = *rec.Sampling
@@ -86,7 +135,7 @@ func (w *Workloads) restore(recs []ckptRecord) int {
 		}
 		w.memo[key] = &memoCell{done: ckptDone, ipc: rec.IPC, ci: rec.CI}
 	}
-	return restored
+	return restored, nil
 }
 
 // checkpointPoint appends one completed simulation. Injected-fault configs
@@ -101,7 +150,8 @@ func (w *Workloads) checkpointPoint(key memoKey, ipc, ci float64) {
 	if w.ckpt == nil {
 		return
 	}
-	rec := ckptRecord{Bench: key.bench, Braided: key.braided, IPC: ipc, Cfg: key.cfg}
+	rec := ckptRecord{Bench: key.bench, Braided: key.braided, IPC: ipc, Cfg: key.cfg,
+		Prog: w.ckptProgs[binary{key.bench, key.braided}]}
 	if key.sampling.Enabled() {
 		sp := key.sampling
 		rec.Sampling = &sp

@@ -74,11 +74,7 @@ func (w *Workloads) noteFailure(b *Bench, braided bool, cfg uarch.Config, err er
 	pf := PointFailure{Bench: b.Name, Braided: braided, Core: cfg.Core, Err: err}
 	var sf *uarch.SimFault
 	if errors.As(err, &sf) && w.crashDir != "" {
-		p := b.Orig
-		if braided {
-			p = b.Braided
-		}
-		if path, aerr := WriteCrashArtifact(w.crashDir, b.Name, braided, p, cfg, sf); aerr == nil {
+		if path, aerr := WriteCrashArtifact(w.crashDir, b.Name, braided, b.program(braided), cfg, sf); aerr == nil {
 			pf.Artifact = path
 		} else {
 			pf.Err = fmt.Errorf("%w (crash artifact not written: %v)", err, aerr)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -378,6 +379,85 @@ func TestCheckpointResumesParentFormat(t *testing.T) {
 	if got != 3.1817375886524824 || ws.SimRuns() != 0 {
 		t.Errorf("served %v after %d simulations, want the recorded 3.1817375886524824 after none", got, ws.SimRuns())
 	}
+}
+
+// TestCheckpointFromOtherProgramsRestoresNothing: records carry the digest of
+// the program they simulated, so a journal written for a suite at one -dyn
+// (one iteration count per benchmark) restores nothing into a suite at
+// another, whose programs differ, and the resumed point simulates afresh.
+func TestCheckpointFromOtherProgramsRestoresNothing(t *testing.T) {
+	w := testSuite(t)
+	b := w.Benches[0]
+	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
+	first := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	if _, err := first.OpenCheckpoint(ckpt, false); err != nil {
+		t.Fatal(err)
+	}
+	old, err := first.IPC(b, true, uarch.BraidConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.CloseCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	longer, err := prepare(b.Profile, 2*4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := &Workloads{Benches: []*Bench{longer}, memo: map[memoKey]*memoCell{}, jobs: 1}
+	restored, err := second.OpenCheckpoint(ckpt, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.CloseCheckpoint()
+	if restored != 0 {
+		t.Fatalf("restored %d records from another -dyn's journal, want 0", restored)
+	}
+	got, err := second.IPC(longer, true, uarch.BraidConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.SimRuns() != 1 || got == old {
+		t.Errorf("served %v after %d simulations; want a fresh simulation, not the journal's %v", got, second.SimRuns(), old)
+	}
+
+	same := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	if restored, err := same.OpenCheckpoint(ckpt, true); err != nil || restored != 1 {
+		t.Fatalf("resume into the journal's own suite: restored %d, err %v; want 1, nil", restored, err)
+	}
+	same.CloseCheckpoint()
+}
+
+// generationJournal is the head of a braidtune -checkpoint file from when
+// braidtune kept its own journal of completed generations (-workloads gcc
+// -dyn 2000 -seed 1 -pop 2 -budget 2).
+const generationJournal = `{"kind":"meta","meta":{"lattice":1,"seed":1,"pop":2,"budget":2,"workloads":["gcc"],"dyn_target":2000}}
+{"kind":"gen","evals":2,"population":[{"core":1,"width":3,"retire":1,"beus":3,"iq":1,"window":0,"erf":3,"rports":0,"wports":1,"bypass":0,"predent":2,"predhist":1}],"fresh":[]}
+`
+
+// TestCheckpointRefusesGenerationJournal: a generation record decodes as a
+// point record with no benchmark. Resume must refuse the file, naming the
+// record, rather than restore a zero point.
+func TestCheckpointRefusesGenerationJournal(t *testing.T) {
+	w := testSuite(t)
+	ckpt := filepath.Join(t.TempDir(), "tune.jsonl")
+	if err := os.WriteFile(ckpt, []byte(generationJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	_, err := ws.OpenCheckpoint(ckpt, true)
+	if err == nil || !strings.Contains(err.Error(), "record 1 is not a simulation point") {
+		t.Fatalf("resume of a generation journal: err %v, want one naming record 1", err)
+	}
+	if len(ws.memo) != 0 {
+		t.Errorf("refused journal left %d memo cells", len(ws.memo))
+	}
+	// The refusal closed the file: starting over without resume works.
+	if _, err := ws.OpenCheckpoint(ckpt, false); err != nil {
+		t.Fatal(err)
+	}
+	ws.CloseCheckpoint()
 }
 
 // TestCheckpointWriteErrorSurfaces: a checkpoint that cannot be written (a

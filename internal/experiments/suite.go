@@ -32,6 +32,14 @@ type Bench struct {
 	DynInstrs  uint64
 }
 
+// program returns the braid-compiled binary if braided, else the original.
+func (b *Bench) program(braided bool) *isa.Program {
+	if braided {
+		return b.Braided
+	}
+	return b.Orig
+}
+
 // Workloads is the prepared suite plus a simulation cache. The cache is safe
 // for concurrent use and duplicate-suppressing: when several goroutines ask
 // for the same (benchmark, braided, config) point, exactly one runs the
@@ -57,8 +65,9 @@ type Workloads struct {
 	mu   sync.Mutex
 	memo map[memoKey]*memoCell
 
-	ckptMu sync.Mutex
-	ckpt   *journal.Journal
+	ckptMu    sync.Mutex
+	ckpt      *journal.Journal
+	ckptProgs map[binary]string // program digests the records carry
 
 	failMu sync.Mutex
 	failed []PointFailure
@@ -380,16 +389,12 @@ func (w *Workloads) IPCCI(b *Bench, braided bool, cfg uarch.Config) (float64, fl
 // not poisoned for the process lifetime.
 func (w *Workloads) runPoint(key memoKey, c *memoCell, b *Bench, braided bool, cfg uarch.Config) (float64, float64, error) {
 	w.simRuns.Add(1)
-	p := b.Orig
-	if braided {
-		p = b.Braided
-	}
 	ctx := w.baseCtx()
 	cancel := func() {}
 	if w.simTimeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, w.simTimeout)
 	}
-	st, est, err := w.simulate(ctx, p, cfg)
+	st, est, err := w.simulate(ctx, b.program(braided), cfg)
 	cancel()
 	if err != nil {
 		c.err = fmt.Errorf("%s (%s braided=%v): %w", b.Name, cfg.Core, braided, err)

@@ -61,20 +61,38 @@ type Result struct {
 	Evaluations int    // unique genomes simulated
 }
 
+// Meta records the parameters a front was searched under, for braidtune's
+// -front file.
+type Meta struct {
+	Lattice   int      `json:"lattice"` // LatticeVersion the genomes index into
+	Seed      int64    `json:"seed"`
+	Pop       int      `json:"pop"`
+	Budget    int      `json:"budget"`
+	Workloads []string `json:"workloads"`
+	Sampling  string   `json:"sampling,omitempty"` // uarch.Sampling.String(), "" exact
+	DynTarget uint64   `json:"dyn_target"`         // suite calibration target
+}
+
 // Search runs the NSGA-II-lite loop over the given benchmark subset of w.
 // Determinism contract: with equal (seed, pop, budget, workload set,
 // sampling geometry, suite dynTarget), the returned front and digest are
 // byte-identical regardless of w's job count, runner (local or remote — both
 // are deterministic), or how many times the search was interrupted and
-// resumed through ck. ctx cancellation stops the search between generations
-// with the checkpoint intact; the error wraps ctx.Err().
+// resumed. ctx cancellation stops the search between generations; the error
+// wraps ctx.Err().
 //
-// ck may be nil (no persistence). A non-nil ck that already holds completed
-// generations seeds the search state from them — the remaining generations
-// run exactly as they would have in the uninterrupted process, because every
-// generation reseeds its own RNG from (seed, generation index) and the
-// genetic operators are serial.
-func Search(ctx context.Context, w *experiments.Workloads, benches []*experiments.Bench, opt Options, ck *Checkpoint) (*Result, error) {
+// Search keeps no state of its own across processes. To resume, rerun it
+// over a suite whose checkpoint (Workloads.OpenCheckpoint) restored the
+// interrupted run's points: every generation reseeds its RNG from (seed,
+// generation index) and the genetic operators are serial, so the rerun
+// retraces the interrupted run generation by generation, and the memo cache
+// answers every point the journal holds without simulating it. Contained
+// failures (a fault, an exhausted cycle budget) are not journaled; they
+// re-simulate to the same verdict. A transient failure (a -sim-timeout
+// deadline, an unreachable fleet) scores its machine infeasible in this run
+// only and may succeed on resume, so a front that depended on one falls
+// outside the contract.
+func Search(ctx context.Context, w *experiments.Workloads, benches []*experiments.Bench, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if len(benches) == 0 {
 		return nil, fmt.Errorf("explore: no workloads to evaluate")
@@ -88,10 +106,6 @@ func Search(ctx context.Context, w *experiments.Workloads, benches []*experiment
 	}
 
 	gen := 0
-	if ck != nil {
-		gen = s.restore(ck)
-	}
-
 	// The budget counts unique evaluations; a pathological lattice corner
 	// where every offspring is already archived would stall it, so a
 	// generous generation cap bounds the loop deterministically.
@@ -115,15 +129,10 @@ func Search(ctx context.Context, w *experiments.Workloads, benches []*experiment
 			return nil, err
 		}
 		s.selectNext(cohort)
-		if ck != nil {
-			if err := ck.appendGen(gen, s.evals, s.pop, fresh); err != nil {
-				return nil, err
-			}
-		}
 		if opt.Log != nil {
 			front := s.front()
 			fmt.Fprintf(opt.Log, "explore: gen %d: %d evals (%d new), front %d points%s\n",
-				gen, s.evals, len(fresh), len(front), bestPoint(front))
+				gen, s.evals, fresh, len(front), bestPoint(front))
 		}
 		gen++
 	}
@@ -138,7 +147,7 @@ func Search(ctx context.Context, w *experiments.Workloads, benches []*experiment
 
 // SelectBenches resolves a workload-name subset against a loaded suite, in
 // the order given (the geomean is computed in this order, so it is part of
-// the determinism contract and of the checkpoint meta). Empty names selects
+// the determinism contract and of the -front meta). Empty names selects
 // the whole suite in suite order.
 func SelectBenches(w *experiments.Workloads, names []string) ([]*experiments.Bench, error) {
 	if len(names) == 0 {
@@ -165,7 +174,7 @@ func SelectBenches(w *experiments.Workloads, names []string) ([]*experiments.Ben
 }
 
 // genRNG derives generation g's RNG. Reseeding per generation (rather than
-// streaming one RNG across the run) is what makes resume exact: a restored
+// streaming one RNG across the run) is what makes resume exact: a rerun
 // search re-enters generation g with precisely the randomness the original
 // process would have used, with no RNG state to serialize.
 func genRNG(seed int64, g int) *rand.Rand {
@@ -238,11 +247,10 @@ func (s *searcher) offspring(rng *rand.Rand) []Genome {
 }
 
 // evaluate simulates every not-yet-archived genome in the cohort through one
-// IPCAll fan-out and archives the outcomes. Returned evals are the freshly
-// evaluated ones in first-appearance cohort order (the checkpoint records
-// exactly these). Evaluation order independence: IPCAll's result map is
-// keyed by Point, so scheduling does not affect which value lands where.
-func (s *searcher) evaluate(cohort []Genome, gen int) ([]Eval, error) {
+// IPCAll fan-out, archives the outcomes, and returns how many genomes it
+// evaluated. Evaluation order independence: IPCAll's result map is keyed by
+// Point, so scheduling does not affect which value lands where.
+func (s *searcher) evaluate(cohort []Genome, gen int) (int, error) {
 	type job struct {
 		g      Genome
 		cfg    uarch.Config
@@ -258,7 +266,7 @@ func (s *searcher) evaluate(cohort []Genome, gen int) ([]Eval, error) {
 		cfg, err := g.Config()
 		if err != nil {
 			// Unreachable for lattice-derived genomes; archive as
-			// infeasible so a corrupt checkpoint cannot loop forever.
+			// infeasible so it is never bred and evaluated again.
 			s.archiveEval(Eval{Genome: g, Cost: math.Inf(1), Gen: gen})
 			continue
 		}
@@ -283,10 +291,9 @@ func (s *searcher) evaluate(cohort []Genome, gen int) ([]Eval, error) {
 	}
 	got, err := s.w.IPCAll(points)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 
-	fresh := make([]Eval, 0, len(jobs))
 	for _, j := range jobs {
 		ev := Eval{Genome: j.g, Cost: uarch.EstimateComplexity(j.cfg).Total(), Gen: gen, Feasible: true}
 		logSum := 0.0
@@ -305,9 +312,8 @@ func (s *searcher) evaluate(cohort []Genome, gen int) ([]Eval, error) {
 			ev.IPC = math.Exp(logSum / float64(len(s.benches)))
 		}
 		s.archiveEval(ev)
-		fresh = append(fresh, ev)
 	}
-	return fresh, nil
+	return len(jobs), nil
 }
 
 func (s *searcher) archiveEval(ev Eval) {

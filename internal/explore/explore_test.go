@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func searchOpts(seed int64) Options {
 // / §5.1 claim, recovered by search rather than by hand.
 func TestSearchRediscoversThePaper(t *testing.T) {
 	w, benches := testSuite(t)
-	res, err := Search(context.Background(), w, benches, searchOpts(1), nil)
+	res, err := Search(context.Background(), w, benches, searchOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestSearchDigestIndependentOfParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Search(context.Background(), w, benches, searchOpts(3), nil)
+		res, err := Search(context.Background(), w, benches, searchOpts(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,59 +124,73 @@ func TestSearchDigestIndependentOfParallelism(t *testing.T) {
 	}
 }
 
-// TestSearchResumeReproducesFront: interrupting a checkpointed search and
-// resuming must converge to the identical front. The interruption is
-// simulated by truncating the checkpoint to its first two generation
-// records — exactly what a SIGKILL after generation 1 leaves behind — plus a
-// torn half-line, which resume must drop.
+// freshSuite loads a suite with an empty memo cache, so a search over it
+// simulates every point its checkpoint did not restore. Its programs are a
+// quarter of testDyn long, which keeps the resume tests' seven suite loads
+// quick under the race detector.
+func freshSuite(t *testing.T) (*experiments.Workloads, []*experiments.Bench) {
+	t.Helper()
+	w, err := experiments.LoadSuiteCtx(context.Background(), testDyn/4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benches, err := SelectBenches(w, testBenchNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, benches
+}
+
+// journaledSearch runs a search over a fresh suite that checkpoints to path,
+// resuming the journal there if resume is set. It returns the result, the
+// points the journal restored, and the simulations the search ran.
+func journaledSearch(t *testing.T, path string, resume bool, opt Options) (*Result, int, uint64) {
+	t.Helper()
+	w, benches := freshSuite(t)
+	restored, err := w.OpenCheckpoint(path, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Search(context.Background(), w, benches, opt)
+	if cerr := w.CloseCheckpoint(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, restored, w.SimRuns()
+}
+
+// TestSearchResumeReproducesFront: an interrupted search resumes from the
+// suite's point journal to the identical front, simulating only the points
+// the journal lacks. The interruption is simulated by cutting the journal
+// after its first 100 points plus a torn half-line — what a SIGKILL
+// mid-append leaves behind — which resume must drop.
 func TestSearchResumeReproducesFront(t *testing.T) {
-	w, benches := testSuite(t)
-	opt := searchOpts(5)
+	opt := Options{Seed: 5, Pop: 16, Budget: 96} // up to 64 points a generation
 	dir := t.TempDir()
-	meta := Meta{Seed: opt.Seed, Pop: opt.Pop, Budget: opt.Budget,
-		Workloads: testBenchNames, DynTarget: testDyn}
-
 	full := filepath.Join(dir, "full.jsonl")
-	ck, err := OpenCheckpoint(full, meta, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Search(context.Background(), w, benches, opt, ck)
-	ck.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Generations < 3 {
-		t.Fatalf("search finished in %d generations; test needs >= 3 to interrupt meaningfully", want.Generations)
-	}
+	want, _, all := journaledSearch(t, full, false, opt)
 
-	// Keep meta + generations 0 and 1, then a torn tail.
+	const kept = 100
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(data, []byte("\n"))
-	if len(lines) < 4 {
-		t.Fatalf("checkpoint has %d lines", len(lines))
+	if len(lines) <= kept+1 {
+		t.Fatalf("journal holds %d points; the test needs more than %d", len(lines)-1, kept+1)
 	}
-	torn := append([]byte{}, bytes.Join(lines[:3], nil)...)
-	torn = append(torn, lines[3][:len(lines[3])/2]...)
+	torn := append([]byte{}, bytes.Join(lines[:kept], nil)...)
+	torn = append(torn, lines[kept][:len(lines[kept])/2]...)
 	interrupted := filepath.Join(dir, "interrupted.jsonl")
 	if err := os.WriteFile(interrupted, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	ck2, err := OpenCheckpoint(interrupted, meta, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck2.Generations() != 2 {
-		t.Fatalf("restored %d generations, want 2 (torn third dropped)", ck2.Generations())
-	}
-	got, err := Search(context.Background(), w, benches, opt, ck2)
-	ck2.Close()
-	if err != nil {
-		t.Fatal(err)
+	got, restored, runs := journaledSearch(t, interrupted, true, opt)
+	if restored != kept {
+		t.Fatalf("restored %d points, want %d (torn line dropped)", restored, kept)
 	}
 	if got.Digest != want.Digest {
 		t.Fatalf("resumed front digest %s != uninterrupted %s", got.Digest, want.Digest)
@@ -184,105 +199,55 @@ func TestSearchResumeReproducesFront(t *testing.T) {
 		t.Errorf("resumed run: %d gens / %d evals, want %d / %d",
 			got.Generations, got.Evaluations, want.Generations, want.Evaluations)
 	}
+	if runs != all-kept {
+		t.Errorf("resumed run simulated %d points, want %d (all %d less the %d restored)", runs, all-kept, all, kept)
+	}
 }
 
-// TestResumeRefusesParameterMismatch: a checkpoint taken under different
-// search parameters must be refused, not silently blended.
-func TestResumeRefusesParameterMismatch(t *testing.T) {
+// TestResumeAcrossParametersMatchesFreshRun: a journal no longer pins the
+// search parameters. Every point it holds is valid for any search over the
+// same programs, so a seed-5 journal resumed into a search with other
+// parameters yields that search's fresh front, and only the points the two
+// searches share go unsimulated: none for seed 6, whose searches share no
+// machine with seed 5's, and all of seed 5's for a larger budget, which
+// retraces the smaller search before it goes on.
+func TestResumeAcrossParametersMatchesFreshRun(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.jsonl")
-	meta := Meta{Seed: 1, Pop: 8, Budget: 32, Workloads: []string{"gcc"}, DynTarget: testDyn}
-	ck, err := OpenCheckpoint(path, meta, false)
+	seed5 := filepath.Join(dir, "seed5.jsonl")
+	journaledSearch(t, seed5, false, Options{Seed: 5, Pop: 16, Budget: 48})
+	journal, err := os.ReadFile(seed5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Close()
-	changed := meta
-	changed.Seed = 2
-	if _, err := OpenCheckpoint(path, changed, true); err == nil {
-		t.Fatal("resume accepted a checkpoint with a different seed")
-	}
-	grown := meta
-	grown.Workloads = []string{"gcc", "mcf"}
-	if _, err := OpenCheckpoint(path, grown, true); err == nil {
-		t.Fatal("resume accepted a checkpoint with a different workload set")
-	}
-}
-
-// TestCheckpointResumeAfterTornTail: resuming past a torn final line must cut
-// it off the file, so generations appended afterwards survive the next
-// resume instead of being glued onto the torn half.
-func TestCheckpointResumeAfterTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	meta := Meta{Seed: 1, Pop: 2, Budget: 8, Workloads: []string{"gcc"}, DynTarget: testDyn}
-	pop := []Genome{{}, {Core: 2, Width: 1}}
-	appendGens := func(ck *Checkpoint, gens ...int) {
-		t.Helper()
-		for _, g := range gens {
-			if err := ck.appendGen(g, 2*(g+1), pop, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := ck.Close(); err != nil {
+	journaled := uint64(bytes.Count(journal, []byte("\n")))
+	for _, tc := range []struct {
+		opt    Options
+		reused uint64
+	}{
+		{Options{Seed: 6, Pop: 16, Budget: 48}, 0},
+		{Options{Seed: 5, Pop: 16, Budget: 80}, journaled},
+	} {
+		w, benches := freshSuite(t)
+		want, err := Search(context.Background(), w, benches, tc.opt)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	ck, err := OpenCheckpoint(path, meta, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendGens(ck, 0, 1)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"kind":"gen","gen":2,"evals":6,"popu`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	ck, err = OpenCheckpoint(path, meta, true)
-	if err != nil {
-		t.Fatalf("torn tail must be tolerated: %v", err)
-	}
-	if ck.Generations() != 2 {
-		t.Fatalf("restored %d generations, want 2", ck.Generations())
-	}
-	appendGens(ck, 2, 3)
-
-	ck, err = OpenCheckpoint(path, meta, true)
-	if err != nil {
-		t.Fatalf("resume after a torn-tail resume: %v", err)
-	}
-	defer ck.Close()
-	if ck.Generations() != 4 {
-		t.Fatalf("restored %d generations, want 4", ck.Generations())
-	}
-}
-
-// parentFormatCheckpoint is a braidtune -checkpoint file (-workloads gcc
-// -dyn 2000 -seed 1 -pop 2 -budget 2) as written before checkpoints moved
-// onto internal/journal; files in this format must keep resuming.
-const parentFormatCheckpoint = `{"kind":"meta","meta":{"lattice":1,"seed":1,"pop":2,"budget":2,"workloads":["gcc"],"dyn_target":2000}}
-{"kind":"gen","evals":2,"population":[{"core":1,"width":3,"retire":1,"beus":3,"iq":1,"window":0,"erf":3,"rports":0,"wports":1,"bypass":0,"predent":2,"predhist":1},{"core":2,"width":1,"retire":0,"beus":2,"iq":3,"window":2,"erf":0,"rports":1,"wports":0,"bypass":0,"predent":0,"predhist":1}],"fresh":[{"genome":{"core":1,"width":3,"retire":1,"beus":3,"iq":1,"window":0,"erf":3,"rports":0,"wports":1,"bypass":0,"predent":2,"predhist":1},"ipc":1.2795248078266945,"cost":33168,"feasible":true,"gen":0},{"genome":{"core":2,"width":1,"retire":0,"beus":2,"iq":3,"window":2,"erf":0,"rports":1,"wports":0,"bypass":0,"predent":0,"predhist":1},"ipc":1.812871287128713,"cost":154442,"feasible":true,"gen":0}]}
-`
-
-func TestCheckpointResumesParentFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	if err := os.WriteFile(path, []byte(parentFormatCheckpoint), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	meta := Meta{Seed: 1, Pop: 2, Budget: 2, Workloads: []string{"gcc"}, DynTarget: 2000}
-	ck, err := OpenCheckpoint(path, meta, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck.Close()
-	s := &searcher{archive: map[Genome]*Eval{}}
-	if next := s.restore(ck); next != 1 || s.evals != 2 || len(s.pop) != 2 || len(s.archive) != 2 {
-		t.Fatalf("restored next gen %d, %d evals, %d genomes, %d archived; want 1, 2, 2, 2",
-			next, s.evals, len(s.pop), len(s.archive))
+		path := filepath.Join(dir, fmt.Sprintf("seed%d-budget%d.jsonl", tc.opt.Seed, tc.opt.Budget))
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, restored, runs := journaledSearch(t, path, true, tc.opt)
+		if uint64(restored) != journaled {
+			t.Errorf("%+v: restored %d of the journal's %d points", tc.opt, restored, journaled)
+		}
+		if got.Digest != want.Digest || got.Generations != want.Generations || got.Evaluations != want.Evaluations {
+			t.Errorf("%+v over a seed-5 journal: digest %.12s, %d gens, %d evals; fresh: %.12s, %d, %d",
+				tc.opt, got.Digest, got.Generations, got.Evaluations, want.Digest, want.Generations, want.Evaluations)
+		}
+		if runs != w.SimRuns()-tc.reused {
+			t.Errorf("%+v: resumed run simulated %d points, fresh run %d; want %d reused from the journal",
+				tc.opt, runs, w.SimRuns(), tc.reused)
+		}
 	}
 }
 
@@ -300,7 +265,7 @@ func TestInjectedFaultContainedAndExcluded(t *testing.T) {
 	}
 	opt := searchOpts(9)
 	opt.InjectFaultAt = 3
-	res, err := Search(context.Background(), w, benches, opt, nil)
+	res, err := Search(context.Background(), w, benches, opt)
 	if err != nil {
 		t.Fatalf("search aborted on an injected fault: %v", err)
 	}
@@ -320,18 +285,18 @@ func TestInjectedFaultContainedAndExcluded(t *testing.T) {
 	// faulted one must be the only difference, and the search survives
 	// either way.
 	opt.InjectFaultAt = 0
-	if _, err := Search(context.Background(), w, benches, opt, nil); err != nil {
+	if _, err := Search(context.Background(), w, benches, opt); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestSearchCancellation: canceling the context stops the search with an
-// error wrapping the cause, leaving any checkpoint intact for resume.
+// error wrapping the cause.
 func TestSearchCancellation(t *testing.T) {
 	w, benches := testSuite(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Search(ctx, w, benches, searchOpts(1), nil); err == nil {
+	if _, err := Search(ctx, w, benches, searchOpts(1)); err == nil {
 		t.Fatal("canceled search returned no error")
 	}
 }

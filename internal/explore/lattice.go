@@ -26,8 +26,8 @@ import (
 // the corresponding option table below — not a raw hardware value — so
 // mutation is "step to a neighboring option" and any field combination maps
 // to a machine that uarch.Config.Validate accepts (Config still validates as
-// a backstop). Genomes are comparable, which the archive and checkpoint
-// dedupe rely on.
+// a backstop). Genomes are comparable, which the archive's dedupe relies
+// on.
 type Genome struct {
 	Core     int8 `json:"core"`     // Cores: execution paradigm
 	Width    int8 `json:"width"`    // Widths: fetch/issue width
@@ -45,9 +45,9 @@ type Genome struct {
 
 // The option tables. Order matters twice over: mutation steps between
 // neighbors, so each table is sorted by hardware aggressiveness, and the
-// checkpoint format stores indices, so reordering or removing entries
-// invalidates old checkpoints (append new options at the end and bump
-// latticeVersion if the meaning of an index changes).
+// -front file stores indices, so reordering or removing entries changes what
+// old front files mean (append new options at the end and bump
+// LatticeVersion if the meaning of an index changes).
 var (
 	Cores         = []uarch.CoreKind{uarch.CoreInOrder, uarch.CoreDepSteer, uarch.CoreBraid, uarch.CoreOutOfOrder}
 	Widths        = []int{2, 4, 8, 16}
@@ -63,13 +63,9 @@ var (
 	PredHistories = []int{16, 32, 64}
 )
 
-// latticeVersion is stamped into checkpoints; resuming across an
-// incompatible lattice is refused rather than silently misread.
-const latticeVersion = 1
-
-// LatticeVersion is the exported lattice identity, for callers stamping
-// artifacts (the -front JSON) outside the checkpoint machinery.
-const LatticeVersion = latticeVersion
+// LatticeVersion identifies the option tables, for the -front JSON whose
+// genomes index into them.
+const LatticeVersion = 1
 
 // gene describes one mutable field: its name (for diagnostics), its option
 // count, and an accessor. The slice is the single source of truth for the
@@ -95,8 +91,8 @@ var genes = []gene{
 	{"predhist", len(PredHistories), func(g *Genome) *int8 { return &g.PredHist }},
 }
 
-// valid reports whether every index is inside its table (checkpoints from a
-// different lattice, or hand-edited ones, are the only way to violate this).
+// valid reports whether every index is inside its table (only a genome
+// built outside the genetic operators can violate this).
 func (g Genome) valid() bool {
 	for _, ge := range genes {
 		v := *ge.get(&g)

@@ -340,7 +340,7 @@ func alu(op isa.Opcode, a, b, old uint64) uint64 {
 // while arm64 returns positive 0x7FF8… — and the difference would leak
 // into stored values, making final memory images host-dependent and
 // breaking the cross-machine bit-identical invariant that remote execution
-// (X-Braid-Stats-SHA256) and internal/check rely on.
+// (X-Braid-Body-SHA256) and internal/check rely on.
 const canonicalNaN = 0x7FF8000000000000
 
 // canonNaN pins a generated-NaN result to the canonical bit pattern;

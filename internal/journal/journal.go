@@ -1,14 +1,14 @@
 // Package journal is the append-only JSONL file behind every checkpoint in
-// the repository: braidbench's completed simulations, braidtune's completed
-// generations, and braidstat's finished reports. One JSON value per line;
+// the repository: the completed simulations braidbench and braidtune share,
+// and braidstat's finished reports. One JSON value per line;
 // each Append is a single write followed by an fsync, so a crash can tear at
 // most the final line.
 //
 // Open on resume returns the complete lines and repairs the file for
 // appending: a torn final line is dropped and truncated off, so the next
 // record starts on a clean line instead of being glued onto the torn half.
-// What the records mean — deduplication, parameter checks, ordering — stays
-// with the caller.
+// What the records mean — deduplication, which records apply — stays with
+// the caller.
 package journal
 
 import (

@@ -110,7 +110,7 @@ type Pool struct {
 	shortCircuits     atomic.Uint64 // attempts skipped because a breaker was open
 	localFallbacks    atomic.Uint64 // points degraded to in-process simulation
 	imageResends      atomic.Uint64 // unknown_program answers followed by the image
-	integrityFailures atomic.Uint64 // responses whose stats SHA-256 did not match
+	integrityFailures atomic.Uint64 // 200s whose body SHA-256 was missing or did not match
 	probeFailures     atomic.Uint64 // health-prober checks that failed
 	canaryMismatches  atomic.Uint64 // canary simulations whose stats diverged
 
@@ -760,6 +760,16 @@ func (p *Pool) post(ctx context.Context, backend string, body []byte) (*Result, 
 		return nil, 0, &retryableError{err: fmt.Errorf("%s: reading response: %w", backend, err)}
 	}
 	if resp.StatusCode == http.StatusOK {
+		// End-to-end integrity: the server stamps the SHA-256 of the body it
+		// wrote. A body mangled in transit still parses if the corruption
+		// keeps the JSON well-formed; the digest does not lie. A missing or
+		// wrong digest is a transport-class failure — retry elsewhere.
+		sum := sha256.Sum256(data)
+		if got, want := hex.EncodeToString(sum[:]), resp.Header.Get(bodySHAHeader); got != want {
+			p.integrityFailures.Add(1)
+			return nil, 0, &retryableError{err: fmt.Errorf(
+				"%s: body integrity: sha256 %.16s… != %s %.16q", backend, got, bodySHAHeader, want)}
+		}
 		var sr struct {
 			Stats    json.RawMessage `json:"stats"`
 			Source   string          `json:"source"`
@@ -772,18 +782,6 @@ func (p *Pool) post(ctx context.Context, backend string, body []byte) (*Result, 
 		}
 		if err := json.Unmarshal(data, &sr); err != nil || len(sr.Stats) == 0 {
 			return nil, 0, &retryableError{err: fmt.Errorf("%s: malformed response: %v", backend, err)}
-		}
-		// End-to-end integrity: the server stamps the SHA-256 of the Stats
-		// JSON it embedded. A body mangled in transit still parses if the
-		// corruption keeps the JSON well-formed; the digest does not lie.
-		// Mismatch is a transport-class failure — retry elsewhere.
-		if want := resp.Header.Get(statsSHAHeader); want != "" {
-			sum := sha256.Sum256(sr.Stats)
-			if got := hex.EncodeToString(sum[:]); got != want {
-				p.integrityFailures.Add(1)
-				return nil, 0, &retryableError{err: fmt.Errorf(
-					"%s: stats integrity: body sha256 %.16s… != header %.16s…", backend, got, want)}
-			}
 		}
 		st := new(uarch.Stats)
 		if err := json.Unmarshal(sr.Stats, st); err != nil {
@@ -804,9 +802,9 @@ func (p *Pool) post(ctx context.Context, backend string, body []byte) (*Result, 
 	return nil, parseRetryAfter(resp), p.translateError(backend, resp.StatusCode, data)
 }
 
-// statsSHAHeader carries the server's SHA-256 over the Stats JSON bytes
-// embedded in a /v1/simulate response, hex-encoded.
-const statsSHAHeader = "X-Braid-Stats-SHA256"
+// bodySHAHeader carries the server's SHA-256 over a /v1/simulate response
+// body, hex-encoded.
+const bodySHAHeader = "X-Braid-Body-SHA256"
 
 func parseRetryAfter(resp *http.Response) time.Duration {
 	return retryAfterDuration(resp.Header.Get("Retry-After"), time.Now())

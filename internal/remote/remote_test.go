@@ -165,6 +165,16 @@ func TestNewPoolNormalizesBackends(t *testing.T) {
 	}
 }
 
+// serveStats answers a simulate as braidd does: a body carrying st, with the
+// body's SHA-256 in the integrity header.
+func serveStats(w http.ResponseWriter, st []byte) {
+	body := fmt.Sprintf(`{"stats":%s,"source":"run"}`, st)
+	sum := sha256.Sum256([]byte(body))
+	w.Header().Set(bodySHAHeader, hex.EncodeToString(sum[:]))
+	w.Header().Set("Content-Type", "application/json")
+	io.WriteString(w, body)
+}
+
 // fakeBackend returns canned Stats for every simulate call and counts hits.
 func fakeBackend(t *testing.T, hits *atomic.Int64) *httptest.Server {
 	t.Helper()
@@ -175,8 +185,7 @@ func fakeBackend(t *testing.T, hits *atomic.Int64) *httptest.Server {
 			return
 		}
 		hits.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"stats":%s,"source":"run"}`, st)
+		serveStats(w, st)
 	}))
 }
 
@@ -305,7 +314,7 @@ func TestRetryHonors429(t *testing.T) {
 			w.WriteHeader(http.StatusTooManyRequests)
 			return
 		}
-		fmt.Fprintf(w, `{"stats":%s,"source":"run"}`, st)
+		serveStats(w, st)
 	}))
 	defer ts.Close()
 
@@ -473,7 +482,7 @@ func TestHedgeWinsOnStraggler(t *testing.T) {
 		case <-r.Context().Done():
 			return
 		}
-		fmt.Fprintf(w, `{"stats":%s,"source":"run"}`, st)
+		serveStats(w, st)
 	}))
 	defer slow.Close()
 	defer close(stall) // LIFO: unblock the handler before Close waits on it
@@ -550,11 +559,12 @@ func TestVerifyAgainstRealService(t *testing.T) {
 }
 
 // TestVerifyDetectsDivergence: a backend serving wrong Stats is caught, not
-// silently folded into the sweep.
+// silently folded into the sweep. The body carries a valid digest, as a
+// miscomputing backend's would, so only -remote-verify can catch it.
 func TestVerifyDetectsDivergence(t *testing.T) {
 	st, _ := json.Marshal(&uarch.Stats{Cycles: 1, Retired: 1}) // a lie
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"stats":%s,"source":"run"}`, st)
+		serveStats(w, st)
 	}))
 	defer ts.Close()
 	pool, err := NewPool(Options{Backends: []string{ts.URL}, VerifyEvery: 1})
@@ -630,8 +640,7 @@ func TestHedgeCancelsLoser(t *testing.T) {
 			w.WriteHeader(http.StatusOK)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"stats":%s,"source":"run"}`, st)
+		serveStats(w, st)
 	}))
 	defer fast.Close()
 

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,8 +116,7 @@ func fakeSimHandler(t *testing.T, w http.ResponseWriter) {
 		t.Fatal(err)
 	}
 	raw, _ := json.Marshal(st)
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"stats":%s,"source":"run"}`, raw)
+	serveStats(w, raw)
 }
 
 // TestIntegrityCheckCatchesCorruptedBody drives the pool through a chaos
@@ -171,6 +170,87 @@ func TestIntegrityCheckCatchesCorruptedBody(t *testing.T) {
 	if s.IntegrityFailures != s.FailedAttempts {
 		t.Errorf("integrity failures %d != failed attempts %d; corruption should be the only failure mode here",
 			s.IntegrityFailures, s.FailedAttempts)
+	}
+}
+
+// TestIntegrityCheckCoversEstimate: the digest covers the whole body, not
+// only the Stats. A relay that flips one digit of the sampled estimate's
+// ipc_rel_ci95 in the first answer, keeping the header, must be caught and
+// retried, so the pool returns the estimate local simulation gives.
+func TestIntegrityCheckCoversEstimate(t *testing.T) {
+	svc := service.New(service.Config{Workers: 2}).Handler()
+	var answered atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK && answered.Add(1) == 1 {
+			key := []byte(`"ipc_rel_ci95":`)
+			at := bytes.Index(body, key) + len(key)
+			for body[at] < '1' || body[at] > '8' {
+				at++
+			}
+			body[at]++ // 0.2177… becomes 0.3177…
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	defer ts.Close()
+
+	pool, err := NewPool(Options{Backends: []string{ts.URL}, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, cfg := mustKernel(t, "matmul"), uarch.OutOfOrderConfig(8)
+	sp := uarch.Sampling{Period: 2000, Detail: 500, Warmup: 500}
+	_, want, err := uarch.SimulateSampled(context.Background(), prog, cfg, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Exact || want.IPCRelCI == 0 {
+		t.Fatalf("local estimate %+v carries no confidence interval to corrupt", want)
+	}
+	_, got, err := pool.SimulateSampled(context.Background(), prog, cfg, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.IPCRelCI != want.IPCRelCI {
+		t.Errorf("pool returned ipc_rel_ci95 %v, local simulation %v", got.IPCRelCI, want.IPCRelCI)
+	}
+	if s := pool.Snapshot(); s.IntegrityFailures != 1 {
+		t.Errorf("integrity failures = %d, want the 1 corrupted answer", s.IntegrityFailures)
+	}
+}
+
+// TestMissingIntegrityHeaderRetried: a 200 without a digest is not accepted
+// unchecked; it is an integrity failure, retried like a wrong digest.
+func TestMissingIntegrityHeaderRetried(t *testing.T) {
+	st, _ := json.Marshal(&uarch.Stats{Cycles: 3, Retired: 3})
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Write([]byte(`{"stats":{"Cycles":1,"Retired":1},"source":"run"}`))
+			return
+		}
+		serveStats(w, st)
+	}))
+	defer ts.Close()
+	pool, err := NewPool(Options{Backends: []string{ts.URL}, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pool.SimulateFull(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Attempts != 2 || res.Stats.Cycles != 3 {
+		t.Errorf("attempts %d, cycles %d; want the unsigned answer retried: 2 attempts, 3 cycles", res.Attempts, res.Stats.Cycles)
+	}
+	if s := pool.Snapshot(); s.IntegrityFailures != 1 {
+		t.Errorf("integrity failures = %d, want 1", s.IntegrityFailures)
 	}
 }
 

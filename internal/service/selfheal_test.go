@@ -14,8 +14,8 @@ import (
 )
 
 // TestStatsIntegrityHeader: every /v1/simulate success carries the SHA-256
-// of the exact Stats bytes it embeds, so clients can verify end-to-end that
-// the stats survived transit.
+// of its exact body bytes, so clients can verify end-to-end that the stats,
+// and everything sent with them, survived transit.
 func TestStatsIntegrityHeader(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	ts := httptest.NewServer(svc.Handler())
@@ -30,19 +30,13 @@ func TestStatsIntegrityHeader(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", body, resp.StatusCode, data)
 		}
-		header := resp.Header.Get(statsSHAHeader)
+		header := resp.Header.Get(bodySHAHeader)
 		if header == "" {
-			t.Fatalf("%s: no %s header", body, statsSHAHeader)
+			t.Fatalf("%s: no %s header", body, bodySHAHeader)
 		}
-		var rr struct {
-			Stats json.RawMessage `json:"stats"`
-		}
-		if err := json.Unmarshal(data, &rr); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(rr.Stats)
+		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != header {
-			t.Errorf("%s: header %s != body stats sha %s", body, header, got)
+			t.Errorf("%s: header %s != body sha %s", body, header, got)
 		}
 	}
 }

@@ -35,9 +35,9 @@ const (
 	// canaryHeader marks a health prober's known-answer simulation; such
 	// requests wait for admission instead of being shed.
 	canaryHeader = "X-Braid-Canary"
-	// statsSHAHeader carries the hex SHA-256 of the Stats JSON embedded in
-	// a /v1/simulate response, for end-to-end integrity verification.
-	statsSHAHeader = "X-Braid-Stats-SHA256"
+	// bodySHAHeader carries the hex SHA-256 of a /v1/simulate response
+	// body, for end-to-end integrity verification.
+	bodySHAHeader = "X-Braid-Body-SHA256"
 )
 
 // Config sizes the server. Zero fields take the documented defaults.
@@ -229,15 +229,19 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, body)
 		return
 	}
-	resp := s.response(b, res)
-	// Stamp the SHA-256 of the exact Stats bytes this response embeds:
-	// json.Marshal here produces the same bytes the response encoder nests,
-	// so the client can verify end-to-end that the stats survived transit.
-	if raw, err := json.Marshal(resp.Stats); err == nil {
-		sum := sha256.Sum256(raw)
-		w.Header().Set(statsSHAHeader, hex.EncodeToString(sum[:]))
+	// Marshal once and stamp the SHA-256 of exactly the bytes written, so
+	// the client can verify end-to-end that the whole body — Stats, the
+	// sampling estimate, the complexity block — survived transit.
+	body, err := json.Marshal(s.response(b, res))
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, ErrorBody{Kind: "internal", Message: err.Error()})
+		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	body = append(body, '\n')
+	sum := sha256.Sum256(body)
+	w.Header().Set(bodySHAHeader, hex.EncodeToString(sum[:]))
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
 // BatchRequest is the body of POST /v1/batch: the requests run concurrently
