@@ -69,8 +69,7 @@ func runExperiment(b *testing.B, id string) {
 // BenchmarkSimThroughput measures raw simulator speed — retired instructions
 // per wall-clock second (MIPS) — for one representative benchmark under each
 // core paradigm. This is the per-paradigm complement to cmd/braidbench's
-// -throughput flag, which reports the same metric over the full evaluation;
-// BENCH_sim_throughput.json pins the committed baseline.
+// -throughput flag, which reports the same metric over the full evaluation.
 func BenchmarkSimThroughput(b *testing.B) {
 	w := loadSuite(b)
 	bench := w.Benches[0]

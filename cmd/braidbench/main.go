@@ -51,9 +51,11 @@ import (
 )
 
 func main() {
-	// Batch tool: trade heap headroom for fewer GC cycles. The simulator's
-	// steady state is allocation-free, so most garbage is suite-preparation
-	// churn; collecting it lazily shaves wall-clock without touching output.
+	// Batch tool: trade heap headroom for fewer GC cycles. Simulation runs
+	// reuse one another's memory (uarch's run recycling), so most garbage is
+	// suite-preparation churn — workload generation, braid compilation,
+	// pre-execution; collecting it lazily shaves wall-clock without touching
+	// output.
 	debug.SetGCPercent(400)
 
 	var (

@@ -52,6 +52,8 @@ import (
 )
 
 func main() {
+	// As in braidbench: simulation runs reuse one another's memory, so most
+	// garbage is suite preparation, and collecting it lazily saves time.
 	debug.SetGCPercent(400)
 
 	var (

@@ -17,7 +17,7 @@ type CacheConfig struct {
 
 // Cache is one set-associative LRU cache level. The per-way state lives in
 // flat slices indexed set*assoc+way, which keeps lookups on one cache line
-// per set and makes Clone a handful of copies.
+// per set and makes a copy a handful of memmoves.
 type Cache struct {
 	cfg    CacheConfig
 	sets   int
@@ -30,15 +30,40 @@ type Cache struct {
 	Misses uint64
 }
 
-// NewCache builds a cache from its configuration.
-func NewCache(cfg CacheConfig) (*Cache, error) {
+// Ceilings on a configuration, far above every machine the repository
+// models (Table 4's largest cache is the 1 MiB, 8-way L2 of 16 Ki lines, and
+// its main memory takes 400 cycles) but low enough that no configuration can
+// make a simulation allocate more than a few tens of megabytes for its
+// caches or its completion calendar, whose span covers the longest latency.
+const (
+	MaxCacheKB    = 1 << 14 // 16 MiB per cache
+	MaxCacheLines = 1 << 18 // lines per cache
+	MaxAssoc      = 256
+	MaxLatency    = 1 << 18 // cycles, for any one latency
+)
+
+// check validates the configuration and returns its set count.
+func (cfg CacheConfig) check() (sets int, err error) {
 	if cfg.SizeKB <= 0 || cfg.Assoc <= 0 || cfg.LineB <= 0 {
-		return nil, fmt.Errorf("mem: bad cache config %+v", cfg)
+		return 0, fmt.Errorf("mem: bad cache config %+v", cfg)
+	}
+	if cfg.SizeKB > MaxCacheKB || cfg.Assoc > MaxAssoc || cfg.SizeKB*1024/cfg.LineB > MaxCacheLines || cfg.Latency > MaxLatency {
+		return 0, fmt.Errorf("mem: cache config %+v exceeds the ceilings (%d KB, %d lines, %d ways, %d cycles)",
+			cfg, MaxCacheKB, MaxCacheLines, MaxAssoc, MaxLatency)
 	}
 	lines := cfg.SizeKB * 1024 / cfg.LineB
-	sets := lines / cfg.Assoc
+	sets = lines / cfg.Assoc
 	if sets == 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("mem: cache %+v yields %d sets (must be a power of two)", cfg, sets)
+		return 0, fmt.Errorf("mem: cache %+v yields %d sets (must be a power of two)", cfg, sets)
+	}
+	return sets, nil
+}
+
+// NewCache builds a cache from its configuration.
+func NewCache(cfg CacheConfig) (*Cache, error) {
+	sets, err := cfg.check()
+	if err != nil {
+		return nil, err
 	}
 	sh := uint(0)
 	for 1<<sh < cfg.LineB {
@@ -51,14 +76,24 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	return c, nil
 }
 
-// Clone returns an independent copy of the cache, state and counters alike.
-func (c *Cache) Clone() *Cache {
-	n := &Cache{}
-	*n = *c
-	n.tags = append([]uint64(nil), c.tags...)
-	n.valid = append([]bool(nil), c.valid...)
-	n.stamp = append([]uint64(nil), c.stamp...)
-	return n
+// cloneInto returns an independent copy of the cache, state and counters
+// alike. It reuses dst's arrays when they have c's length, and allocates
+// new ones otherwise (dst may be nil).
+func (c *Cache) cloneInto(dst *Cache) *Cache {
+	if dst == nil || len(dst.tags) != len(c.tags) {
+		dst = &Cache{
+			tags:  make([]uint64, len(c.tags)),
+			valid: make([]bool, len(c.valid)),
+			stamp: make([]uint64, len(c.stamp)),
+		}
+	}
+	tags, valid, stamp := dst.tags, dst.valid, dst.stamp
+	*dst = *c
+	dst.tags, dst.valid, dst.stamp = tags, valid, stamp
+	copy(dst.tags, c.tags)
+	copy(dst.valid, c.valid)
+	copy(dst.stamp, c.stamp)
+	return dst
 }
 
 // Access looks up addr, filling on miss, and reports whether it hit.
@@ -121,8 +156,28 @@ type Hierarchy struct {
 	l2  *Cache
 }
 
+// Validate checks every level's geometry and latency against the
+// constraints NewHierarchy enforces, ceilings included.
+func (cfg Config) Validate() error {
+	for _, c := range []CacheConfig{cfg.L1I, cfg.L1D, cfg.L2} {
+		if _, err := c.check(); err != nil {
+			return err
+		}
+	}
+	if cfg.MemLatency <= 0 {
+		return fmt.Errorf("mem: bad memory latency %d", cfg.MemLatency)
+	}
+	if cfg.MemLatency > MaxLatency {
+		return fmt.Errorf("mem: memory latency %d exceeds the ceiling %d", cfg.MemLatency, MaxLatency)
+	}
+	return nil
+}
+
 // NewHierarchy builds the hierarchy.
 func NewHierarchy(cfg Config) (*Hierarchy, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	l1i, err := NewCache(cfg.L1I)
 	if err != nil {
 		return nil, err
@@ -135,17 +190,32 @@ func NewHierarchy(cfg Config) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MemLatency <= 0 {
-		return nil, fmt.Errorf("mem: bad memory latency %d", cfg.MemLatency)
-	}
 	return &Hierarchy{cfg: cfg, l1i: l1i, l1d: l1d, l2: l2}, nil
 }
 
-// Clone returns an independent deep copy of the hierarchy — cache contents,
-// LRU state, and hit/miss counters — so a pre-warmed prototype can seed many
-// simulations.
-func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{cfg: h.cfg, l1i: h.l1i.Clone(), l1d: h.l1d.Clone(), l2: h.l2.Clone()}
+// CloneInto returns an independent deep copy of the hierarchy — cache
+// contents, LRU state, and hit/miss counters — so a pre-warmed prototype can
+// seed many simulations. The copy is made in dst, overwriting it, wherever
+// dst's caches have the same geometry as h's; other caches, or all of them
+// when dst is nil, are allocated afresh. Either way the result equals h.
+func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
+	if dst == nil {
+		dst = &Hierarchy{}
+	}
+	dst.cfg = h.cfg
+	dst.l1i = h.l1i.cloneInto(dst.l1i)
+	dst.l1d = h.l1d.cloneInto(dst.l1d)
+	dst.l2 = h.l2.cloneInto(dst.l2)
+	return dst
+}
+
+// Footprint is the number of bytes the hierarchy's cache arrays hold.
+func (h *Hierarchy) Footprint() int {
+	n := 0
+	for _, c := range []*Cache{h.l1i, h.l1d, h.l2} {
+		n += 8*len(c.tags) + len(c.valid) + 8*len(c.stamp)
+	}
+	return n
 }
 
 // AccessI returns the latency of an instruction fetch at addr.

@@ -117,6 +117,8 @@ type Pool struct {
 	breakers []*breaker    // per-backend circuit breakers, indexed like backends
 	healthy  []atomic.Bool // prober's last verdict per backend (starts true)
 
+	images imageMemo // the images of the programs sent most recently
+
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -354,7 +356,11 @@ func (p *Pool) SimulateFull(ctx context.Context, prog *isa.Program, cfg uarch.Co
 }
 
 func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*Result, error) {
-	w, err := encodeRequest(prog, cfg, p.opt.TimeoutMS, sp)
+	img, err := p.images.get(prog)
+	if err != nil {
+		return nil, err
+	}
+	w, err := img.request(cfg, p.opt.TimeoutMS, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -426,17 +432,36 @@ type wireRequest struct {
 // backend simulates the same bytes the caller would locally — iteration
 // calibration, braid compilation, and any local program surgery are all
 // already baked in — and gives every point of one program the same routing
-// key everywhere.
+// key everywhere. A Pool takes the image from its memo instead.
 func encodeRequest(prog *isa.Program, cfg uarch.Config, timeoutMS int64, sp uarch.Sampling) (*wireRequest, error) {
+	img, err := newProgramImage(prog)
+	if err != nil {
+		return nil, err
+	}
+	return img.request(cfg, timeoutMS, sp)
+}
+
+// programImage is a program's .brd image and the hex SHA-256 that names it.
+type programImage struct {
+	bytes  []byte
+	digest string
+}
+
+func newProgramImage(prog *isa.Program) (*programImage, error) {
 	var img bytes.Buffer
 	if err := isa.WriteImage(&img, prog); err != nil {
 		return nil, fmt.Errorf("remote: encoding %q: %w", prog.Name, err)
 	}
+	sum := sha256.Sum256(img.Bytes())
+	return &programImage{bytes: img.Bytes(), digest: hex.EncodeToString(sum[:])}, nil
+}
+
+// request is one point of the image's program, as encodeRequest describes.
+func (img *programImage) request(cfg uarch.Config, timeoutMS int64, sp uarch.Sampling) (*wireRequest, error) {
 	cfg.Inject = nil // process-local and json-excluded; never meaningful remotely
-	progSum := sha256.Sum256(img.Bytes())
 	noBraid := false // the image is final; the backend must not recompile it
 	req := service.SimRequest{
-		ImageSHA256: hex.EncodeToString(progSum[:]),
+		ImageSHA256: img.digest,
 		Config:      &cfg,
 		Braid:       &noBraid,
 		TimeoutMS:   timeoutMS,
@@ -448,7 +473,55 @@ func encodeRequest(prog *isa.Program, cfg uarch.Config, timeoutMS int64, sp uarc
 	if err != nil {
 		return nil, fmt.Errorf("remote: encoding request: %w", err)
 	}
-	return &wireRequest{req: req, body: body, image: img.Bytes()}, nil
+	return &wireRequest{req: req, body: body, image: img.bytes}, nil
+}
+
+// maxMemoImages bounds a Pool's image memo: a suite sweep sends 52
+// programs, and a long braidtune search sends the same few again and again.
+const maxMemoImages = 256
+
+// imageMemo keeps the images of the programs a Pool sent most recently,
+// keyed by program, so a sweep writes and hashes each program's image once
+// rather than once per point (fig13 sends 312 points of 52 programs). Like
+// uarch's replay cache it assumes a program does not change once simulated.
+// It holds at most maxMemoImages, dropping the oldest first: go 1.22 has no
+// weak pointers to tie an entry to its program's life.
+type imageMemo struct {
+	mu      sync.Mutex
+	entries map[*isa.Program]*memoEntry
+	order   []*isa.Program // oldest first
+	encodes atomic.Uint64  // images written and hashed
+}
+
+type memoEntry struct {
+	once sync.Once
+	img  *programImage
+	err  error
+}
+
+// get returns prog's image, writing it on first use; concurrent first uses
+// write it once.
+func (m *imageMemo) get(prog *isa.Program) (*programImage, error) {
+	m.mu.Lock()
+	e := m.entries[prog]
+	if e == nil {
+		if m.entries == nil {
+			m.entries = make(map[*isa.Program]*memoEntry)
+		}
+		if len(m.order) == maxMemoImages {
+			delete(m.entries, m.order[0])
+			m.order = m.order[1:]
+		}
+		e = &memoEntry{}
+		m.entries[prog] = e
+		m.order = append(m.order, prog)
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		e.img, e.err = newProgramImage(prog)
+		m.encodes.Add(1)
+	})
+	return e.img, e.err
 }
 
 // imageBody is the request with the image itself in place of its digest.

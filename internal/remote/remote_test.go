@@ -300,6 +300,43 @@ func TestProgramBuiltOnOneBackend(t *testing.T) {
 	if got := pool.Snapshot().ImageResends; got != resends {
 		t.Errorf("repeated points resent the image: %d -> %d", resends, got)
 	}
+	if n := pool.images.encodes.Load(); n != 1 {
+		t.Errorf("two sweeps of %d points of one program wrote its image %d times, want once", len(points), n)
+	}
+}
+
+// TestImageMemoBounded: the memo writes each program's image once while it
+// holds the program, and holds at most maxMemoImages programs, oldest
+// dropped first.
+func TestImageMemoBounded(t *testing.T) {
+	var m imageMemo
+	progs := make([]*isa.Program, maxMemoImages+10)
+	for i := range progs {
+		progs[i] = renamed(t, "dot", i)
+		want, err := newProgramImage(progs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 3; k++ {
+			img, err := m.get(progs[i])
+			if err != nil || img.digest != want.digest || !bytes.Equal(img.bytes, want.bytes) {
+				t.Fatalf("program %d: memo image differs from a fresh encoding (%v)", i, err)
+			}
+		}
+	}
+	if n := m.encodes.Load(); n != uint64(len(progs)) {
+		t.Errorf("%d programs, 3 gets each: %d encodes, want one per program", len(progs), n)
+	}
+	if len(m.entries) != maxMemoImages || len(m.order) != maxMemoImages {
+		t.Errorf("memo holds %d entries (%d in order), want %d", len(m.entries), len(m.order), maxMemoImages)
+	}
+	if _, ok := m.entries[progs[0]]; ok {
+		t.Error("the oldest program is still held")
+	}
+	m.get(progs[0])
+	if n := m.encodes.Load(); n != uint64(len(progs))+1 {
+		t.Errorf("a dropped program came back with %d encodes, want it written again", n)
+	}
 }
 
 // TestRetryHonors429: a shed backend with a Retry-After hint is retried (with

@@ -51,6 +51,9 @@ func FuzzBuild(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, seed := range oversizedConfigs() { // TestOversizedConfigsRejected
+		f.Add([]byte(seed))
+	}
 	asmReq, err := json.Marshal(SimRequest{Asm: countdownAsm(5), Core: "braid", Width: 4})
 	if err != nil {
 		f.Fatal(err)

@@ -525,6 +525,54 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// oversizedConfigs are request bodies whose configuration asks one run to
+// allocate more than a process can hold: a 64 GiB L2 (mem.NewCache sizes
+// three arrays by it), 2^30 schedulers or BEUs (newOOOCore's and
+// newBraidCore's arrays, and wakeMin), a 2^30-entry perceptron
+// (bpred.NewPerceptron), a 2^30-entry ROB, and a 2^40-cycle memory latency
+// (calSpan sizes the completion calendar past it). Without Config.Validate's
+// ceilings each builds, and its run dies of a fatal out-of-memory error.
+func oversizedConfigs() []string {
+	var bodies []string
+	for _, mut := range []func(*uarch.Config){
+		func(c *uarch.Config) { c.Mem.L2.SizeKB = 1 << 26 },
+		func(c *uarch.Config) { c.Schedulers = 1 << 30 },
+		func(c *uarch.Config) { c.PredEntries = 1 << 30 },
+		func(c *uarch.Config) { c.ROB = 1 << 30 },
+		func(c *uarch.Config) { c.Mem.MemLatency = 1 << 40 },
+		func(c *uarch.Config) { *c = uarch.BraidConfig(8); c.BEUs = 1 << 30 },
+	} {
+		cfg := uarch.OutOfOrderConfig(8)
+		mut(&cfg)
+		body, err := json.Marshal(SimRequest{Kernel: "dot", Config: &cfg})
+		if err != nil {
+			panic(err)
+		}
+		bodies = append(bodies, string(body))
+	}
+	return bodies
+}
+
+// TestOversizedConfigsRejected: a configuration past the ceilings is a 400
+// that allocates next to nothing, not a simulation that exhausts memory.
+func TestOversizedConfigsRejected(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Workers: 1}).Handler())
+	defer ts.Close()
+	for _, body := range oversizedConfigs() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, data := postJSON(t, ts.URL+"/v1/simulate", body)
+		runtime.ReadMemStats(&after)
+		var env errorEnvelope
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &env) != nil || env.Error.Kind != "bad_request" {
+			t.Errorf("status %d (%s), want 400 bad_request", resp.StatusCode, data)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Errorf("the request allocated %d KB, want under 4 MB", alloc>>10)
+		}
+	}
+}
+
 // TestBatch: a mixed batch returns per-item statuses in request order.
 func TestBatch(t *testing.T) {
 	svc := New(Config{Workers: 2})

@@ -162,10 +162,23 @@ type Config struct {
 	Inject *FaultPlan `json:"-"`
 }
 
+// Ceilings on what one configuration may ask of the simulator, with mem's
+// ceilings on the caches and on every latency. They sit far above every
+// machine in the repository — Table 4, braidtune's lattice, the ablations and
+// the sweeps use at most 32 per-cycle slots or units, 2,048 entries in one
+// structure and a 1,024-entry perceptron — and bound what one run can
+// allocate: the ROB and fetch-buffer records, the scheduler and BEU arrays,
+// the perceptron, the caches and the completion calendar.
+const (
+	maxWidth       = 256     // per-cycle widths and ports, functional units, unit counts
+	maxEntries     = 1 << 14 // entries in one structure, the fetch buffer included
+	maxPredEntries = 1 << 16 // perceptron weight-table entries
+)
+
 // Validate checks internal consistency. Random search (internal/explore),
 // braidd request decoding, and braidsim -config replay all call it, so a
 // mutated or hand-written configuration cannot construct a nonsense machine
-// that the engine would mis-simulate or hang on.
+// that the engine would mis-simulate or hang on, nor one too large to build.
 func (c *Config) Validate() error {
 	if c.Core < CoreInOrder || c.Core > CoreOutOfOrder {
 		return fmt.Errorf("uarch: unknown core kind %d", c.Core)
@@ -227,6 +240,69 @@ func (c *Config) Validate() error {
 		if c.Clusters > 1 && c.BEUs%c.Clusters != 0 {
 			return fmt.Errorf("uarch: %d BEUs do not divide into %d clusters", c.BEUs, c.Clusters)
 		}
+	}
+	return c.checkCeilings()
+}
+
+// checkCeilings applies the ceilings above to a configuration whose fields
+// are otherwise valid.
+func (c *Config) checkCeilings() error {
+	for _, f := range [...]struct {
+		name     string
+		val, max int
+	}{
+		{"fetch width", c.FetchWidth, maxWidth},
+		{"fetch branches", c.FetchBranches, maxWidth},
+		{"alloc width", c.AllocWidth, maxWidth},
+		{"rename sources", c.RenameSrc, maxWidth},
+		{"issue width", c.IssueWidth, maxWidth},
+		{"retire width", c.RetireWidth, maxWidth},
+		{"functional units", c.TotalFUs, maxWidth},
+		{"read ports", c.RFReadPorts, maxWidth},
+		{"write ports", c.RFWritePorts, maxWidth},
+		{"bypass values", c.BypassValues, maxWidth},
+		{"schedulers", c.Schedulers, maxWidth},
+		{"steering FIFOs", c.SteerFIFOs, maxWidth},
+		{"BEUs", c.BEUs, maxWidth},
+		{"BEU functional units", c.BEUFUs, maxWidth},
+		{"clusters", c.Clusters, maxWidth},
+		{"ROB entries", c.ROB, maxEntries},
+		{"register-file entries", c.RFEntries, maxEntries},
+		{"scheduler entries", c.SchedEntries, maxEntries},
+		{"steering FIFO depth", c.SteerFIFODeep, maxEntries},
+		{"BEU FIFO entries", c.BEUFIFO, maxEntries},
+		{"BEU window", c.BEUWindow, maxEntries},
+		{"predictor entries", c.PredEntries, maxPredEntries},
+		{"front-end depth", c.FrontDepth, mem.MaxLatency},
+		{"misprediction penalty", c.MispredictMin, mem.MaxLatency},
+		{"bypass levels", c.BypassLevels, mem.MaxLatency},
+		{"external wakeup delay", c.ExtWakeupExtra, mem.MaxLatency},
+		{"inter-cluster delay", c.InterClusterDelay, mem.MaxLatency},
+		{"integer ALU latency", c.LatIntALU, mem.MaxLatency},
+		{"integer multiply latency", c.LatIntMul, mem.MaxLatency},
+		{"integer divide latency", c.LatIntDiv, mem.MaxLatency},
+		{"FP add latency", c.LatFPAdd, mem.MaxLatency},
+		{"FP multiply latency", c.LatFPMul, mem.MaxLatency},
+		{"FP divide latency", c.LatFPDiv, mem.MaxLatency},
+		{"AGU latency", c.LatAGU, mem.MaxLatency},
+	} {
+		if f.val > f.max {
+			return fmt.Errorf("uarch: %s %d exceeds the ceiling %d", f.name, f.val, f.max)
+		}
+	}
+	// The fetch-to-dispatch buffer holds FetchWidth × (FrontDepth+4)
+	// instructions (newFrontend).
+	if n := c.FetchWidth * (c.FrontDepth + 4); n > maxEntries {
+		return fmt.Errorf("uarch: fetch buffer of %d instructions (fetch width %d, front-end depth %d) exceeds the ceiling %d",
+			n, c.FetchWidth, c.FrontDepth, maxEntries)
+	}
+	if err := c.Mem.Validate(); err != nil {
+		return fmt.Errorf("uarch: %w", err)
+	}
+	// The completion calendar spans the longest issue-to-completion
+	// latency, a load that misses to memory (calSpan).
+	if l := c.LatAGU + c.Mem.L1D.Latency + c.Mem.L2.Latency + c.Mem.MemLatency; l > mem.MaxLatency {
+		return fmt.Errorf("uarch: a load that misses to memory takes %d cycles, beyond the ceiling %d", l, mem.MaxLatency)
 	}
 	return nil
 }

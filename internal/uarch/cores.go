@@ -15,12 +15,18 @@ type oooCore struct {
 	freeSlots int // total unused scheduler entries (canAccept in O(1))
 }
 
-func newOOOCore(cfg *Config) *oooCore {
-	c := &oooCore{
-		cfg:       cfg,
-		scheds:    make([][]*dyn, cfg.Schedulers),
-		freeSlots: cfg.Schedulers * cfg.SchedEntries,
+// newOOOCore builds the core in old's memory when old is a recycled oooCore.
+func newOOOCore(cfg *Config, old core) *oooCore {
+	c, _ := old.(*oooCore)
+	if c == nil {
+		c = &oooCore{}
 	}
+	c.cfg = cfg
+	c.scheds = resized(c.scheds, cfg.Schedulers)
+	for i := range c.scheds {
+		c.scheds[i] = c.scheds[i][:0]
+	}
+	c.freeSlots = cfg.Schedulers * cfg.SchedEntries
 	return c
 }
 
@@ -111,8 +117,15 @@ type inOrderCore struct {
 	depth int
 }
 
-func newInOrderCore(cfg *Config) *inOrderCore {
-	return &inOrderCore{cfg: cfg, depth: 8 * cfg.IssueWidth}
+// newInOrderCore builds the core in old's memory when old is a recycled
+// inOrderCore.
+func newInOrderCore(cfg *Config, old core) *inOrderCore {
+	c, _ := old.(*inOrderCore)
+	if c == nil {
+		c = &inOrderCore{}
+	}
+	*c = inOrderCore{cfg: cfg, queue: dynRing{buf: c.queue.buf}, depth: 8 * cfg.IssueWidth}
+	return c
 }
 
 func (c *inOrderCore) canAccept(*dyn) bool { return c.queue.len() < c.depth }
@@ -159,8 +172,19 @@ type fifoHead struct {
 	d *dyn
 }
 
-func newDepSteerCore(cfg *Config) *depSteerCore {
-	return &depSteerCore{cfg: cfg, fifos: make([]dynRing, cfg.SteerFIFOs)}
+// newDepSteerCore builds the core in old's memory when old is a recycled
+// depSteerCore.
+func newDepSteerCore(cfg *Config, old core) *depSteerCore {
+	c, _ := old.(*depSteerCore)
+	if c == nil {
+		c = &depSteerCore{}
+	}
+	fifos := resized(c.fifos, cfg.SteerFIFOs)
+	for i := range fifos {
+		fifos[i] = dynRing{buf: fifos[i].buf}
+	}
+	*c = depSteerCore{cfg: cfg, fifos: fifos, heads: c.heads[:0]}
+	return c
 }
 
 // steerTarget applies Palacharla's heuristic: if the left source operand's
@@ -286,8 +310,19 @@ func (c *braidCore) setSerialized(on bool) {
 	}
 }
 
-func newBraidCore(cfg *Config) *braidCore {
-	return &braidCore{cfg: cfg, beus: make([]beu, cfg.BEUs), cur: -1, freeCnt: cfg.BEUs}
+// newBraidCore builds the core in old's memory when old is a recycled
+// braidCore.
+func newBraidCore(cfg *Config, old core) *braidCore {
+	c, _ := old.(*braidCore)
+	if c == nil {
+		c = &braidCore{}
+	}
+	beus := resized(c.beus, cfg.BEUs)
+	for i := range beus {
+		beus[i] = beu{fifo: beus[i].fifo[:0]}
+	}
+	*c = braidCore{cfg: cfg, beus: beus, cur: -1, freeCnt: cfg.BEUs}
+	return c
 }
 
 func (c *braidCore) freeBEU() int {

@@ -14,7 +14,7 @@ func mkdyn(seq uint64, braidStart bool) *dyn {
 
 func TestOOOSteeringLeastLoaded(t *testing.T) {
 	cfg := OutOfOrderConfig(8)
-	c := newOOOCore(&cfg)
+	c := newOOOCore(&cfg, nil)
 	// Fill scheduler 0 with two entries, others empty: next dispatch must
 	// avoid it.
 	c.scheds[0] = append(c.scheds[0], mkdyn(1, false), mkdyn(2, false))
@@ -29,7 +29,7 @@ func TestOOOCanAcceptFull(t *testing.T) {
 	cfg := OutOfOrderConfig(8)
 	cfg.Schedulers = 2
 	cfg.SchedEntries = 1
-	c := newOOOCore(&cfg)
+	c := newOOOCore(&cfg, nil)
 	c.dispatch(mkdyn(1, false))
 	c.dispatch(mkdyn(2, false))
 	if c.canAccept(mkdyn(3, false)) {
@@ -39,7 +39,7 @@ func TestOOOCanAcceptFull(t *testing.T) {
 
 func TestDepSteerFollowsProducer(t *testing.T) {
 	cfg := DepSteerConfig(8)
-	c := newDepSteerCore(&cfg)
+	c := newDepSteerCore(&cfg, nil)
 	prod := mkdyn(1, false)
 	c.dispatch(prod) // lands in an empty FIFO
 	cons := mkdyn(2, false)
@@ -63,7 +63,7 @@ func TestDepSteerFollowsProducer(t *testing.T) {
 func TestDepSteerStallsWhenNoFIFOFits(t *testing.T) {
 	cfg := DepSteerConfig(8)
 	cfg.SteerFIFOs = 2
-	c := newDepSteerCore(&cfg)
+	c := newDepSteerCore(&cfg, nil)
 	// Occupy both FIFOs with independent instructions.
 	c.dispatch(mkdyn(1, false))
 	c.dispatch(mkdyn(2, false))
@@ -84,7 +84,7 @@ func TestDepSteerStallsWhenNoFIFOFits(t *testing.T) {
 func TestBraidCoreDistribution(t *testing.T) {
 	cfg := BraidConfig(8)
 	cfg.BEUs = 2
-	c := newBraidCore(&cfg)
+	c := newBraidCore(&cfg, nil)
 
 	a1 := mkdyn(1, true)
 	a2 := mkdyn(2, false)
@@ -117,7 +117,7 @@ func TestBraidCoreDistribution(t *testing.T) {
 func TestBraidCoreFIFOCapacity(t *testing.T) {
 	cfg := BraidConfig(8)
 	cfg.BEUFIFO = 2
-	c := newBraidCore(&cfg)
+	c := newBraidCore(&cfg, nil)
 	c.dispatch(mkdyn(1, true))
 	c.dispatch(mkdyn(2, false))
 	if c.canAccept(mkdyn(3, false)) {

@@ -98,6 +98,11 @@ const dynArenaChunk = 256
 // their timestamps before anything reads them, and the memBytes/aliasClass
 // vs. exLat split is only read behind the isLoad/isStore flags that select
 // which of them buildDyn populated. The golden-stats test pins this contract.
+//
+// A chunk record gets the same reset: a recycled machine's chunks hold its
+// last run's records, retired or still in flight when that run stopped. Such
+// a record may also still count references (from owner slots, or from
+// consumers that never issued), which a free-list record never does.
 func (m *Machine) allocDyn() *dyn {
 	if n := len(m.freeDyns); n > 0 {
 		d := m.freeDyns[n-1]
@@ -106,20 +111,35 @@ func (m *Machine) allocDyn() *dyn {
 		return d
 	}
 	if len(m.dynChunk) == 0 {
-		chunk := make([]dyn, dynArenaChunk)
-		// Carve every record's initial consumer capacity from one backing
-		// array (full slice expressions keep the segments from bleeding into
-		// each other); append only allocates for high-fanout values, and the
-		// grown capacity is then retained across recycles.
-		backing := make([]*dyn, 4*dynArenaChunk)
-		for i := range chunk {
-			chunk[i].consumers = backing[4*i : 4*i : 4*i+4]
-		}
-		m.dynChunk = chunk
+		m.nextChunk()
 	}
 	d := &m.dynChunk[0]
 	m.dynChunk = m.dynChunk[1:]
+	d.reset()
+	d.refs = 0
 	return d
+}
+
+// nextChunk moves the arena to its next chunk: the next one a recycled
+// machine kept, or else a new one.
+func (m *Machine) nextChunk() {
+	if m.carved < len(m.chunks) {
+		m.dynChunk = m.chunks[m.carved]
+		m.carved++
+		return
+	}
+	chunk := make([]dyn, dynArenaChunk)
+	// Carve every record's initial consumer capacity from one backing
+	// array (full slice expressions keep the segments from bleeding into
+	// each other); append only allocates for high-fanout values, and the
+	// grown capacity is then retained across recycles.
+	backing := make([]*dyn, 4*dynArenaChunk)
+	for i := range chunk {
+		chunk[i].consumers = backing[4*i : 4*i : 4*i+4]
+	}
+	m.chunks = append(m.chunks, chunk)
+	m.dynChunk = chunk
+	m.carved++
 }
 
 // reset clears the fields whose zero value is load-bearing across recycles;

@@ -108,7 +108,9 @@ type Machine struct {
 
 	// dyn arena (see allocDyn): retired, unreferenced records recycle.
 	freeDyns []*dyn
-	dynChunk []dyn
+	dynChunk []dyn   // the uncarved rest of the current chunk
+	chunks   [][]dyn // every chunk, in carving order (a recycled machine carves them again)
+	carved   int     // how many of chunks the arena has moved on to
 
 	// wakeMin caches, per issue structure (out-of-order scheduler or BEU,
 	// indexed by dyn.sched), a lower bound on the earliest cycle any of its
@@ -166,39 +168,53 @@ func New(p *isa.Program, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	hier, err := warmHierarchy(p, cfg.Mem)
+	hier, err := warmHierarchy(p, cfg.Mem, nil)
 	if err != nil {
 		return nil, err
 	}
-	return newMachine(p, cfg, hier)
+	return newMachine(p, cfg, hier, nil)
 }
 
 // newMachine wires a machine around an already-built memory hierarchy; cfg
 // must be validated. Sampled simulation uses it to hand detailed measurement
 // intervals a functionally warmed hierarchy instead of the shared prototype.
-func newMachine(p *isa.Program, cfg Config, hier *mem.Hierarchy) (*Machine, error) {
-	m := &Machine{cfg: cfg, prog: p, hier: hier}
-	for c := range m.latTab {
-		m.latTab[c] = uint64(latencyClass(&cfg, isa.Class(c)))
+// shell, when not nil, is a recycled machine (pool.go) whose memory the new
+// one reuses.
+func newMachine(p *isa.Program, cfg Config, hier *mem.Hierarchy, shell *Machine) (*Machine, error) {
+	m := shell
+	if m == nil {
+		m = &Machine{}
 	}
-	m.fe = newFrontend(p, &cfg)
+	m.cfg, m.prog, m.hier = cfg, p, hier
+	for c := range m.latTab {
+		m.latTab[c] = uint64(latencyClass(&m.cfg, isa.Class(c)))
+	}
+	m.fe = newFrontend(p, &m.cfg, m.fe)
+	units := 0 // issue structures with a wakeMin entry
 	switch cfg.Core {
 	case CoreOutOfOrder:
-		m.cre = newOOOCore(&cfg)
+		m.cre = newOOOCore(&m.cfg, m.cre)
+		units = cfg.Schedulers
 	case CoreInOrder:
-		m.cre = newInOrderCore(&cfg)
+		m.cre = newInOrderCore(&m.cfg, m.cre)
 	case CoreDepSteer:
-		m.cre = newDepSteerCore(&cfg)
+		m.cre = newDepSteerCore(&m.cfg, m.cre)
 	case CoreBraid:
-		m.cre = newBraidCore(&cfg)
+		m.cre = newBraidCore(&m.cfg, m.cre)
+		units = cfg.BEUs
 	default:
 		return nil, fmt.Errorf("uarch: unknown core kind %d", cfg.Core)
 	}
-	switch cfg.Core {
-	case CoreOutOfOrder:
-		m.wakeMin = make([]uint64, cfg.Schedulers)
-	case CoreBraid:
-		m.wakeMin = make([]uint64, cfg.BEUs)
+	if units > 0 {
+		m.wakeMin = resized(m.wakeMin, units)
+		clear(m.wakeMin)
+	} else {
+		m.wakeMin = nil
+	}
+	if span := calSpan(&m.cfg); uint64(len(m.wbcal)) == span {
+		m.wbMask = span - 1 // a recycled calendar, its buckets empty
+	} else {
+		m.wbcal = nil // calPush sizes it
 	}
 	return m, nil
 }
@@ -908,11 +924,11 @@ func mayAlias(a, b *dyn) bool {
 
 // Simulate is the package's main entry point: run program p on cfg.
 func Simulate(p *isa.Program, cfg Config) (*Stats, error) {
-	m, err := New(p, cfg)
+	m, err := acquire(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return m.Run()
+	return m.release(m.Run()) // a panic propagates, and m is not recycled
 }
 
 // checkInvariants asserts per-cycle internal consistency; enabled by

@@ -121,11 +121,15 @@ func (m *Machine) RunChecked(ctx context.Context) (st *Stats, err error) {
 // program p on cfg under ctx, returning *SimFault for panics and errors
 // wrapping ErrTimeout/ErrCanceled for context failures.
 func SimulateChecked(ctx context.Context, p *isa.Program, cfg Config) (*Stats, error) {
-	m, err := New(p, cfg)
+	m, err := acquire(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return m.RunChecked(ctx)
+	st, err := m.RunChecked(ctx)
+	if _, fault := err.(*SimFault); fault {
+		return nil, err // a panic may have left m half updated: not recycled
+	}
+	return m.release(st, err)
 }
 
 // ---------------------------------------------------------------------------

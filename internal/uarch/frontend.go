@@ -49,19 +49,30 @@ func predGeometry(cfg *Config) predGeom {
 	return g
 }
 
-func newFrontend(p *isa.Program, cfg *Config) *frontend {
+// noTrace is every front end's trace until its first fetch grows the shared
+// one; nothing writes through a front end's trace pointer.
+var noTrace trace
+
+// newFrontend builds the front end in fe, a recycled one, or in a new one
+// when fe is nil.
+func newFrontend(p *isa.Program, cfg *Config, fe *frontend) *frontend {
+	if fe == nil {
+		fe = &frontend{}
+	}
 	e := replayFor(p)
-	return &frontend{
-		prog: p,
-		rep:  e,
-		meta: e.metaOf(p),
-		tr:   &trace{}, // the first fetch grows the shared trace
+	*fe = frontend{
+		prog:  p,
+		rep:   e,
+		meta:  e.metaOf(p),
+		tr:    &noTrace,
+		queue: dynRing{buf: fe.queue.buf},
 		// The fetch-to-dispatch buffer must cover the front end's
 		// bandwidth-delay product (instructions are in flight for
 		// FrontDepth cycles before dispatch) or it, rather than the
 		// modeled resources, becomes the IPC ceiling.
 		queueCap: cfg.FetchWidth * (cfg.FrontDepth + 4),
 	}
+	return fe
 }
 
 func instrAddr(idx int) uint64 { return textBase + uint64(idx)*8 }

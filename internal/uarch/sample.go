@@ -236,7 +236,7 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 		}
 	}()
 
-	hier, err := warmHierarchy(p, cfg.Mem)
+	hier, err := warmHierarchy(p, cfg.Mem, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -277,7 +277,7 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 				measured += u
 				cpis = append(cpis, float64(c)/float64(u))
 			}
-			accumulateMicro(&micro, ist)
+			accumulateMicro(&micro, &ist)
 			nextSample += sp.Period
 			continue
 		}
@@ -356,13 +356,23 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 // measured for the detail window. It returns the measured cycles and
 // instructions (zero if the program ended inside the warm-up) and the
 // machine's full interval stats for micro-counter scaling, and leaves the
-// warmer's cursor where fetch stopped.
-func runInterval(ctx context.Context, p *isa.Program, cfg Config, w *warmer, warmup, detail uint64) (cycles, instrs uint64, st *Stats, err error) {
+// warmer's cursor where fetch stopped. The machine comes from recycled
+// memory and goes back to it, without the hierarchy, which is the warmer's.
+func runInterval(ctx context.Context, p *isa.Program, cfg Config, w *warmer, warmup, detail uint64) (cycles, instrs uint64, st Stats, err error) {
 	cfg.Inject = nil // the fault injector targets the exact path only
-	m, err := newMachine(p, cfg, w.hier)
+	shell, _ := takeSpares(false)
+	m, err := newMachine(p, cfg, w.hier, shell)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, Stats{}, err
 	}
+	cycles, instrs, err = m.measure(ctx, w, warmup, detail)
+	st = m.stats
+	m.recycle(nil) // not reached if the run panicked
+	return cycles, instrs, st, err
+}
+
+// measure runs runInterval's machine from the warmer's cursor.
+func (m *Machine) measure(ctx context.Context, w *warmer, warmup, detail uint64) (cycles, instrs uint64, err error) {
 	m.fe.cur = w.cur
 
 	measureAt := warmup
@@ -373,13 +383,13 @@ func runInterval(ctx context.Context, p *isa.Program, cfg Config, w *warmer, war
 	var nextPoll uint64
 	for {
 		if m.cycle >= m.cfg.MaxCycles {
-			return 0, 0, nil, fmt.Errorf("uarch: %s on %q %w: %d cycles inside one sampled interval at instruction %d (fetched %d, retired %d — wedged machine or budget too small)",
-				m.cfg.Core, p.Name, ErrCycleLimit, m.cfg.MaxCycles, w.cur.pos, m.stats.Fetched, m.stats.Retired)
+			return 0, 0, fmt.Errorf("uarch: %s on %q %w: %d cycles inside one sampled interval at instruction %d (fetched %d, retired %d — wedged machine or budget too small)",
+				m.cfg.Core, m.prog.Name, ErrCycleLimit, m.cfg.MaxCycles, w.cur.pos, m.stats.Fetched, m.stats.Retired)
 		}
 		if done != nil && m.cycle >= nextPoll {
 			select {
 			case <-done:
-				return 0, 0, nil, m.ctxErr(ctx)
+				return 0, 0, m.ctxErr(ctx)
 			default:
 			}
 			nextPoll = m.cycle + ctxCheckInterval
@@ -399,9 +409,9 @@ func runInterval(ctx context.Context, p *isa.Program, cfg Config, w *warmer, war
 	w.cur = m.fe.cur
 	w.lastLine, w.haveLine = m.fe.lastLine, m.fe.haveLine
 	if !warmDone {
-		return 0, 0, &m.stats, nil
+		return 0, 0, nil
 	}
-	return m.cycle - warmCycles, m.stats.Retired - warmRetired, &m.stats, nil
+	return m.cycle - warmCycles, m.stats.Retired - warmRetired, nil
 }
 
 // accumulateMicro sums the interval machine's scalable micro counters.

@@ -73,7 +73,7 @@ func TestRetireWidthDefault(t *testing.T) {
 func TestBraidCanAcceptPure(t *testing.T) {
 	cfg := BraidConfig(8)
 	cfg.BEUs = 1
-	c := newBraidCore(&cfg)
+	c := newBraidCore(&cfg, nil)
 	c.dispatch(mkdyn(1, true)) // braid A starts on BEU 0
 	c.dispatch(mkdyn(2, false))
 	if !c.beus[0].open || !c.beus[0].busy {

@@ -40,6 +40,16 @@ func TestValidateRejections(t *testing.T) {
 		{"negative clusters", func(c *Config) { c.Clusters = -1 }, "clustering"},
 		{"negative cluster delay", func(c *Config) { c.Clusters = 2; c.InterClusterDelay = -4 }, "clustering"},
 		{"unknown core", func(c *Config) { c.Core = CoreKind(99) }, "core kind"},
+		// Ceilings: each of these would make one run allocate gigabytes.
+		{"64 GiB L2", func(c *Config) { c.Mem.L2.SizeKB = 1 << 26 }, "ceiling"},
+		{"1-byte lines", func(c *Config) { c.Mem.L2.LineB = 1 }, "ceiling"},
+		{"2^30 schedulers", func(c *Config) { c.Schedulers = 1 << 30 }, "ceiling"},
+		{"2^30-entry perceptron", func(c *Config) { c.PredEntries = 1 << 30 }, "ceiling"},
+		{"2^30-entry ROB", func(c *Config) { c.ROB = 1 << 30 }, "ceiling"},
+		{"2^40-cycle memory", func(c *Config) { c.Mem.MemLatency = 1 << 40 }, "ceiling"},
+		{"2^30-cycle divide", func(c *Config) { c.LatIntDiv = 1 << 30 }, "ceiling"},
+		{"deep fetch buffer", func(c *Config) { c.FetchWidth, c.FrontDepth, c.MispredictMin = 256, 1000, 1002 }, "ceiling"},
+		{"slow load path", func(c *Config) { c.LatAGU, c.Mem.L2.Latency, c.Mem.MemLatency = 1<<17, 1<<16, 1<<17 }, "ceiling"},
 	}
 	for _, tc := range cases {
 		cfg := OutOfOrderConfig(8)
