@@ -39,54 +39,27 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/debug"
-	"strings"
 	"syscall"
 	"time"
 
 	"braid/internal/experiments"
-	"braid/internal/remote"
+	"braid/internal/sweepflags"
 	"braid/internal/uarch"
 )
 
 func main() {
-	// Batch tool: trade heap headroom for fewer GC cycles. Simulation runs
-	// reuse one another's memory (uarch's run recycling), so most garbage is
-	// suite-preparation churn — workload generation, braid compilation,
-	// pre-execution; collecting it lazily shaves wall-clock without touching
-	// output.
-	debug.SetGCPercent(400)
-
 	var (
 		expID      = flag.String("exp", "", "run a single experiment (see -list)")
-		dyn        = flag.Uint64("dyn", 30000, "dynamic instructions per benchmark")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations (0: one per processor)")
 		md         = flag.Bool("md", false, "emit markdown instead of text tables")
 		csv        = flag.Bool("csv", false, "emit comma-separated values instead of text tables")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		ablations  = flag.Bool("ablations", false, "run the ablation studies instead of the paper artifacts")
 		complexity = flag.Bool("complexity", false, "print the §5.1 structure-complexity comparison and exit")
 		throughput = flag.Bool("throughput", false, "append a JSON simulator-throughput summary to stdout")
-		checkpoint = flag.String("checkpoint", "", "append completed simulations to this JSONL file")
-		resume     = flag.Bool("resume", false, "reload finished points from -checkpoint before running")
-		crashDir   = flag.String("crashdir", "crashes", "directory for simulator-fault repro artifacts")
-		simTimeout = flag.Duration("sim-timeout", 0, "wall-clock budget per simulation (0: none)")
-		remoteList = flag.String("remote", "", "comma-separated braidd base URLs; simulations run on these backends")
-		hedge      = flag.Bool("hedge", false, "hedge slow remote requests onto a second backend (needs -remote)")
-		remoteVer  = flag.Int("remote-verify", 0, "cross-check sampled remote results against local simulation, ~1 in N points (needs -remote; 0: off)")
-		fallback   = flag.String("fallback", "fail", "when every backend attempt fails: 'local' simulates in-process, 'fail' contains the point (needs -remote)")
-		probe      = flag.Duration("probe", 0, "background health-probe interval; ejects dead backends and reintegrates recovered ones (needs -remote; 0: off)")
-		sample     = flag.String("sample", "", "interval sampling geometry period:detail[:warmup]; empty runs exact")
 		accuracy   = flag.String("sampling-accuracy", "", "write an exact-vs-sampled suite accuracy report (JSON) to this file and exit")
+		suite      = sweepflags.AddSuite(flag.CommandLine)
 	)
 	flag.Parse()
-
-	sampling, err := uarch.ParseSampling(*sample)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
-		os.Exit(1)
-	}
 
 	if *complexity {
 		fmt.Print(uarch.ComplexityReport(8))
@@ -111,8 +84,7 @@ func main() {
 			e, ok = experiments.AblationByID(*expID)
 		}
 		if !ok {
-			fmt.Fprintf(os.Stderr, "braidbench: unknown experiment %q (try -list)\n", *expID)
-			os.Exit(1)
+			sweepflags.Fatal("braidbench", fmt.Errorf("unknown experiment %q (try -list)", *expID))
 		}
 		todo = []experiments.Experiment{e}
 	case *ablations:
@@ -128,73 +100,26 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	fmt.Fprintf(os.Stderr, "braidbench: preparing 26-benchmark suite (~%d dynamic instructions each, %d workers)\n",
-		*dyn, *jobs)
-	w, err := experiments.LoadSuiteCtx(ctx, *dyn, *jobs)
+	sw, err := suite.Load(ctx, "braidbench")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
-		os.Exit(1)
+		sweepflags.Fatal("braidbench", err)
 	}
-	w.SetTimeout(*simTimeout)
-	w.SetCrashDir(*crashDir)
-	if sampling.Enabled() {
-		w.SetSampling(sampling)
-		fmt.Fprintf(os.Stderr, "braidbench: interval sampling %s (IPC values are estimates)\n", sampling)
-	}
+	w := sw.Workloads
 
 	if *accuracy != "" {
-		sp := sampling
+		sp := w.Sampling()
 		if !sp.Enabled() {
 			// The harness default: geometry tuned so million-instruction
 			// benchmarks land under 2% error at >5x suite speedup.
 			sp = uarch.Sampling{Period: 100_000, Detail: 5_000, Warmup: 5_000}
 		}
 		if err := writeAccuracyReport(ctx, w, sp, *accuracy); err != nil {
-			fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
-			os.Exit(1)
+			sweepflags.Fatal("braidbench", err)
 		}
 		return
 	}
-	var pool *remote.Pool
-	if *remoteList != "" {
-		fb, perr := remote.ParseFallback(*fallback)
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "braidbench: %v\n", perr)
-			os.Exit(1)
-		}
-		pool, perr = remote.NewPool(remote.Options{
-			Backends:    strings.Split(*remoteList, ","),
-			Hedge:       *hedge,
-			VerifyEvery: *remoteVer,
-			TimeoutMS:   simTimeout.Milliseconds(),
-			Fallback:    fb,
-		})
-		if perr == nil {
-			var down []string
-			if down, perr = pool.Ping(ctx); len(down) > 0 {
-				fmt.Fprintf(os.Stderr, "braidbench: unreachable backends (will fail over): %s\n", strings.Join(down, ","))
-			}
-		}
-		if perr != nil {
-			fmt.Fprintf(os.Stderr, "braidbench: %v\n", perr)
-			os.Exit(1)
-		}
-		if *probe > 0 {
-			stop := pool.StartProber(ctx, *probe)
-			defer stop()
-		}
-		w.SetRunner(pool)
-		fmt.Fprintf(os.Stderr, "braidbench: remote execution over %d backend(s)\n", len(pool.Backends()))
-	}
-	if *checkpoint != "" {
-		restored, err := w.OpenCheckpoint(*checkpoint, *resume)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *resume {
-			fmt.Fprintf(os.Stderr, "braidbench: resumed %d finished simulations from %s\n", restored, *checkpoint)
-		}
+	if err := sw.Attach(ctx); err != nil {
+		sweepflags.Fatal("braidbench", err)
 	}
 	fmt.Fprintf(os.Stderr, "braidbench: suite ready in %v\n", time.Since(start).Round(time.Millisecond))
 
@@ -204,13 +129,7 @@ func main() {
 		res, err := e.Run(w)
 		switch {
 		case errors.Is(err, uarch.ErrCanceled):
-			fmt.Fprintf(os.Stderr, "braidbench: interrupted during %s", e.ID)
-			if *checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "; rerun with -checkpoint %s -resume to continue", *checkpoint)
-			}
-			fmt.Fprintln(os.Stderr)
-			w.CloseCheckpoint()
-			os.Exit(130)
+			sw.Fatal(err, e.ID)
 		case err != nil:
 			// A non-contained failure kills this experiment but not the
 			// rest of the run: later experiments may still be computable.
@@ -228,16 +147,10 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "braidbench: %s done in %v\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
-	if failures := w.Failures(); len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "braidbench: %d design points failed and were skipped:\n", len(failures))
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "braidbench:   %s\n", f)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "braidbench: %d experiments, %d simulations, %v total\n",
-		len(todo), w.SimRuns(), time.Since(start).Round(time.Millisecond))
-	if pool != nil {
-		fmt.Fprintf(os.Stderr, "braidbench: remote pool: %s\n", pool)
+	if err := sw.Finish("design points failed and were skipped:", fmt.Sprintf("%d experiments, %d simulations, %v total",
+		len(todo), w.SimRuns(), time.Since(start).Round(time.Millisecond))); err != nil {
+		fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
+		exit = 1
 	}
 
 	if *throughput {
@@ -267,7 +180,7 @@ func main() {
 			Seconds:       secs,
 			MIPS:          float64(w.SimDetailedInstrs()) / secs / 1e6,
 			EffectiveMIPS: float64(w.SimInstrs()) / secs / 1e6,
-			Jobs:          *jobs,
+			Jobs:          suite.Jobs,
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -275,10 +188,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
 			exit = 1
 		}
-	}
-	if err := w.CloseCheckpoint(); err != nil {
-		fmt.Fprintf(os.Stderr, "braidbench: %v\n", err)
-		exit = 1
 	}
 	if exit != 0 {
 		os.Exit(exit)

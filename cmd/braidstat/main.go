@@ -42,7 +42,7 @@ import (
 	"braid/internal/interp"
 	"braid/internal/isa"
 	"braid/internal/journal"
-	"braid/internal/remote"
+	"braid/internal/sweepflags"
 	"braid/internal/uarch"
 	"braid/internal/workload"
 )
@@ -58,13 +58,9 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "append finished suite reports to this JSONL file")
 		resume     = flag.Bool("resume", false, "reload finished reports from -checkpoint before running")
 		ipc        = flag.Bool("ipc", false, "append simulated IPC (8-wide o-o-o and braid) to each report; ignored with -values")
-		remoteList = flag.String("remote", "", "comma-separated braidd base URLs; -ipc simulations run on these backends")
-		hedge      = flag.Bool("hedge", false, "hedge slow remote requests onto a second backend (needs -remote)")
-		remoteVer  = flag.Int("remote-verify", 0, "cross-check sampled remote results against local simulation, ~1 in N (needs -remote; 0: off)")
-		fallback   = flag.String("fallback", "fail", "when every backend attempt fails: 'local' simulates in-process, 'fail' reports the error (needs -remote)")
-		probe      = flag.Duration("probe", 0, "background health-probe interval for the remote pool (needs -remote; 0: off)")
 		sample     = flag.String("sample", "", "interval sampling geometry period:detail[:warmup] for -ipc simulations; empty runs exact")
 		complexity = flag.Bool("complexity", false, "append each machine's hardware-cost estimate to the -ipc section (needs -ipc)")
+		fleet      = sweepflags.AddFleet(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -82,30 +78,11 @@ func main() {
 	var run experiments.Runner
 	if *ipc && !*values {
 		run = experiments.LocalRunner{}
-		if *remoteList != "" {
-			fb, err := remote.ParseFallback(*fallback)
-			if err != nil {
-				fatal(err)
-			}
-			pool, err := remote.NewPool(remote.Options{
-				Backends:    strings.Split(*remoteList, ","),
-				Hedge:       *hedge,
-				VerifyEvery: *remoteVer,
-				Fallback:    fb,
-			})
-			if err == nil {
-				var down []string
-				if down, err = pool.Ping(ctx); len(down) > 0 {
-					fmt.Fprintf(os.Stderr, "braidstat: unreachable backends (will fail over): %s\n", strings.Join(down, ","))
-				}
-			}
-			if err != nil {
-				fatal(err)
-			}
-			if *probe > 0 {
-				stopProbe := pool.StartProber(ctx, *probe)
-				defer stopProbe()
-			}
+		pool, err := fleet.Connect(ctx, "braidstat", 0)
+		if err != nil {
+			fatal(err)
+		}
+		if pool != nil {
 			run = pool
 			defer func() { fmt.Fprintf(os.Stderr, "braidstat: remote pool: %s\n", pool) }()
 		}
@@ -350,7 +327,4 @@ func ciSuffix(est *uarch.SampleEstimate) string {
 	return fmt.Sprintf("±%.1f%%", est.IPCRelCI*100)
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "braidstat: %v\n", err)
-	os.Exit(1)
-}
+func fatal(err error) { sweepflags.Fatal("braidstat", err) }

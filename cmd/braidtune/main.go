@@ -33,54 +33,32 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
 
 	"braid/internal/experiments"
 	"braid/internal/explore"
-	"braid/internal/remote"
+	"braid/internal/sweepflags"
 	"braid/internal/uarch"
 )
 
 func main() {
-	// As in braidbench: simulation runs reuse one another's memory, so most
-	// garbage is suite preparation, and collecting it lazily saves time.
-	debug.SetGCPercent(400)
-
 	var (
-		seed       = flag.Int64("seed", 1, "search RNG seed; the determinism contract is per seed")
-		pop        = flag.Int("pop", 16, "population size")
-		budget     = flag.Int("budget", 96, "unique design points to simulate before stopping")
-		dyn        = flag.Uint64("dyn", 30000, "dynamic instructions per benchmark")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations (0: one per processor)")
-		workloads  = flag.String("workloads", "", "comma-separated benchmark subset (empty: whole suite)")
-		sample     = flag.String("sample", "", "interval sampling geometry period:detail[:warmup]; empty runs exact")
-		checkpoint = flag.String("checkpoint", "", "append every completed simulation to this JSONL file")
-		resume     = flag.Bool("resume", false, "reload finished simulations from -checkpoint before searching")
-		frontOut   = flag.String("front", "", "write the final front as JSON to this file ('-': stdout)")
-		crashDir   = flag.String("crashdir", "crashes", "directory for simulator-fault repro artifacts")
-		simTimeout = flag.Duration("sim-timeout", 0, "wall-clock budget per simulation (0: none)")
-		remoteList = flag.String("remote", "", "comma-separated braidd base URLs; simulations run on these backends")
-		hedge      = flag.Bool("hedge", false, "hedge slow remote requests onto a second backend (needs -remote)")
-		fallback   = flag.String("fallback", "fail", "when every backend attempt fails: 'local' simulates in-process, 'fail' contains the point (needs -remote)")
-		probe      = flag.Duration("probe", 0, "background health-probe interval for -remote backends (0: off)")
-		inject     = flag.Int("inject-fault", 0, "arm the Nth unique evaluation with a pipeline fault (CI containment check; 0: off)")
+		seed      = flag.Int64("seed", 1, "search RNG seed; the determinism contract is per seed")
+		pop       = flag.Int("pop", 16, "population size")
+		budget    = flag.Int("budget", 96, "unique design points to simulate before stopping")
+		workloads = flag.String("workloads", "", "comma-separated benchmark subset (empty: whole suite)")
+		frontOut  = flag.String("front", "", "write the final front as JSON to this file ('-': stdout)")
+		inject    = flag.Int("inject-fault", 0, "arm the Nth unique evaluation with a pipeline fault (CI containment check; 0: off)")
+		suite     = sweepflags.AddSuite(flag.CommandLine)
 	)
 	flag.Parse()
-
-	sampling, err := uarch.ParseSampling(*sample)
-	if err != nil {
-		fatal(err)
-	}
 
 	var names []string
 	if *workloads != "" {
@@ -91,104 +69,45 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	fmt.Fprintf(os.Stderr, "braidtune: preparing suite (~%d dynamic instructions each, %d workers)\n", *dyn, *jobs)
-	w, err := experiments.LoadSuiteCtx(ctx, *dyn, *jobs)
+	sw, err := suite.Load(ctx, "braidtune")
 	if err != nil {
-		fatal(err)
+		sweepflags.Fatal("braidtune", err)
 	}
-	w.SetTimeout(*simTimeout)
-	w.SetCrashDir(*crashDir)
-	if sampling.Enabled() {
-		w.SetSampling(sampling)
-		fmt.Fprintf(os.Stderr, "braidtune: interval sampling %s (IPC values are estimates)\n", sampling)
-	}
+	w := sw.Workloads
+	// Checked before Attach, which truncates a -checkpoint journal.
 	benches, err := explore.SelectBenches(w, names)
 	if err != nil {
-		fatal(err)
+		sweepflags.Fatal("braidtune", err)
 	}
-
-	var pool *remote.Pool
-	if *remoteList != "" {
-		fb, perr := remote.ParseFallback(*fallback)
-		if perr != nil {
-			fatal(perr)
-		}
-		pool, perr = remote.NewPool(remote.Options{
-			Backends:  strings.Split(*remoteList, ","),
-			Hedge:     *hedge,
-			TimeoutMS: simTimeout.Milliseconds(),
-			Fallback:  fb,
-		})
-		if perr == nil {
-			var down []string
-			if down, perr = pool.Ping(ctx); len(down) > 0 {
-				fmt.Fprintf(os.Stderr, "braidtune: unreachable backends (will fail over): %s\n", strings.Join(down, ","))
-			}
-		}
-		if perr != nil {
-			fatal(perr)
-		}
-		if *probe > 0 {
-			stopProbe := pool.StartProber(ctx, *probe)
-			defer stopProbe()
-		}
-		w.SetRunner(pool)
-		fmt.Fprintf(os.Stderr, "braidtune: remote execution over %d backend(s)\n", len(pool.Backends()))
+	if err := sw.Attach(ctx); err != nil {
+		sweepflags.Fatal("braidtune", err)
 	}
+	fmt.Fprintf(os.Stderr, "braidtune: suite ready in %v; searching (%d workloads, pop %d, budget %d, seed %d)\n",
+		time.Since(start).Round(time.Millisecond), len(benches), *pop, *budget, *seed)
 
-	opt := explore.Options{
+	res, err := explore.Search(ctx, w, benches, explore.Options{
 		Seed:          *seed,
 		Pop:           *pop,
 		Budget:        *budget,
 		InjectFaultAt: *inject,
 		Log:           os.Stderr,
-	}
-
-	if *checkpoint != "" {
-		restored, err := w.OpenCheckpoint(*checkpoint, *resume)
-		if err != nil {
-			fatal(err)
-		}
-		if *resume {
-			fmt.Fprintf(os.Stderr, "braidtune: resumed %d finished simulations from %s\n", restored, *checkpoint)
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "braidtune: suite ready in %v; searching (%d workloads, pop %d, budget %d, seed %d)\n",
-		time.Since(start).Round(time.Millisecond), len(benches), *pop, *budget, *seed)
-
-	res, err := explore.Search(ctx, w, benches, opt)
+	})
 	if err != nil {
-		if errors.Is(err, uarch.ErrCanceled) || errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "braidtune: interrupted")
-			if *checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "; rerun with -checkpoint %s -resume to continue", *checkpoint)
-			}
-			fmt.Fprintln(os.Stderr)
-			w.CloseCheckpoint()
-			os.Exit(130)
-		}
-		fatal(err)
+		sw.Fatal(err, "")
 	}
 
 	report(w, benches, res)
 	if *frontOut != "" {
-		if err := writeFront(w, benches, res, *seed, *pop, *budget, names, sampling, *dyn, *frontOut); err != nil {
-			fatal(err)
+		if err := writeFront(w, benches, res, *seed, *pop, *budget, names, suite.Dyn, *frontOut); err != nil {
+			sweepflags.Fatal("braidtune", err)
 		}
 	}
-	// Closed only now, so the reference machines' points are journaled too.
-	if err := w.CloseCheckpoint(); err != nil {
-		fatal(err)
+	// Finished only now, so the reference machines' points are journaled too.
+	if err := sw.Finish("simulations failed and were contained (their configs scored infeasible):",
+		fmt.Sprintf("%d generations, %d design points, %d simulations, front digest %s, %v total",
+			res.Generations, res.Evaluations, w.SimRuns(), res.Digest[:12], time.Since(start).Round(time.Millisecond))); err != nil {
+		sweepflags.Fatal("braidtune", err)
 	}
-	if failures := w.Failures(); len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "braidtune: %d simulations failed and were contained (their configs scored infeasible):\n", len(failures))
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "braidtune:   %s\n", f)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "braidtune: %d generations, %d design points, %d simulations, front digest %s, %v total\n",
-		res.Generations, res.Evaluations, w.SimRuns(), res.Digest[:12], time.Since(start).Round(time.Millisecond))
 }
 
 // report prints the front as a text table with the two reference machines
@@ -260,12 +179,12 @@ type frontEntry struct {
 }
 
 func writeFront(w *experiments.Workloads, benches []*experiments.Bench, res *explore.Result,
-	seed int64, pop, budget int, names []string, sampling uarch.Sampling, dyn uint64, path string) error {
+	seed int64, pop, budget int, names []string, dyn uint64, path string) error {
 	ff := frontFile{
 		Meta: explore.Meta{
 			Lattice: explore.LatticeVersion,
 			Seed:    seed, Pop: pop, Budget: budget,
-			Workloads: names, Sampling: samplingKey(sampling), DynTarget: dyn,
+			Workloads: names, Sampling: samplingKey(w.Sampling()), DynTarget: dyn,
 		},
 		Generations: res.Generations,
 		Evaluations: res.Evaluations,
@@ -295,15 +214,4 @@ func samplingKey(sp uarch.Sampling) string {
 		return ""
 	}
 	return sp.String()
-}
-
-// fatal reports err and exits: 130 for cancellation (Ctrl-C can land during
-// suite preparation, before the search loop's own interrupt handling), 1 for
-// everything else.
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "braidtune: %v\n", err)
-	if errors.Is(err, uarch.ErrCanceled) || errors.Is(err, context.Canceled) {
-		os.Exit(130)
-	}
-	os.Exit(1)
 }

@@ -293,30 +293,23 @@ func (p *Pool) String() string {
 	return b.String()
 }
 
-// Ping requires at least one live backend, so a sweep pointed at a dead
-// fleet fails before suite preparation rather than after. Unreachable
-// backends are tolerated (points fail over around them) and reported.
+// Ping requires one live backend on /healthz (5 s each), so a sweep pointed
+// at a dead fleet fails before its first point. Unreachable backends are
+// tolerated (points fail over around them) and reported. A Ping cut short
+// by ctx fails with uarch.ErrCanceled (ErrTimeout past a deadline).
 func (p *Pool) Ping(ctx context.Context) (down []string, err error) {
 	up := 0
-	for _, b := range p.backends {
-		rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		req, rerr := http.NewRequestWithContext(rctx, http.MethodGet, b+"/healthz", nil)
-		if rerr == nil {
-			var resp *http.Response
-			if resp, rerr = p.client.Do(req); rerr == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					rerr = fmt.Errorf("healthz status %d", resp.StatusCode)
-				}
-			}
-		}
-		cancel()
-		if rerr != nil {
+	for i, b := range p.backends {
+		hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		if _, herr := p.checkHealthz(hctx, i); herr != nil {
 			down = append(down, b)
 		} else {
 			up++
 		}
+		cancel()
+	}
+	if ctx.Err() != nil {
+		return nil, fmt.Errorf("remote: ping: %w", ctxSentinel(ctx))
 	}
 	if up == 0 {
 		return down, fmt.Errorf("remote: no live backend among %s", strings.Join(p.backends, ","))
@@ -537,8 +530,9 @@ func (w *wireRequest) imageBody() ([]byte, error) {
 
 // runHedged races the normal attempt chain against a second chain started on
 // the next-ranked backend once the first has been in flight longer than the
-// pool's observed p95 latency. Identical concurrent requests coalesce on the
-// server, so even a same-backend hedge costs a queue slot, not a simulation.
+// pool's observed p95 latency. That backend does not own the program, so a
+// hedge usually costs an unknown_program round trip, an image resend, a
+// program build and a second simulation there (DESIGN.md §9 measures it).
 func (p *Pool) runHedged(ctx context.Context, w *wireRequest, cands []int) (*Result, error) {
 	// Each side gets its own cancelable context so the losing request is
 	// torn down the moment the other side wins — not when this function

@@ -502,6 +502,12 @@ func TestAllBackendsDownIsTransient(t *testing.T) {
 	if _, err := pool.Ping(context.Background()); err == nil {
 		t.Error("Ping succeeded against a dead fleet")
 	}
+	// An interrupt is not a dead fleet: the CLIs exit 130 on ErrCanceled.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := pool.Ping(canceled); !errors.Is(err, uarch.ErrCanceled) {
+		t.Errorf("Ping under a canceled context: %v, want ErrCanceled", err)
+	}
 }
 
 // TestHedgeWinsOnStraggler: a point owned by a stalled backend is answered by
