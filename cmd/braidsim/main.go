@@ -106,12 +106,9 @@ func main() {
 		cfg.Mem.Perfect = *perfectMem
 	}
 
-	m, err := uarch.New(p, cfg)
-	if err != nil {
-		fatal(err)
-	}
+	logs := &pipelineLogs{prog: p}
 	if *trace > 0 {
-		m.SetTrace(os.Stdout, *trace)
+		logs.startTrace(os.Stdout, *trace)
 	}
 	if *konata != "" {
 		f, err := os.Create(*konata)
@@ -119,9 +116,11 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		m.SetKonata(f, 100000)
+		logs.startKonata(f, 100000)
 	}
-	st, err := m.RunChecked(ctx)
+	st, err := uarch.SimulateObserved(ctx, p, cfg, logs.observer())
+	// The logs go out even after a failed run: they show how it got there.
+	logErr := logs.flush()
 	if err != nil {
 		var sf *uarch.SimFault
 		switch {
@@ -142,6 +141,9 @@ func main() {
 			os.Exit(130)
 		}
 		fatal(err)
+	}
+	if logErr != nil {
+		fatal(logErr)
 	}
 	fmt.Printf("core            %s, %d-wide\n", cfg.Core, cfg.IssueWidth)
 	fmt.Printf("cycles          %d\n", st.Cycles)

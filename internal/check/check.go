@@ -7,8 +7,8 @@
 //     exactly the dynamic instruction stream the architectural interpreter
 //     produces — same order, same branch outcomes, same memory addresses
 //     and widths, same final register file and memory image, same
-//     architectural counts. The uarch retire hook exposes the engine's
-//     stream; interp.Stream is the reference half.
+//     architectural counts. A retire observer on uarch.SimulateObserved
+//     sees the engine's stream; interp.Stream is the reference half.
 //
 //   - Compiler equivalence (this file): braiding a program must preserve
 //     its observable behavior — final memory image, the ordered per-byte
@@ -148,9 +148,9 @@ func Program(ctx context.Context, name string, p *isa.Program, opts Options) []F
 	return out
 }
 
-// lockstepState carries the retire-hook comparison state of one lockstep
-// run: the reference stream, the first divergence, and the per-event
-// counters cross-checked against Stats after the run.
+// lockstepState carries the comparison state of one lockstep run: the
+// reference stream, the first divergence, and the per-event counters
+// cross-checked against Stats after the run.
 type lockstepState struct {
 	st *interp.Stream
 	f  *Finding
@@ -158,11 +158,11 @@ type lockstepState struct {
 	retired, loads, stores, condBr uint64
 }
 
-// attachLockstep wires the per-retire comparison hook onto m, checking the
-// engine's retire stream against a reference interpretation of refProg.
-// Production callers pass the engine's own program as refProg; tests pass
-// a deliberately different one to prove the oracle fires.
-func attachLockstep(m *uarch.Machine, name string, refProg *isa.Program, cfg uarch.Config, maxSteps uint64) *lockstepState {
+// newLockstep returns the lockstep state and the retire observer that checks
+// the engine's retire stream against a reference interpretation of refProg.
+// Production callers pass the engine's own program as refProg; tests pass a
+// deliberately different one to prove the oracle fires.
+func newLockstep(name string, refProg *isa.Program, cfg uarch.Config, maxSteps uint64) (*lockstepState, func(uarch.RetireEvent)) {
 	coreDesc := fmt.Sprintf("%s/w%d", cfg.Core, cfg.IssueWidth)
 	ls := &lockstepState{st: interp.NewStream(refProg, maxSteps)}
 	fail := func(ev uarch.RetireEvent, format string, args ...any) {
@@ -174,7 +174,7 @@ func attachLockstep(m *uarch.Machine, name string, refProg *isa.Program, cfg uar
 				Prog: refProg, Cfg: &c}
 		}
 	}
-	m.SetRetireHook(func(ev uarch.RetireEvent) {
+	return ls, func(ev uarch.RetireEvent) {
 		ls.retired++
 		if ev.IsLoad {
 			ls.loads++
@@ -219,11 +219,10 @@ func attachLockstep(m *uarch.Machine, name string, refProg *isa.Program, cfg uar
 			fail(ev, "%s width %d bytes, interpreter used %d", in, ev.MemBytes, si.MemBytes)
 			return
 		}
-	})
-	return ls
+	}
 }
 
-// Lockstep simulates p under cfg with the retire hook attached and steps a
+// Lockstep simulates p under cfg with a retire observer that steps a
 // reference interpreter in lockstep, comparing every retired instruction:
 // static index, branch outcome, memory address, access width, and
 // instruction classification. After the run it checks the engine retired
@@ -237,17 +236,12 @@ func Lockstep(ctx context.Context, name string, p *isa.Program, cfg uarch.Config
 		return &Finding{Kind: kind, Program: name, Core: coreDesc, Detail: detail, Prog: p, Cfg: &c}
 	}
 
-	m, err := uarch.New(p, cfg)
-	if err != nil {
-		return mkFinding("error", fmt.Sprintf("uarch.New: %v", err))
-	}
-	ls := attachLockstep(m, name, p, cfg, maxSteps)
-
-	// RunChecked contains engine panics as *SimFault errors: shrinking
-	// hands the engine structurally valid but semantically arbitrary
-	// programs, and a panicking candidate must surface as an "error"
-	// finding, not kill the whole checking run.
-	stats, err := m.RunChecked(ctx)
+	// SimulateObserved contains engine panics as *SimFault errors:
+	// shrinking hands the engine structurally valid but semantically
+	// arbitrary programs, and a panicking candidate must surface as an
+	// "error" finding, not kill the whole checking run.
+	ls, observe := newLockstep(name, p, cfg, maxSteps)
+	stats, err := uarch.SimulateObserved(ctx, p, cfg, observe)
 	if err != nil {
 		return mkFinding("error", fmt.Sprintf("uarch run: %v", err))
 	}
@@ -263,7 +257,7 @@ func Lockstep(ctx context.Context, name string, p *isa.Program, cfg uarch.Config
 	}
 	if stats.Retired != ls.retired {
 		return mkFinding("lockstep", fmt.Sprintf(
-			"Stats.Retired %d disagrees with retire-hook event count %d", stats.Retired, ls.retired))
+			"Stats.Retired %d disagrees with retire event count %d", stats.Retired, ls.retired))
 	}
 	if stats.Retired != ls.st.M.Steps {
 		return mkFinding("lockstep", fmt.Sprintf(

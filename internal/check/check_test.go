@@ -2,6 +2,7 @@ package check
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"braid/internal/isa"
@@ -80,12 +81,8 @@ func TestLockstepDetectsDivergence(t *testing.T) {
 // engineProg while the reference interpreter follows refProg. Production
 // code always passes the same program twice (via Lockstep).
 func lockstepPair(ctx context.Context, name string, engineProg, refProg *isa.Program, cfg uarch.Config, maxSteps uint64) *Finding {
-	m, err := uarch.New(engineProg, cfg)
-	if err != nil {
-		return &Finding{Kind: "error", Program: name, Detail: err.Error()}
-	}
-	ls := attachLockstep(m, name, refProg, cfg, maxSteps)
-	if _, err := m.RunContext(ctx); err != nil {
+	ls, observe := newLockstep(name, refProg, cfg, maxSteps)
+	if _, err := uarch.SimulateObserved(ctx, engineProg, cfg, observe); err != nil {
 		return &Finding{Kind: "error", Program: name, Detail: err.Error()}
 	}
 	if ls.f != nil {
@@ -166,5 +163,20 @@ func TestEquivalenceDetectsDivergence(t *testing.T) {
 	}
 	if f := Equivalence("tampered-copy", p, tampered, 3_000_000); f == nil {
 		t.Fatal("equivalence oracle failed to flag a tampered store")
+	}
+}
+
+// TestSignatureContainsFault: the metamorphic runs contain an engine panic
+// as a *uarch.SimFault like every other run, instead of taking the whole
+// checking process down.
+func TestSignatureContainsFault(t *testing.T) {
+	p, _ := workload.KernelByName("dot")
+	cfg := uarch.OutOfOrderConfig(8)
+	cfg.Paranoid = true
+	cfg.Inject = &uarch.FaultPlan{Kind: uarch.FaultRefSkew, AtCycle: 20}
+	_, _, err := signature(context.Background(), p, cfg)
+	var sf *uarch.SimFault
+	if !errors.As(err, &sf) {
+		t.Fatalf("signature on an injected fault returned %v, want a *uarch.SimFault", err)
 	}
 }

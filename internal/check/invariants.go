@@ -31,15 +31,11 @@ func (a archSig) String() string {
 }
 
 // signature simulates p under cfg and extracts its architectural signature
-// via the retire hook.
+// through a retire observer.
 func signature(ctx context.Context, p *isa.Program, cfg uarch.Config) (archSig, *uarch.Stats, error) {
-	m, err := uarch.New(p, cfg)
-	if err != nil {
-		return archSig{}, nil, err
-	}
 	h := sha256.New()
 	var buf [12]byte
-	m.SetRetireHook(func(ev uarch.RetireEvent) {
+	st, err := uarch.SimulateObserved(ctx, p, cfg, func(ev uarch.RetireEvent) {
 		if !ev.Mispredicted {
 			return
 		}
@@ -47,7 +43,6 @@ func signature(ctx context.Context, p *isa.Program, cfg uarch.Config) (archSig, 
 		binary.LittleEndian.PutUint32(buf[8:], uint32(ev.Index))
 		h.Write(buf[:])
 	})
-	st, err := m.RunContext(ctx)
 	if err != nil {
 		return archSig{}, nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,6 +78,10 @@ func TestWorkerPoolSurvivesFault(t *testing.T) {
 		var sf *uarch.SimFault
 		if !errors.As(fails[0].Err, &sf) {
 			t.Fatalf("j=%d: failure is %T, want *uarch.SimFault: %v", jobs, fails[0].Err, fails[0].Err)
+		}
+		label := fmt.Sprintf("%s (%s braided=true): ", faulty.Bench.Name, faulty.Cfg.Core)
+		if s := fails[0].String(); strings.Count(s, label) != 1 {
+			t.Errorf("j=%d: failure line %q names %q %d times, want once", jobs, s, label, strings.Count(s, label))
 		}
 		if fails[0].Artifact == "" {
 			t.Fatalf("j=%d: no crash artifact written", jobs)

@@ -397,8 +397,9 @@ func (w *Workloads) runPoint(key memoKey, c *memoCell, b *Bench, braided bool, c
 	st, est, err := w.simulate(ctx, b.program(braided), cfg)
 	cancel()
 	if err != nil {
+		// PointFailure.String prints the label; callers get it in c.err.
+		w.noteFailure(b, braided, cfg, err)
 		c.err = fmt.Errorf("%s (%s braided=%v): %w", b.Name, cfg.Core, braided, err)
-		w.noteFailure(b, braided, cfg, c.err)
 	} else {
 		c.ipc = st.IPC()
 		w.simInstrs.Add(st.Retired)

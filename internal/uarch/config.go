@@ -157,7 +157,7 @@ type Config struct {
 
 	// Inject arms the test-only fault injector (see FaultPlan): one
 	// deliberate corruption of a pipeline structure, used with Paranoid to
-	// prove the checker detects it and RunChecked contains it. Excluded
+	// prove the checker detects it and the run contains it. Excluded
 	// from checkpoints; never set outside tests.
 	Inject *FaultPlan `json:"-"`
 }

@@ -3,7 +3,6 @@ package uarch
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"braid/internal/isa"
 	"braid/internal/mem"
@@ -137,21 +136,7 @@ type Machine struct {
 
 	stats Stats
 
-	trace      io.Writer
-	traceMax   int
-	traceCount int
-
-	konata      io.Writer
-	konataMax   int
-	konataCount int
-
-	retireHook func(RetireEvent) // differential checking; see retirehook.go
-
-	// writeErr latches the first trace/Konata write failure. Later log
-	// output is suppressed and RunContext surfaces the error when the run
-	// finishes, so a broken sink (full disk, closed pipe) cannot silently
-	// truncate a pipeline log.
-	writeErr error
+	onRetire func(RetireEvent) // SimulateObserved's observer, or nil
 
 	// §3.4 exception-mode state.
 	sinceException uint64
@@ -161,18 +146,6 @@ type Machine struct {
 	// injected latches the test-only fault injector (Config.Inject) after
 	// it has corrupted its target once.
 	injected bool
-}
-
-// New builds a machine for the program under the configuration.
-func New(p *isa.Program, cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	hier, err := warmHierarchy(p, cfg.Mem, nil)
-	if err != nil {
-		return nil, err
-	}
-	return newMachine(p, cfg, hier, nil)
 }
 
 // newMachine wires a machine around an already-built memory hierarchy; cfg
@@ -217,13 +190,6 @@ func newMachine(p *isa.Program, cfg Config, hier *mem.Hierarchy, shell *Machine)
 		m.wbcal = nil // calPush sizes it
 	}
 	return m, nil
-}
-
-// Run simulates to completion and returns the statistics. A MaxCycles
-// exhaustion wraps ErrCycleLimit; RunContext adds cancellation and deadlines
-// and RunChecked adds panic containment on top.
-func (m *Machine) Run() (*Stats, error) {
-	return m.RunContext(context.Background())
 }
 
 // step simulates one machine cycle — plus any provably idle cycles
@@ -574,19 +540,19 @@ func (m *Machine) retire(t uint64) {
 			m.rfUsed--
 		}
 		d.retired = true
-		if m.trace != nil {
-			m.traceRetire(d, t)
-		}
-		if m.konata != nil {
-			m.konataRetire(d, t)
-		}
-		if m.retireHook != nil {
-			m.retireHook(RetireEvent{
+		if m.onRetire != nil {
+			m.onRetire(RetireEvent{
 				Seq:          d.seq,
 				Index:        d.idx,
 				Cycle:        t,
 				Addr:         d.addr,
 				MemBytes:     d.memBytes,
+				Fetch:        d.fetchCycle,
+				Dispatch:     d.dispatchCycle,
+				Issue:        d.issueCycle,
+				Done:         d.execDone,
+				Writeback:    d.completeCycle,
+				BEU:          d.beu,
 				Taken:        d.taken,
 				Mispredicted: d.mispredicted,
 				IsLoad:       d.isLoad,
@@ -679,15 +645,6 @@ func (m *Machine) dispatch(t uint64) {
 
 // serializer is implemented by cores that support §3.4's exception mode.
 type serializer interface{ setSerialized(bool) }
-
-// noteWriteErr records the first failed trace/Konata write, tagged with the
-// sink it came from. The latch stops further log output (traceRetire and
-// konataRetire check writeErr) and RunContext turns it into a run error.
-func (m *Machine) noteWriteErr(sink string, err error) {
-	if err != nil && m.writeErr == nil {
-		m.writeErr = fmt.Errorf("%s: %w", sink, err)
-	}
-}
 
 // srcsReady checks operand availability at cycle t and counts the external
 // register-file read ports the issue would need (bypassed and internal
@@ -922,13 +879,9 @@ func mayAlias(a, b *dyn) bool {
 	return a.aliasClass == b.aliasClass
 }
 
-// Simulate is the package's main entry point: run program p on cfg.
+// Simulate runs program p on cfg: SimulateChecked without a context.
 func Simulate(p *isa.Program, cfg Config) (*Stats, error) {
-	m, err := acquire(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.release(m.Run()) // a panic propagates, and m is not recycled
+	return SimulateChecked(context.Background(), p, cfg)
 }
 
 // checkInvariants asserts per-cycle internal consistency; enabled by

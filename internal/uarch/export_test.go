@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"math"
+	"testing"
 
 	"braid/internal/isa"
 )
@@ -16,3 +17,22 @@ func MispredictSet(p *isa.Program, cfg Config) ([]uint64, uint64) {
 
 // InstrAddr is the fetch address of static instruction idx.
 var InstrAddr = instrAddr
+
+// freshMachine builds the machine a run of p on cfg starts from, on fresh
+// memory that never reaches the pool, so a test can step it, run it with
+// m.run and read it afterwards.
+func freshMachine(t testing.TB, p *isa.Program, cfg Config) *Machine {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	hier, err := warmHierarchy(p, cfg.Mem, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := newMachine(p, cfg, hier, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 
 	"braid/internal/isa"
@@ -27,10 +28,10 @@ var (
 	ErrCanceled = errors.New("simulation canceled")
 )
 
-// SimFault is a contained simulator failure: a panic raised by the engine or
-// its paranoid checker during a run, converted into an error by RunChecked so
-// one corrupt simulation cannot kill a whole sweep. It carries everything a
-// crash artifact needs to replay the failure.
+// SimFault is a contained simulator failure: a panic raised by the engine,
+// its paranoid checker or a retire observer during a run, converted into an
+// error so one corrupt simulation cannot kill a whole sweep. It carries
+// everything a crash artifact needs to replay the failure.
 type SimFault struct {
 	Core    CoreKind
 	Program string
@@ -54,35 +55,32 @@ func (f *SimFault) Error() string {
 // fast.
 const ctxCheckInterval = 256
 
-// RunContext simulates to completion like Run, polling ctx so a canceled or
-// deadline-expired context stops the simulation promptly. The returned error
-// wraps ErrCanceled or ErrTimeout respectively.
-func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
-	done := ctx.Done()
+// run steps m from where it stands until the program completes or stop
+// instructions have retired, and reports whether it completed. It is the one
+// cycle loop: an exact run calls it once with no stop, a sampled interval
+// once for its warm-up and once for its measured window. A machine at
+// MaxCycles fails with ErrCycleLimit, and a canceled or expired ctx, polled
+// every ctxCheckInterval cycles, with ErrCanceled or ErrTimeout.
+func (m *Machine) run(ctx context.Context, stop uint64) (done bool, err error) {
+	poll := ctx.Done()
 	var nextPoll uint64
-	for {
+	for !done && m.stats.Retired < stop {
 		if m.cycle >= m.cfg.MaxCycles {
-			return nil, fmt.Errorf("uarch: %s on %q %w: %d cycles (fetched %d, retired %d, %d in flight — wedged machine or budget too small)",
+			return false, fmt.Errorf("uarch: %s on %q %w: %d cycles (fetched %d, retired %d, %d in flight — wedged machine or budget too small)",
 				m.cfg.Core, m.prog.Name, ErrCycleLimit, m.cfg.MaxCycles, m.stats.Fetched, m.stats.Retired, m.rob.len())
 		}
-		if done != nil && m.cycle >= nextPoll {
+		if poll != nil && m.cycle >= nextPoll {
 			select {
-			case <-done:
-				return nil, m.ctxErr(ctx)
+			case <-poll:
+				return false, m.ctxErr(ctx)
 			default:
 			}
 			nextPoll = m.cycle + ctxCheckInterval
 		}
-		if m.step() {
-			break
-		}
+		done = m.step()
 	}
 	m.stats.Cycles = m.cycle
-	if m.writeErr != nil {
-		return nil, fmt.Errorf("uarch: %s on %q: pipeline log write failed: %w",
-			m.cfg.Core, m.prog.Name, m.writeErr)
-	}
-	return &m.stats, nil
+	return done, nil
 }
 
 // ctxErr converts a context failure into the matching typed sentinel,
@@ -96,16 +94,25 @@ func (m *Machine) ctxErr(ctx context.Context) error {
 		m.cfg.Core, m.prog.Name, sentinel, m.cycle, m.stats.Fetched, m.stats.Retired)
 }
 
-// RunChecked is the recoverable entry point: it runs the simulation under
-// ctx and converts an engine or paranoid-checker panic into a *SimFault
-// error instead of crashing the process. This is what suite runners use so
-// one corrupt configuration is a contained, replayable failure.
-func (m *Machine) RunChecked(ctx context.Context) (st *Stats, err error) {
+// SimulateObserved runs program p on cfg under ctx and calls onRetire, unless
+// it is nil, for every instruction as it retires, in program order. Every
+// exact run goes through it: the machine comes from recycled memory and goes
+// back to it (DESIGN.md §5), a panic is contained as a *SimFault, and a
+// canceled or expired ctx stops the run with an error wrapping ErrCanceled
+// or ErrTimeout. onRetire only observes: Stats are bit-identical with and
+// without one.
+func SimulateObserved(ctx context.Context, p *isa.Program, cfg Config, onRetire func(RetireEvent)) (st *Stats, err error) {
+	m, err := acquire(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.onRetire = onRetire
 	defer func() {
 		if r := recover(); r != nil {
+			// A panic may have left m half updated: it is not recycled.
 			err = &SimFault{
-				Core:    m.cfg.Core,
-				Program: m.prog.Name,
+				Core:    cfg.Core,
+				Program: p.Name,
 				Cycle:   m.cycle,
 				Fetched: m.stats.Fetched,
 				Retired: m.stats.Retired,
@@ -114,22 +121,13 @@ func (m *Machine) RunChecked(ctx context.Context) (st *Stats, err error) {
 			}
 		}
 	}()
-	return m.RunContext(ctx)
+	_, err = m.run(ctx, math.MaxUint64)
+	return m.release(err)
 }
 
-// SimulateChecked is Simulate with panic isolation and cancellation: run
-// program p on cfg under ctx, returning *SimFault for panics and errors
-// wrapping ErrTimeout/ErrCanceled for context failures.
+// SimulateChecked is SimulateObserved without an observer.
 func SimulateChecked(ctx context.Context, p *isa.Program, cfg Config) (*Stats, error) {
-	m, err := acquire(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	st, err := m.RunChecked(ctx)
-	if _, fault := err.(*SimFault); fault {
-		return nil, err // a panic may have left m half updated: not recycled
-	}
-	return m.release(st, err)
+	return SimulateObserved(ctx, p, cfg, nil)
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"regexp"
 	"testing"
 	"time"
@@ -33,11 +34,7 @@ func TestRunContextCanceled(t *testing.T) {
 	orig, _ := genWorkload(t, "gcc", 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := New(orig, OutOfOrderConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.RunContext(ctx)
+	_, err := SimulateChecked(ctx, orig, OutOfOrderConfig(8))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -50,11 +47,7 @@ func TestRunContextTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done() // deadline has certainly passed
-	m, err := New(orig, OutOfOrderConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.RunContext(ctx)
+	_, err := SimulateChecked(ctx, orig, OutOfOrderConfig(8))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
@@ -63,30 +56,29 @@ func TestRunContextTimeout(t *testing.T) {
 	}
 }
 
-// TestRunCheckedCompletesClean: on a healthy machine RunChecked is
-// indistinguishable from Run — same stats, no error.
+// TestRunCheckedCompletesClean: on a healthy machine the contained, recycled
+// run is indistinguishable from the bare cycle loop — same stats, no error.
 func TestRunCheckedCompletesClean(t *testing.T) {
 	orig, _ := genWorkload(t, "gcc", 100)
 	cfg := OutOfOrderConfig(8)
 	cfg.Paranoid = true
-	want, err := Simulate(orig, cfg)
-	if err != nil {
+	m := freshMachine(t, orig, cfg)
+	if _, err := m.run(context.Background(), math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	got, err := SimulateChecked(context.Background(), orig, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cycles != want.Cycles || got.Retired != want.Retired {
-		t.Fatalf("RunChecked diverged: %d cycles/%d retired vs %d/%d",
-			got.Cycles, got.Retired, want.Cycles, want.Retired)
+	if *got != m.stats {
+		t.Fatalf("SimulateChecked diverged:\n got  %+v\n want %+v", *got, m.stats)
 	}
 }
 
 // TestFaultInjectionMatrix corrupts each pipeline structure the injector
 // knows, one at a time, and proves two things per fault: the paranoid checker
-// detects it (the panic message names the violated invariant) and RunChecked
-// contains it as a *SimFault instead of crashing the test process.
+// detects it (the panic message names the violated invariant) and
+// SimulateChecked contains it as a *SimFault instead of crashing the test process.
 func TestFaultInjectionMatrix(t *testing.T) {
 	orig, braided := genWorkload(t, "gcc", 100)
 	cases := []struct {

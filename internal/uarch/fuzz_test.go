@@ -12,7 +12,7 @@ import (
 
 // FuzzMachine drives fuzzer-chosen random programs through a fuzzer-chosen
 // core and width, with the paranoid checker on and panics contained by
-// RunChecked. Any finding is a real engine bug: a wedged machine
+// SimulateChecked. Any finding is a real engine bug: a wedged machine
 // (ErrCycleLimit), a checker-detected corruption (*SimFault), or a retirement
 // count that diverges from the architectural interpreter.
 func FuzzMachine(f *testing.F) {

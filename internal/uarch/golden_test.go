@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,15 +104,11 @@ func TestGoldenStats(t *testing.T) {
 			if pt.braided {
 				p = pair[1]
 			}
-			m, err := New(p, pt.cfg)
-			if err != nil {
+			m := freshMachine(t, p, pt.cfg)
+			if _, err := m.run(context.Background(), math.MaxUint64); err != nil {
 				t.Fatalf("%s/%s: %v", name, pt.label, err)
 			}
-			st, err := m.Run()
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, pt.label, err)
-			}
-			fmt.Fprintf(&sb, "%s/%s: %s\n", name, pt.label, goldenLine(st, m))
+			fmt.Fprintf(&sb, "%s/%s: %s\n", name, pt.label, goldenLine(&m.stats, m))
 		}
 	}
 	checkGolden(t, "golden_stats.txt", sb.String())

@@ -3,6 +3,7 @@ package uarch
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"braid/internal/asm"
@@ -90,11 +91,7 @@ func TestCanceledContextStopsInsideIdleStretch(t *testing.T) {
 	cfg.Mem.MemLatency = 100000
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := New(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RunContext(ctx); !errors.Is(err, ErrCanceled) {
+	if _, err := SimulateChecked(ctx, p, cfg); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled context returned %v, want ErrCanceled", err)
 	}
 }
@@ -136,11 +133,8 @@ func TestPreExecutionBoundedByBudget(t *testing.T) {
 	cfg.MaxCycles = 100_000
 	bound := int(cfg.MaxCycles)*cfg.FetchWidth + traceStep
 
-	m, err := New(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); !errors.Is(err, ErrCycleLimit) {
+	m := freshMachine(t, p, cfg)
+	if _, err := m.run(context.Background(), math.MaxUint64); !errors.Is(err, ErrCycleLimit) {
 		t.Fatalf("exact run of a non-halting program returned %v, want ErrCycleLimit", err)
 	}
 	if n, fetched := traceLen(p), int(m.stats.Fetched); n < fetched || n > fetched+traceStep || n > bound {

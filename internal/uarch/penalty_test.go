@@ -1,8 +1,6 @@
 package uarch
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"braid/internal/asm"
@@ -107,42 +105,5 @@ skip:
 		// 4 cycles of front-end depth on the initial fill plus 4
 		// cycles of misprediction penalty.
 		t.Errorf("cycle difference %d, want 8 (4 fill + 4 penalty)", diff)
-	}
-}
-
-func TestKonataOutput(t *testing.T) {
-	src := `
-	ldimm r1, #3
-	add r2, r1, #1
-	halt
-`
-	p, err := asm.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	m, err := New(p, OutOfOrderConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetKonata(&buf, 0)
-	st, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "Kanata\t0004\n") {
-		t.Error("missing Kanata header")
-	}
-	for _, stage := range []string{"\tF\n", "\tDs\n", "\tX\n", "\tWb\n", "\tCm\n"} {
-		if !strings.Contains(out, stage) {
-			t.Errorf("missing stage record %q", strings.TrimSpace(stage))
-		}
-	}
-	if got := strings.Count(out, "\nR\t"); got != int(st.Retired) {
-		t.Errorf("%d retire records for %d retired instructions", got, st.Retired)
-	}
-	if !strings.Contains(out, "add r2, r1, #1") {
-		t.Error("missing instruction label")
 	}
 }

@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"braid/internal/braid"
@@ -24,15 +26,11 @@ func TestFastForwardEquivalence(t *testing.T) {
 			for i, noFF := range []bool{false, true} {
 				cfg := pt.cfg
 				cfg.NoFastForward = noFF
-				m, err := New(p, cfg)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", name, pt.label, err)
-				}
-				st, err := m.Run()
-				if err != nil {
+				m := freshMachine(t, p, cfg)
+				if _, err := m.run(context.Background(), math.MaxUint64); err != nil {
 					t.Fatalf("%s/%s (noFF=%v): %v", name, pt.label, noFF, err)
 				}
-				lines[i] = goldenLine(st, m)
+				lines[i] = goldenLine(&m.stats, m)
 			}
 			if lines[0] != lines[1] {
 				t.Errorf("%s/%s: fast-forward changed observable state\n fast %s\n full %s",
@@ -73,10 +71,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			if c.braided {
 				prog = res.Prog
 			}
-			m, err := New(prog, c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := freshMachine(t, prog, c.cfg)
 			// Warm up: let the arena, the fetch/ROB/LSQ rings, the
 			// completion calendar, and the writeback scratch lists reach
 			// their steady-state capacities.
@@ -105,10 +100,7 @@ func TestZeroAllocWorkloadIsLongEnough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(p, OutOfOrderConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := freshMachine(t, p, OutOfOrderConfig(8))
 	steps := 0
 	for !m.step() {
 		steps++

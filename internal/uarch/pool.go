@@ -11,13 +11,12 @@ import (
 // Run recycling (DESIGN.md §5). A run sizes its working memory as it starts
 // and warms up: a copy of the warm cache hierarchy (~306 KiB at Table 4's
 // geometry), the dyn-arena chunks, the completion calendar, the rings and the
-// cores' queues. The entry points that own their Machine — Simulate,
-// SimulateChecked and sampled mode's interval machines — give it back here
-// when its run returns, and the next run starts from that memory instead of
-// allocating its own: the hierarchy's arrays are refilled from the prototype
-// in place, and everything else is reused empty, capacity kept. A Machine
-// from New is never recycled (its caller holds it), and neither is one whose
-// run panicked: the panic may have left any structure half updated.
+// cores' queues. Every machine gives it back here when its run returns —
+// SimulateObserved's, and sampled mode's interval machines — and the next run
+// starts from that memory instead of allocating its own: the hierarchy's
+// arrays are refilled from the prototype in place, and everything else is
+// reused empty, capacity kept. A machine whose run panicked is not recycled:
+// the panic may have left any structure half updated.
 
 // spares holds the recycled memory, at most spareLimit() entries per list.
 var spares struct {
@@ -39,9 +38,8 @@ const (
 	maxSpareSpan   = 1 << 12
 )
 
-// acquire is New for an entry point that recycles the machine when its run
-// returns: the machine and its hierarchy come from pooled memory if there is
-// any.
+// acquire builds the machine for a run of p on cfg, after validating cfg: the
+// machine and its hierarchy come from pooled memory if there is any.
 func acquire(p *isa.Program, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -66,12 +64,13 @@ func takeSpares(hier bool) (*Machine, *mem.Hierarchy) {
 	return shell, pop(&spares.hiers)
 }
 
-// release copies out the result of m's run, which returned st and err
-// without panicking, and recycles m with its hierarchy. The copy keeps the
-// caller's Stats from aliasing memory the next run reuses.
-func (m *Machine) release(st *Stats, err error) (*Stats, error) {
-	if st != nil {
-		out := *st
+// release copies out the Stats of m's run, which ended with err without
+// panicking, and recycles m with its hierarchy. The copy keeps the caller's
+// Stats from aliasing memory the next run reuses.
+func (m *Machine) release(err error) (*Stats, error) {
+	var st *Stats
+	if err == nil {
+		out := m.stats
 		st = &out
 	}
 	m.recycle(m.hier)

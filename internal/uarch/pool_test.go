@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -19,11 +20,12 @@ import (
 
 // poolPoint is one run of the recycling tests, exact when sp is zero.
 type poolPoint struct {
-	label  string
-	prog   *isa.Program
-	cfg    Config
-	sp     Sampling
-	cancel bool // run under a context canceled while the run is under way
+	label   string
+	prog    *isa.Program
+	cfg     Config
+	sp      Sampling
+	cancel  bool // run under a context canceled while the run is under way
+	observe bool // run with a retire observer, which must see every retirement
 }
 
 // run simulates the point through the recycling entry points and renders
@@ -41,7 +43,12 @@ func (pt poolPoint) run(counters bool) string {
 		st, est, err := SimulateSampled(ctx, pt.prog, pt.cfg, pt.sp)
 		return render(st, est, "", err)
 	}
-	st, err := SimulateChecked(ctx, pt.prog, pt.cfg)
+	var onRetire func(RetireEvent)
+	seen := uint64(0)
+	if pt.observe {
+		onRetire = func(RetireEvent) { seen++ }
+	}
+	st, err := SimulateObserved(ctx, pt.prog, pt.cfg, onRetire)
 	mem := ""
 	if counters && err == nil {
 		mem = "mem{not recycled}"
@@ -51,12 +58,16 @@ func (pt poolPoint) run(counters bool) string {
 		}
 		spares.Unlock()
 	}
-	return render(st, nil, mem, err)
+	out := render(st, nil, mem, err)
+	if pt.observe && err == nil && seen != st.Retired {
+		out += fmt.Sprintf(" (the observer saw %d retirements)", seen)
+	}
+	return out
 }
 
-// reference renders the point run on fresh memory, as run does: New and
-// RunChecked for an exact point, a sampled run with recycling off for a
-// sampled one.
+// reference renders the point run on fresh memory, as run does: a fresh
+// machine through the cycle loop for an exact point, a sampled run with
+// recycling off for a sampled one.
 func (pt poolPoint) reference(t *testing.T, counters bool) string {
 	t.Helper()
 	if pt.sp.Enabled() {
@@ -67,14 +78,15 @@ func (pt poolPoint) reference(t *testing.T, counters bool) string {
 	if pt.cancel {
 		return pt.run(false) // a canceled run reports only its sentinel
 	}
-	m, err := New(pt.prog, pt.cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", pt.label, err)
-	}
-	st, err := m.RunChecked(context.Background())
+	m := freshMachine(t, pt.prog, pt.cfg)
+	var st *Stats
+	_, err := m.run(context.Background(), math.MaxUint64)
 	mem := ""
-	if counters && err == nil {
-		mem = hierCounters(m.hier.Stats())
+	if err == nil {
+		st = &m.stats
+		if counters {
+			mem = hierCounters(m.hier.Stats())
+		}
 	}
 	return render(st, nil, mem, err)
 }
@@ -147,8 +159,9 @@ func poolPrograms(t *testing.T, iters int) (gcc, gccB, mcf, mcfB *isa.Program) {
 // the next across programs, cores, widths, memory geometries (Perfect
 // included), and exact and sampled modes, with failed runs — a cycle limit
 // hit mid-flight, a cancellation, an injected fault — each followed by a
-// clean run. Every run must report exactly what it reports on fresh memory:
-// all of its Stats, its cache counters, and its estimate.
+// clean run, and one exact run with a retire observer. Every run must report
+// exactly what it reports on fresh memory: all of its Stats, its cache
+// counters, and its estimate.
 func TestRecycledRunsMatchFresh(t *testing.T) {
 	gcc, gccB, mcf, mcfB := poolPrograms(t, 120)
 	spin, err := asm.Parse(spinSrc)
@@ -183,6 +196,7 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 		{label: "sampled braid-8 mcf", prog: mcfB, cfg: BraidConfig(8), sp: sp},
 		{label: "sampled braid-8 cycle limit", prog: gccB, cfg: sampledLimit, sp: sp},
 		{label: "braid-4 queued gcc", prog: gccB, cfg: queued},
+		{label: "braid-8 gcc observed", prog: gccB, cfg: BraidConfig(8), observe: true},
 		{label: "sampled depsteer-8 mcf", prog: mcf, cfg: DepSteerConfig(8), sp: sp},
 		{label: "braid-8 exceptions", prog: mcfB, cfg: exc},
 		{label: "ooo-8 gcc", prog: gcc, cfg: OutOfOrderConfig(8)},
@@ -241,47 +255,36 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 	}
 }
 
-// TestNewMachineIsNotRecycled: a Machine from New belongs to its caller,
-// and its runs leave the pool alone.
-func TestNewMachineIsNotRecycled(t *testing.T) {
-	gcc, _, _, _ := poolPrograms(t, 20)
-	drainSpares()
-	m, err := New(gcc, OutOfOrderConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	spares.Lock()
-	n, h := len(spares.machines), len(spares.hiers)
-	spares.Unlock()
-	if n != 0 || h != 0 {
-		t.Fatalf("New's machine reached the pool: %d machines, %d hierarchies", n, h)
-	}
-}
-
 // TestWarmRunAllocations pins the per-run allocation contract: once the
 // pool, the warm prototype and the program's trace exist, an exact run
 // allocates its returned Stats and little else. Without recycling every run
 // allocated 480–710 KB in ~300–840 objects (the hierarchy copy, the arena's
-// chunks, the calendar, the rings and the grown queues).
+// chunks, the calendar, the rings and the grown queues). A retire observer
+// adds nothing to that.
 func TestWarmRunAllocations(t *testing.T) {
 	gcc, gccB, _, _ := poolPrograms(t, 60)
 	drainSpares() // no hierarchy of another geometry left by earlier tests
+	var mispredicts uint64
+	observe := func(ev RetireEvent) {
+		if ev.Mispredicted {
+			mispredicts++
+		}
+	}
 	for _, c := range []struct {
-		label string
-		prog  *isa.Program
-		cfg   Config
+		label    string
+		prog     *isa.Program
+		cfg      Config
+		onRetire func(RetireEvent)
 	}{
-		{"inorder-8", gcc, InOrderConfig(8)},
-		{"depsteer-8", gcc, DepSteerConfig(8)},
-		{"ooo-8", gcc, OutOfOrderConfig(8)},
-		{"braid-8", gccB, BraidConfig(8)},
-		{"ooo-16", gcc, OutOfOrderConfig(16)},
+		{"inorder-8", gcc, InOrderConfig(8), nil},
+		{"depsteer-8", gcc, DepSteerConfig(8), nil},
+		{"ooo-8", gcc, OutOfOrderConfig(8), nil},
+		{"braid-8", gccB, BraidConfig(8), nil},
+		{"ooo-16", gcc, OutOfOrderConfig(16), nil},
+		{"braid-8 observed", gccB, BraidConfig(8), observe},
 	} {
 		run := func() {
-			if _, err := SimulateChecked(context.Background(), c.prog, c.cfg); err != nil {
+			if _, err := SimulateObserved(context.Background(), c.prog, c.cfg, c.onRetire); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -295,6 +298,9 @@ func TestWarmRunAllocations(t *testing.T) {
 		if objects > 8 || bytes > 16<<10 {
 			t.Errorf("%s: a warm run allocates %.0f objects, %d bytes; want at most 8 and 16 KiB", c.label, objects, bytes)
 		}
+	}
+	if mispredicts == 0 {
+		t.Error("the observer saw no mispredicted branch")
 	}
 }
 

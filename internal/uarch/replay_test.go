@@ -280,11 +280,7 @@ func TestTraceGrowthMatchesOneStep(t *testing.T) {
 		ReleaseProgram(braided)
 		ms := make([]*Machine, len(cases))
 		for i, c := range cases {
-			m, err := New(c.p, c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms[i] = m
+			ms[i] = freshMachine(t, c.p, c.cfg)
 		}
 		for running := len(ms); running > 0; {
 			for _, m := range ms {

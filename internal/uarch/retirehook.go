@@ -1,12 +1,14 @@
 package uarch
 
 // RetireEvent describes one instruction committing, in retirement (=
-// program) order. It is the differential-checking twin of the Konata hook:
+// program) order: what it did and when it passed each pipeline stage.
+// SimulateObserved hands one to its observer per retiring instruction.
 // internal/check replays an interp.Machine in lockstep against the stream
-// of events and faults on the first field that disagrees with the
-// functional reference, pinning the engine's retired work — order, branch
-// outcomes, memory addresses, access widths — to the architectural oracle
-// at single-instruction granularity.
+// and faults on the first field that disagrees with the functional
+// reference, pinning the engine's retired work — order, branch outcomes,
+// memory addresses, access widths — to the architectural oracle at
+// single-instruction granularity; braidsim formats the stage cycles into its
+// text trace and Konata log.
 type RetireEvent struct {
 	Seq      uint64 // dynamic sequence number, 0-based fetch order
 	Index    int    // static instruction index in the program
@@ -14,14 +16,14 @@ type RetireEvent struct {
 	Addr     uint64 // memory address (loads and stores)
 	MemBytes uint64 // access width in bytes (loads and stores)
 
+	// Stage cycles: fetched, dispatched, issued, execution finished,
+	// written back (completed).
+	Fetch, Dispatch, Issue, Done, Writeback uint64
+
+	BEU int // owning BEU on the braid core, -1 on the others
+
 	Taken        bool // branch outcome
 	Mispredicted bool // branch left the machine on the recovery path
 
 	IsLoad, IsStore, IsBranch bool
 }
-
-// SetRetireHook registers fn, called synchronously for every retiring
-// instruction before Run returns. Call before Run. A nil hook (the
-// default) adds no per-retire work, and a non-nil hook observes timing
-// only — Stats are bit-identical with and without one.
-func (m *Machine) SetRetireHook(fn func(RetireEvent)) { m.retireHook = fn }

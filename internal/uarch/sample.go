@@ -371,46 +371,23 @@ func runInterval(ctx context.Context, p *isa.Program, cfg Config, w *warmer, war
 	return cycles, instrs, st, err
 }
 
-// measure runs runInterval's machine from the warmer's cursor.
+// measure runs runInterval's machine from the warmer's cursor through the
+// warm-up and then, unless the program ended first, through the detail
+// window.
 func (m *Machine) measure(ctx context.Context, w *warmer, warmup, detail uint64) (cycles, instrs uint64, err error) {
 	m.fe.cur = w.cur
-
-	measureAt := warmup
-	stopAt := warmup + detail
-	warmDone := warmup == 0
-	var warmCycles, warmRetired uint64
-	done := ctx.Done()
-	var nextPoll uint64
-	for {
-		if m.cycle >= m.cfg.MaxCycles {
-			return 0, 0, fmt.Errorf("uarch: %s on %q %w: %d cycles inside one sampled interval at instruction %d (fetched %d, retired %d — wedged machine or budget too small)",
-				m.cfg.Core, m.prog.Name, ErrCycleLimit, m.cfg.MaxCycles, w.cur.pos, m.stats.Fetched, m.stats.Retired)
-		}
-		if done != nil && m.cycle >= nextPoll {
-			select {
-			case <-done:
-				return 0, 0, m.ctxErr(ctx)
-			default:
-			}
-			nextPoll = m.cycle + ctxCheckInterval
-		}
-		fin := m.step()
-		if !warmDone && m.stats.Retired >= measureAt {
-			warmDone = true
-			warmCycles, warmRetired = m.cycle, m.stats.Retired
-		}
-		if fin || m.stats.Retired >= stopAt {
-			break
-		}
+	done, err := m.run(ctx, warmup)
+	warmCycles, warmRetired := m.cycle, m.stats.Retired
+	if err == nil && !done {
+		_, err = m.run(ctx, warmup+detail)
 	}
-	m.stats.Cycles = m.cycle
+	if err != nil {
+		return 0, 0, fmt.Errorf("%w inside one sampled interval at instruction %d", err, w.cur.pos)
+	}
 	// Hand the cursor and the I-cache line state back so the warmer's next
 	// probe pattern continues exactly where fetch left off.
 	w.cur = m.fe.cur
 	w.lastLine, w.haveLine = m.fe.lastLine, m.fe.haveLine
-	if !warmDone {
-		return 0, 0, nil
-	}
 	return m.cycle - warmCycles, m.stats.Retired - warmRetired, nil
 }
 
