@@ -52,11 +52,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 
 	var (
 		p   *isa.Program
@@ -117,6 +112,13 @@ func main() {
 		}
 		defer f.Close()
 		logs.startKonata(f, 100000)
+	}
+	// -timeout budgets the simulation alone, its set-up included, not the
+	// loading and braiding above.
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
 	st, err := uarch.SimulateObserved(ctx, p, cfg, logs.observer())
 	// The logs go out even after a failed run: they show how it got there.

@@ -49,9 +49,13 @@ func ByID(id string) (Experiment, bool) {
 // values are read once, about 90% at most twice, about 4% never; about 80%
 // of lifetimes are within 32 instructions.
 func ValueCharacterization(w *Workloads) (*Result, error) {
+	chars, err := w.characterizeAll()
+	if err != nil {
+		return nil, err
+	}
 	r := newResult("values", "§1 value fanout and lifetime")
-	for _, b := range w.Benches {
-		vs := b.ValueStats
+	for i, b := range w.Benches {
+		vs := chars[i].Values
 		r.Set(b.Name, b.FP, "used-once", vs.FracUsedOnce())
 		r.Set(b.Name, b.FP, "used<=2", vs.FanoutCDF(2))
 		r.Set(b.Name, b.FP, "unused", vs.FracUnused())
@@ -103,9 +107,13 @@ func Fig1(w *Workloads) (*Result, error) {
 
 // Table1 compares measured braids per basic block against the paper.
 func Table1(w *Workloads) (*Result, error) {
+	chars, err := w.characterizeAll()
+	if err != nil {
+		return nil, err
+	}
 	r := newResult("table1", "braids per basic block (execution weighted)")
-	for _, b := range w.Benches {
-		s := b.DynStats
+	for i, b := range w.Benches {
+		s := chars[i].Braids
 		r.Set(b.Name, b.FP, "measured", s.BraidsPerBlock())
 		r.Set(b.Name, b.FP, "paper", b.Profile.BraidsPerBlock)
 		r.Set(b.Name, b.FP, "excl-singles", s.BraidsPerBlockExcl())
@@ -119,9 +127,13 @@ func Table1(w *Workloads) (*Result, error) {
 
 // Table2 compares braid size and width.
 func Table2(w *Workloads) (*Result, error) {
+	chars, err := w.characterizeAll()
+	if err != nil {
+		return nil, err
+	}
 	r := newResult("table2", "braid size and width (execution weighted)")
-	for _, b := range w.Benches {
-		s := b.DynStats
+	for i, b := range w.Benches {
+		s := chars[i].Braids
 		r.Set(b.Name, b.FP, "size", s.MeanSize())
 		r.Set(b.Name, b.FP, "size-paper", b.Profile.MeanSize)
 		r.Set(b.Name, b.FP, "width", s.MeanWidth())
@@ -139,9 +151,13 @@ func Table2(w *Workloads) (*Result, error) {
 
 // Table3 compares internal values and external inputs/outputs per braid.
 func Table3(w *Workloads) (*Result, error) {
+	chars, err := w.characterizeAll()
+	if err != nil {
+		return nil, err
+	}
 	r := newResult("table3", "braid internals and external I/O (execution weighted)")
-	for _, b := range w.Benches {
-		s := b.DynStats
+	for i, b := range w.Benches {
+		s := chars[i].Braids
 		r.Set(b.Name, b.FP, "internals", s.MeanInternals())
 		r.Set(b.Name, b.FP, "int-paper", paperInternals(b))
 		r.Set(b.Name, b.FP, "ext-in", s.MeanExtInputs())

@@ -33,13 +33,17 @@ func TestLoadSuite(t *testing.T) {
 		if b.Orig == nil || b.Braided == nil || b.Compile == nil {
 			t.Fatalf("%s: incomplete bench", b.Name)
 		}
-		if b.DynInstrs < 1000 {
-			t.Errorf("%s: only %d dynamic instructions", b.Name, b.DynInstrs)
+		c, err := b.Characterize()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
 		}
-		if b.DynStats.Braids == 0 {
+		if c.Braids.Instrs < 1000 {
+			t.Errorf("%s: only %d dynamic instructions", b.Name, c.Braids.Instrs)
+		}
+		if c.Braids.Braids == 0 {
 			t.Errorf("%s: no dynamic braid statistics", b.Name)
 		}
-		if b.ValueStats.TotalValues == 0 {
+		if c.Values.TotalValues == 0 {
 			t.Errorf("%s: no value statistics", b.Name)
 		}
 	}

@@ -17,8 +17,8 @@ import (
 	"braid/internal/workload"
 )
 
-// Bench is one prepared benchmark: the generated program, its braided
-// translation, and cached characterization.
+// Bench is one prepared benchmark: the generated program and its braided
+// translation. Its characterization is computed on first use (Characterize).
 type Bench struct {
 	Name    string
 	FP      bool
@@ -27,9 +27,37 @@ type Bench struct {
 	Braided *isa.Program
 	Compile *braid.Result
 
-	DynStats   braid.Stats        // execution-weighted Tables 1-3 statistics
-	ValueStats *interp.ValueStats // §1 fanout/lifetime statistics
-	DynInstrs  uint64
+	charOnce sync.Once
+	char     *Characterization
+	charErr  error
+}
+
+// Characterization is what the paper's §1 and Tables 1-3 report of one
+// benchmark: profiles of its two programs run to the end.
+type Characterization struct {
+	Braids braid.Stats        // execution-weighted Tables 1-3 statistics of the braided program
+	Values *interp.ValueStats // §1 fanout/lifetime statistics of the original program
+}
+
+// Characterize interprets both programs to the end on its first call and
+// returns the same result on every later one. Safe for concurrent use.
+func (b *Bench) Characterize() (*Characterization, error) {
+	b.charOnce.Do(func() { b.char, b.charErr = characterize(b) })
+	return b.char, b.charErr
+}
+
+// characterize runs the two interpreter passes: the braided program under
+// braid.DynamicStats, and the original under interp.Characterize.
+func characterize(b *Bench) (*Characterization, error) {
+	ds := braid.NewDynamicStats(b.Compile)
+	if _, err := interp.New(b.Braided).Run(50_000_000, func(si *interp.StepInfo) { ds.OnRetire(si.Index) }); err != nil {
+		return nil, err
+	}
+	vs, err := interp.Characterize(b.Orig, 50_000_000)
+	if err != nil {
+		return nil, err
+	}
+	return &Characterization{Braids: ds.Stats(), Values: vs}, nil
 }
 
 // program returns the braid-compiled binary if braided, else the original.
@@ -201,8 +229,9 @@ func (w *Workloads) SimDetailedInstrs() uint64 { return w.simDetailed.Load() }
 func (w *Workloads) SimFFwdInstrs() uint64 { return w.simFFwd.Load() }
 
 // LoadSuite generates and braids all 26 benchmarks, each calibrated to about
-// dynTarget dynamic instructions, and precomputes their characterization,
-// preparing one benchmark per processor at a time.
+// dynTarget dynamic instructions, preparing one benchmark per processor at a
+// time. It interprets only each benchmark's short calibration probe; the
+// full programs are interpreted on first use of their characterization.
 func LoadSuite(dynTarget uint64) (*Workloads, error) {
 	return LoadSuiteCtx(context.Background(), dynTarget, 0)
 }
@@ -214,7 +243,8 @@ func LoadSuite(dynTarget uint64) (*Workloads, error) {
 // (each in-flight preparation still finishes); ctx is also the base context
 // every simulation of the suite runs under, so canceling it (e.g. from a
 // Ctrl-C signal handler) stops sweeps too, with in-flight simulations
-// returning errors wrapping uarch.ErrCanceled.
+// returning errors wrapping uarch.ErrCanceled, and stops the
+// characterization experiments between benchmarks.
 func LoadSuiteCtx(ctx context.Context, dynTarget uint64, jobs int) (*Workloads, error) {
 	if dynTarget < 1000 {
 		return nil, fmt.Errorf("experiments: dynTarget %d too small", dynTarget)
@@ -328,32 +358,32 @@ func prepare(prof workload.Profile, dynTarget uint64) (*Bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Bench{
+	return &Bench{
 		Name:    prof.Name,
 		FP:      prof.FP,
 		Profile: prof,
 		Orig:    orig,
 		Braided: res.Prog,
 		Compile: res,
-	}
+	}, nil
+}
 
-	// Execution-weighted braid statistics (Tables 1-3).
-	ds := braid.NewDynamicStats(res)
-	m := interp.New(res.Prog)
-	steps, err := m.Run(50_000_000, func(si *interp.StepInfo) { ds.OnRetire(si.Index) })
-	if err != nil {
-		return nil, err
-	}
-	b.DynStats = ds.Stats()
-	b.DynInstrs = steps
-
-	// §1 value fanout/lifetime statistics over the original program.
-	vs, err := interp.Characterize(orig, 50_000_000)
-	if err != nil {
-		return nil, err
-	}
-	b.ValueStats = vs
-	return b, nil
+// characterizeAll returns every benchmark's characterization in suite
+// order, computing the missing ones through the worker pool. Canceling the
+// suite context stops it between benchmarks with an error wrapping
+// uarch.ErrCanceled.
+func (w *Workloads) characterizeAll() ([]*Characterization, error) {
+	ctx := w.baseCtx()
+	return parallelMap(w.jobs, w.Benches, func(b *Bench) (*Characterization, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w: characterization stopped", b.Name, uarch.ErrCanceled)
+		}
+		c, err := b.Characterize()
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
+		}
+		return c, nil
+	})
 }
 
 // IPC simulates one benchmark under cfg (braided selects the braid-compiled

@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"braid/internal/braid"
+	"braid/internal/interp"
 	"braid/internal/uarch"
 )
 
@@ -135,8 +140,154 @@ func TestLoadSuiteJobsDeterministic(t *testing.T) {
 		if len(a.Orig.Instrs) != len(b.Orig.Instrs) || len(a.Braided.Instrs) != len(b.Braided.Instrs) {
 			t.Errorf("%s: program sizes differ between worker counts", a.Name)
 		}
-		if a.DynInstrs != b.DynInstrs {
-			t.Errorf("%s: dynamic instruction counts differ: %d vs %d", a.Name, a.DynInstrs, b.DynInstrs)
+		ca, err := a.Characterize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := b.Characterize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ca.Braids.Instrs != cb.Braids.Instrs {
+			t.Errorf("%s: dynamic instruction counts differ: %d vs %d", a.Name, ca.Braids.Instrs, cb.Braids.Instrs)
+		}
+	}
+}
+
+// TestLoadSuiteCanceled: a suite context canceled before preparation stops
+// it with an error wrapping uarch.ErrCanceled, which the sweep tools turn
+// into exit status 130.
+func TestLoadSuiteCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := LoadSuiteCtx(ctx, 1000, 1)
+	if !errors.Is(err, uarch.ErrCanceled) {
+		t.Fatalf("LoadSuiteCtx under a canceled context: %v, want an error wrapping uarch.ErrCanceled", err)
+	}
+	if !strings.Contains(err.Error(), "suite preparation stopped") {
+		t.Errorf("error %q does not say suite preparation stopped", err)
+	}
+}
+
+// TestCharacterizeOnFirstUse: preparing the suite and running sweeps that
+// read only the programs interpret no program to the end, and a canceled
+// suite context stops the characterization experiments before they do.
+func TestCharacterizeOnFirstUse(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w, err := LoadSuiteCtx(ctx, 1000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncharacterized := func(when string) {
+		t.Helper()
+		var done []string
+		for _, b := range w.Benches {
+			if b.char != nil || b.charErr != nil {
+				done = append(done, b.Name)
+			}
+		}
+		if len(done) > 0 {
+			t.Errorf("characterized %s: %s", when, strings.Join(done, " "))
+		}
+	}
+	uncharacterized("by LoadSuiteCtx")
+	for _, run := range []func(*Workloads) (*Result, error){Fig13, Fig1} {
+		if _, err := run(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	uncharacterized("by Fig13 and Fig1")
+
+	cancel()
+	for _, id := range []string{"values", "table1", "table2", "table3"} {
+		e, _ := ByID(id)
+		if _, err := e.Run(w); !errors.Is(err, uarch.ErrCanceled) {
+			t.Errorf("%s under a canceled suite context: %v, want an error wrapping uarch.ErrCanceled", id, err)
+		}
+	}
+	uncharacterized("under a canceled suite context")
+}
+
+// TestCharacterizationMatchesDirectPasses: the accessor's results are
+// bit-equal to the two interpreter passes suite preparation used to run.
+func TestCharacterizationMatchesDirectPasses(t *testing.T) {
+	w, err := LoadSuiteCtx(context.Background(), 2000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range w.Benches {
+		got, err := b.Characterize()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		ds := braid.NewDynamicStats(b.Compile)
+		steps, err := interp.New(b.Braided).Run(50_000_000, func(si *interp.StepInfo) { ds.OnRetire(si.Index) })
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		vs, err := interp.Characterize(b.Orig, 50_000_000)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if uint64(got.Braids.Instrs) != steps {
+			t.Errorf("%s: %d dynamic instructions, the braided program retires %d", b.Name, got.Braids.Instrs, steps)
+		}
+		if !reflect.DeepEqual(got.Braids, ds.Stats()) {
+			t.Errorf("%s: braid statistics differ from a direct pass:\n got %+v\nwant %+v", b.Name, got.Braids, ds.Stats())
+		}
+		if !reflect.DeepEqual(got.Values, vs) {
+			t.Errorf("%s: value statistics differ from interp.Characterize", b.Name)
+		}
+		if again, _ := b.Characterize(); again != got {
+			t.Errorf("%s: a second call characterized again", b.Name)
+		}
+	}
+}
+
+// TestCharacterizationConcurrent runs three characterization experiments at
+// once on a fresh suite, so they race to characterize the same benchmarks,
+// and requires the Results of one-at-a-time runs. `go test -race` checks
+// the accessor's synchronization on top.
+func TestCharacterizationConcurrent(t *testing.T) {
+	exps := []func(*Workloads) (*Result, error){Table1, Table3, ValueCharacterization}
+	load := func() *Workloads {
+		t.Helper()
+		w, err := LoadSuiteCtx(context.Background(), 1000, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+
+	serial := load()
+	want := make([]*Result, len(exps))
+	for i, run := range exps {
+		r, err := run(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+
+	conc := load()
+	got := make([]*Result, len(exps))
+	errs := make([]error, len(exps))
+	var wg sync.WaitGroup
+	for i, run := range exps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(conc)
+		}()
+	}
+	wg.Wait()
+	for i := range exps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: concurrent Result differs from the serial one:\n%s\nvs\n%s", want[i].ID, got[i], want[i])
 		}
 	}
 }
