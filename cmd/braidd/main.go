@@ -6,7 +6,6 @@
 // Endpoints:
 //
 //	POST /v1/simulate   one program + config -> full Stats JSON
-//	POST /v1/batch      up to -max-batch requests, run concurrently
 //	GET  /healthz       readiness (503 while draining)
 //	GET  /metrics       expvar JSON: queue depth, cache hit rate, MIPS, ...
 //	GET  /debug/pprof/  live profiling
@@ -39,7 +38,6 @@ func main() {
 		cacheSize    = flag.Int("cache", 1024, "result-cache entries (negative disables)")
 		maxSimTime   = flag.Duration("max-sim-time", 30*time.Second, "per-request wall-clock ceiling")
 		maxCycles    = flag.Uint64("max-cycles", 50_000_000, "per-request simulated-cycle ceiling")
-		maxBatch     = flag.Int("max-batch", 64, "max requests per /v1/batch call")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "shutdown grace for in-flight requests")
 		accessLog    = flag.String("access-log", "stderr", "access log destination: stderr, none, or a file path")
 	)
@@ -65,7 +63,6 @@ func main() {
 		CacheEntries: *cacheSize,
 		MaxSimTime:   *maxSimTime,
 		MaxCycles:    *maxCycles,
-		MaxBatch:     *maxBatch,
 		AccessLog:    logw,
 	})
 	srv := &http.Server{

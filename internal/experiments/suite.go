@@ -156,24 +156,15 @@ func (w *Workloads) SetTimeout(d time.Duration) { w.simTimeout = d }
 // is created on first fault.
 func (w *Workloads) SetCrashDir(dir string) { w.crashDir = dir }
 
-// Runner executes one simulation. The default runner is the in-process
-// simulator; installing a remote pool (internal/remote) makes every memoized
-// point and ablation run execute on braidd backends instead. A zero Sampling
-// means an exact run, whose estimate is nil. A Runner must be deterministic
-// and must report failures in the local error taxonomy (*uarch.SimFault,
+// Runner executes one simulation in place of the in-process simulator;
+// installing a remote pool (internal/remote) makes every memoized point and
+// ablation run execute on braidd backends instead. A zero Sampling means an
+// exact run, whose estimate is nil. A Runner must be deterministic and must
+// report failures in the local error taxonomy (*uarch.SimFault,
 // ErrCycleLimit, ErrTimeout, ErrCanceled) so memoization, checkpointing, and
 // Failures() accounting behave identically either way.
 type Runner interface {
 	SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error)
-}
-
-// LocalRunner is the in-process simulator, the Runner a Workloads uses until
-// SetRunner installs another.
-type LocalRunner struct{}
-
-// SimulateSampled is uarch.SimulateSampled.
-func (LocalRunner) SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error) {
-	return uarch.SimulateSampled(ctx, p, cfg, sp)
 }
 
 // SetRunner installs the simulation executor; nil restores the in-process
@@ -190,13 +181,12 @@ func (w *Workloads) SetSampling(sp uarch.Sampling) { w.sampling = sp }
 func (w *Workloads) Sampling() uarch.Sampling { return w.sampling }
 
 // simulate runs one point under the suite's sampling geometry through the
-// installed Runner.
+// installed Runner, or in-process without one.
 func (w *Workloads) simulate(ctx context.Context, p *isa.Program, cfg uarch.Config) (*uarch.Stats, *uarch.SampleEstimate, error) {
-	var r Runner = LocalRunner{}
 	if w.runner != nil {
-		r = w.runner
+		return w.runner.SimulateSampled(ctx, p, cfg, w.sampling)
 	}
-	return r.SimulateSampled(ctx, p, cfg, w.sampling)
+	return uarch.SimulateSampled(ctx, p, cfg, w.sampling)
 }
 
 // baseCtx resolves the suite context, defaulting to Background.

@@ -26,8 +26,8 @@ func newAdmission(workers, depth int) *admission {
 }
 
 // admit reserves a queue position. With shed set the reservation never
-// blocks — a full queue returns errOverloaded; otherwise (batch items)
-// it waits for a position or for ctx.
+// blocks — a full queue returns errOverloaded; otherwise (a prober's
+// canary) it waits for a position or for ctx.
 func (a *admission) admit(ctx context.Context, shed bool) error {
 	if shed {
 		select {

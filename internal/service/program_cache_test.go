@@ -301,9 +301,8 @@ func TestBraidloadStreamMetrics(t *testing.T) {
 }
 
 // TestImageSHA256Source: a hash-only request is served from the program
-// cache once an image request put the image there, on /v1/simulate and in
-// /v1/batch. Before that it is a 404 unknown_program that builds and stores
-// nothing. A malformed digest, and a request naming the image both ways,
+// cache once an image request put the image there. Before that it is a 404
+// unknown_program that builds and stores nothing. A malformed digest, and a request naming the image both ways,
 // are 400s whether or not the server holds the image.
 func TestImageSHA256Source(t *testing.T) {
 	svc := New(Config{Workers: 2})
@@ -359,15 +358,6 @@ func TestImageSHA256Source(t *testing.T) {
 		}
 		return rr
 	}
-	batchItem := func(req SimRequest) BatchItem {
-		t.Helper()
-		status, data := post("/v1/batch", BatchRequest{Requests: []SimRequest{req}})
-		var br BatchResponse
-		if err := json.Unmarshal(data, &br); status != http.StatusOK || err != nil || len(br.Items) != 1 {
-			t.Fatalf("batch: status %d: %s", status, data)
-		}
-		return br.Items[0]
-	}
 	counters := func(builds, unknown int64, entries int) {
 		t.Helper()
 		if got := svc.met.programBuilds.Value(); got != builds {
@@ -382,13 +372,10 @@ func TestImageSHA256Source(t *testing.T) {
 	}
 
 	simulate(byHash, http.StatusNotFound, "unknown_program")
-	if item := batchItem(byHash); item.Status != http.StatusNotFound || item.Error == nil || item.Error.Kind != "unknown_program" {
-		t.Fatalf("batch item before the image: %+v", item)
-	}
 	for _, bad := range []SimRequest{both, malformed, short} {
 		simulate(bad, http.StatusBadRequest, "bad_request")
 	}
-	counters(0, 2, 0)
+	counters(0, 1, 0)
 
 	simulate(byImage, http.StatusOK, "")
 	rr := simulate(byHashOther, http.StatusOK, "")
@@ -399,12 +386,8 @@ func TestImageSHA256Source(t *testing.T) {
 	if want, _ := json.Marshal(direct); !bytes.Equal(rr.Stats, want) || rr.Source != "run" {
 		t.Errorf("hash request served %s from %q, want a run giving %s", rr.Stats, rr.Source, want)
 	}
-	if item := batchItem(byHash); item.Status != http.StatusOK || item.Result == nil ||
-		item.Result.Source != "cache" || item.Result.ProgramHash != b.ProgHash {
-		t.Fatalf("batch item after the image: %+v", item)
-	}
 	for _, bad := range []SimRequest{both, malformed, short} {
 		simulate(bad, http.StatusBadRequest, "bad_request")
 	}
-	counters(1, 2, 1)
+	counters(1, 1, 1)
 }

@@ -48,7 +48,6 @@ type Config struct {
 	MaxCycles    uint64        // per-request simulated-cycle ceiling (default 50M)
 	MaxSimTime   time.Duration // per-request wall-clock ceiling (default 30s)
 	MaxBodyBytes int64         // request-body limit (default 8 MiB)
-	MaxBatch     int           // items allowed in one /v1/batch call (default 64)
 	AccessLog    io.Writer     // structured JSON access log (nil: disabled)
 }
 
@@ -73,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	return c
 }
@@ -131,7 +127,6 @@ func New(cfg Config) *Server {
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	s.mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -244,66 +239,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// BatchRequest is the body of POST /v1/batch: the requests run concurrently
-// through the same admission pool, but items wait for a queue position
-// instead of being shed, so one batch admits itself gradually rather than
-// tripping its own backpressure.
-type BatchRequest struct {
-	Requests []SimRequest `json:"requests"`
-}
-
-// BatchItem is one per-request outcome inside a BatchResponse.
-type BatchItem struct {
-	Status int          `json:"status"`
-	Result *SimResponse `json:"result,omitempty"`
-	Error  *ErrorBody   `json:"error,omitempty"`
-}
-
-// BatchResponse is the body of a /v1/batch reply; Items aligns with the
-// request order.
-type BatchResponse struct {
-	Items []BatchItem `json:"items"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Message: err.Error()})
-		return
-	}
-	if len(req.Requests) == 0 || len(req.Requests) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest, ErrorBody{
-			Kind:    "bad_request",
-			Message: fmt.Sprintf("batch size must be 1..%d, got %d", s.cfg.MaxBatch, len(req.Requests)),
-		})
-		return
-	}
-	items := make([]BatchItem, len(req.Requests))
-	var wg sync.WaitGroup
-	for i := range req.Requests {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b, err := s.build(&req.Requests[i])
-			if err != nil {
-				status, body := buildErrorBody(err)
-				items[i] = BatchItem{Status: status, Error: &body}
-				return
-			}
-			res, err := s.runSim(r.Context(), b, false)
-			if err != nil {
-				status, body := simErrorBody(err)
-				items[i] = BatchItem{Status: status, Error: &body}
-				return
-			}
-			resp := s.response(b, res)
-			items[i] = BatchItem{Status: http.StatusOK, Result: &resp}
-		}(i)
-	}
-	wg.Wait()
-	s.writeJSON(w, http.StatusOK, BatchResponse{Items: items})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
@@ -328,7 +263,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // runSim resolves one built simulation: result cache, then coalescing onto
 // an identical in-progress run, then the admission queue and a worker slot,
 // then the simulator itself under the request deadline. shed selects
-// fail-fast admission (interactive requests) over waiting (batch items).
+// fail-fast admission (interactive requests) over waiting (a prober's
+// canary).
 //
 // A cache miss is counted only for the flight leader — the request that
 // actually puts demand on the simulator. Followers count as coalesced, and

@@ -573,45 +573,6 @@ func TestOversizedConfigsRejected(t *testing.T) {
 	}
 }
 
-// TestBatch: a mixed batch returns per-item statuses in request order.
-func TestBatch(t *testing.T) {
-	svc := New(Config{Workers: 2})
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	body := `{"requests":[
-		{"kernel":"dot","core":"ooo"},
-		{"workload":"no-such-profile"},
-		{"kernel":"dot","core":"ooo"}
-	]}`
-	resp, data := postJSON(t, ts.URL+"/v1/batch", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(data, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Items) != 3 {
-		t.Fatalf("%d items, want 3", len(br.Items))
-	}
-	wantStatus := []int{200, 400, 200}
-	for i, item := range br.Items {
-		if item.Status != wantStatus[i] {
-			t.Errorf("item %d: status %d, want %d", i, item.Status, wantStatus[i])
-		}
-	}
-	if br.Items[0].Result == nil || br.Items[2].Result == nil || br.Items[1].Error == nil {
-		t.Fatal("result/error bodies missing")
-	}
-	if br.Items[0].Result.Stats.Retired != br.Items[2].Result.Stats.Retired {
-		t.Error("identical batch items disagree")
-	}
-	if n := svc.programs.len(); n != 1 {
-		t.Errorf("program_cache_entries = %d, want 1 (batch items share the program cache)", n)
-	}
-}
-
 // TestBuildKeyStability: the cache key is a pure function of program bytes
 // and configuration — identical requests collide, different ones do not.
 func TestBuildKeyStability(t *testing.T) {

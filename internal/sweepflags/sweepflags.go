@@ -21,64 +21,8 @@ import (
 	"braid/internal/uarch"
 )
 
-// Fleet holds the flags that send simulations to braidd backends.
-type Fleet struct {
-	remote   string
-	hedge    bool
-	verify   int
-	fallback string
-	probe    time.Duration
-}
-
-// AddFleet registers the fleet flags on fs.
-func AddFleet(fs *flag.FlagSet) *Fleet {
-	f := &Fleet{}
-	fs.StringVar(&f.remote, "remote", "", "comma-separated braidd base URLs; simulations run on these backends")
-	fs.BoolVar(&f.hedge, "hedge", false, "hedge slow remote requests onto a second backend (needs -remote)")
-	fs.IntVar(&f.verify, "remote-verify", 0, "cross-check sampled remote results against local simulation, ~1 in N points (needs -remote; 0: off)")
-	fs.StringVar(&f.fallback, "fallback", "fail", "when every backend attempt fails: 'local' simulates in-process, 'fail' contains the point (needs -remote)")
-	fs.DurationVar(&f.probe, "probe", 0, "background health-probe interval; ejects dead backends and reintegrates recovered ones (needs -remote; 0: off)")
-	return f
-}
-
-// Connect returns the pool of the -remote backends, or nil without -remote.
-// It requires one live backend, names the unreachable ones on stderr, and
-// runs the -probe prober until ctx ends. timeout bounds each simulation
-// (0: none).
-func (f *Fleet) Connect(ctx context.Context, tool string, timeout time.Duration) (*remote.Pool, error) {
-	if f.remote == "" {
-		return nil, nil
-	}
-	fb, err := remote.ParseFallback(f.fallback)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := remote.NewPool(remote.Options{
-		Backends:    strings.Split(f.remote, ","),
-		Hedge:       f.hedge,
-		VerifyEvery: f.verify,
-		TimeoutMS:   timeout.Milliseconds(),
-		Fallback:    fb,
-	})
-	if err != nil {
-		return nil, err
-	}
-	down, err := pool.Ping(ctx)
-	if len(down) > 0 {
-		fmt.Fprintf(os.Stderr, "%s: unreachable backends (will fail over): %s\n", tool, strings.Join(down, ","))
-	}
-	if err != nil {
-		return nil, err
-	}
-	if f.probe > 0 {
-		pool.StartProber(ctx, f.probe)
-	}
-	return pool, nil
-}
-
-// Suite holds the suite flags and the fleet's.
+// Suite holds the suite and fleet flags.
 type Suite struct {
-	*Fleet
 	Dyn        uint64
 	Jobs       int
 	sample     string
@@ -86,11 +30,16 @@ type Suite struct {
 	resume     bool
 	crashDir   string
 	simTimeout time.Duration
+	remote     string
+	hedge      bool
+	verify     int
+	fallback   string
+	probe      time.Duration
 }
 
 // AddSuite registers the suite and fleet flags on fs.
 func AddSuite(fs *flag.FlagSet) *Suite {
-	s := &Suite{Fleet: AddFleet(fs)}
+	s := &Suite{}
 	fs.Uint64Var(&s.Dyn, "dyn", 30000, "dynamic instructions per benchmark")
 	fs.IntVar(&s.Jobs, "j", runtime.GOMAXPROCS(0), "parallel simulations (0: one per processor)")
 	fs.StringVar(&s.sample, "sample", "", "interval sampling geometry period:detail[:warmup]; empty runs exact")
@@ -98,7 +47,36 @@ func AddSuite(fs *flag.FlagSet) *Suite {
 	fs.BoolVar(&s.resume, "resume", false, "reload finished simulations from -checkpoint before running")
 	fs.StringVar(&s.crashDir, "crashdir", "crashes", "directory for simulator-fault repro artifacts")
 	fs.DurationVar(&s.simTimeout, "sim-timeout", 0, "wall-clock budget per simulation (0: none)")
+	fs.StringVar(&s.remote, "remote", "", "comma-separated braidd base URLs; simulations run on these backends")
+	fs.BoolVar(&s.hedge, "hedge", false, "hedge slow remote requests onto a second backend (needs -remote)")
+	fs.IntVar(&s.verify, "remote-verify", 0, "cross-check sampled remote results against local simulation, ~1 in N points (needs -remote; 0: off)")
+	fs.StringVar(&s.fallback, "fallback", "fail", "when every backend attempt fails: 'local' simulates in-process, 'fail' contains the point (needs -remote)")
+	fs.DurationVar(&s.probe, "probe", 0, "background health-probe interval; ejects dead backends and reintegrates recovered ones (needs -remote; 0: off)")
 	return s
+}
+
+// check rejects a flag the other flags would leave without effect.
+func (s *Suite) check() error {
+	if _, err := remote.ParseFallback(s.fallback); err != nil {
+		return fmt.Errorf("-fallback: %w", err)
+	}
+	if s.resume && s.checkpoint == "" {
+		return errors.New("-resume needs -checkpoint")
+	}
+	if s.remote != "" {
+		return nil
+	}
+	switch {
+	case s.hedge:
+		return errors.New("-hedge needs -remote")
+	case s.verify > 0:
+		return errors.New("-remote-verify needs -remote")
+	case s.probe > 0:
+		return errors.New("-probe needs -remote")
+	case s.fallback == "local":
+		return errors.New("-fallback local needs -remote")
+	}
+	return nil
 }
 
 // Sweep is a prepared suite and what its flags attach to it.
@@ -109,10 +87,13 @@ type Sweep struct {
 	pool  *remote.Pool
 }
 
-// Load prepares the suite at -dyn with -j workers under ctx, which stays
-// the base context of every simulation, and applies -sim-timeout,
-// -crashdir and -sample.
+// Load rejects a flag the others would leave without effect, prepares the
+// suite at -dyn with -j workers under ctx, which stays the base context of
+// every simulation, and applies -sim-timeout, -crashdir and -sample.
 func (s *Suite) Load(ctx context.Context, tool string) (*Sweep, error) {
+	if err := s.check(); err != nil {
+		return nil, err
+	}
 	sp, err := uarch.ParseSampling(s.sample)
 	if err != nil {
 		return nil, err
@@ -135,16 +116,10 @@ func (s *Suite) Load(ctx context.Context, tool string) (*Sweep, error) {
 // Attach sends the sweep's simulations to the -remote pool and opens the
 // -checkpoint journal, restoring its points with -resume.
 func (sw *Sweep) Attach(ctx context.Context) error {
-	s := sw.flags
-	pool, err := s.Connect(ctx, sw.tool, s.simTimeout)
-	if err != nil {
+	if err := sw.connect(ctx); err != nil {
 		return err
 	}
-	if pool != nil {
-		sw.pool = pool
-		sw.SetRunner(pool)
-		fmt.Fprintf(os.Stderr, "%s: remote execution over %d backend(s)\n", sw.tool, len(pool.Backends()))
-	}
+	s := sw.flags
 	if s.checkpoint == "" {
 		return nil
 	}
@@ -155,6 +130,41 @@ func (sw *Sweep) Attach(ctx context.Context) error {
 	if s.resume {
 		fmt.Fprintf(os.Stderr, "%s: resumed %d finished simulations from %s\n", sw.tool, restored, s.checkpoint)
 	}
+	return nil
+}
+
+// connect installs the pool of the -remote backends as the sweep's runner.
+// It requires one live backend, names the unreachable ones on stderr, and
+// runs the -probe prober until ctx ends.
+func (sw *Sweep) connect(ctx context.Context) error {
+	s := sw.flags
+	if s.remote == "" {
+		return nil
+	}
+	fb, _ := remote.ParseFallback(s.fallback) // checked by Load
+	pool, err := remote.NewPool(remote.Options{
+		Backends:    strings.Split(s.remote, ","),
+		Hedge:       s.hedge,
+		VerifyEvery: s.verify,
+		TimeoutMS:   s.simTimeout.Milliseconds(),
+		Fallback:    fb,
+	})
+	if err != nil {
+		return err
+	}
+	down, err := pool.Ping(ctx)
+	if len(down) > 0 {
+		fmt.Fprintf(os.Stderr, "%s: unreachable backends (will fail over): %s\n", sw.tool, strings.Join(down, ","))
+	}
+	if err != nil {
+		return err
+	}
+	if s.probe > 0 {
+		pool.StartProber(ctx, s.probe)
+	}
+	sw.pool = pool
+	sw.SetRunner(pool)
+	fmt.Fprintf(os.Stderr, "%s: remote execution over %d backend(s)\n", sw.tool, len(pool.Backends()))
 	return nil
 }
 

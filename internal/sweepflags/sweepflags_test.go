@@ -5,6 +5,7 @@ import (
 	"flag"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -44,19 +45,28 @@ func TestSuiteFlagDefaults(t *testing.T) {
 }
 
 // TestLoadExitStatus: a Ctrl-C during suite preparation exits 130, like one
-// during the sweep, and any other set-up error exits 1.
+// during the sweep, and any other set-up error exits 1. A flag that the
+// others would leave without effect is such an error, and names the flag.
 func TestLoadExitStatus(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
+	bg := context.Background()
 	for _, c := range []struct {
 		name string
 		ctx  context.Context
 		args []string
 		want int
+		flag string // named in the error, when set
 	}{
-		{"canceled", canceled, nil, 130},
-		{"budget too small", context.Background(), []string{"-dyn", "10"}, 1},
-		{"bad geometry", context.Background(), []string{"-sample", "5000:100000"}, 1},
+		{"canceled", canceled, nil, 130, ""},
+		{"budget too small", bg, []string{"-dyn", "10"}, 1, ""},
+		{"bad geometry", bg, []string{"-sample", "5000:100000"}, 1, ""},
+		{"bad fallback", bg, []string{"-fallback", "bogus"}, 1, "-fallback"},
+		{"resume without checkpoint", bg, []string{"-resume"}, 1, "-resume"},
+		{"hedge without remote", bg, []string{"-hedge"}, 1, "-hedge"},
+		{"verify without remote", bg, []string{"-remote-verify", "2"}, 1, "-remote-verify"},
+		{"probe without remote", bg, []string{"-probe", "1s"}, 1, "-probe"},
+		{"local fallback without remote", bg, []string{"-fallback", "local"}, 1, "-fallback"},
 	} {
 		fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 		s := AddSuite(fs)
@@ -70,6 +80,25 @@ func TestLoadExitStatus(t *testing.T) {
 		}
 		if got := status(err); got != c.want {
 			t.Errorf("%s: %v maps to exit status %d, want %d", c.name, err, got, c.want)
+		}
+		if !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s: %q does not name %s", c.name, err, c.flag)
+		}
+	}
+
+	// The same flags pass with what they need.
+	for _, args := range [][]string{
+		{"-checkpoint", "f", "-resume"},
+		{"-remote", "h", "-hedge", "-remote-verify", "2", "-probe", "1s", "-fallback", "local"},
+		{"-remote-verify", "0", "-probe", "0", "-fallback", "fail"},
+	} {
+		fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+		s := AddSuite(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.check(); err != nil {
+			t.Errorf("%v: %v", args, err)
 		}
 	}
 }
