@@ -18,9 +18,10 @@
 // duplicates straggling requests onto a second backend, and -remote-verify N
 // re-simulates ~1 in N points locally and requires the remote stats to match
 // byte for byte.
-// Per-backend circuit breakers skip tripped backends automatically; -probe
-// adds a background health prober that ejects dead backends and reintegrates
-// them when they recover, and -fallback local degrades to in-process
+// A backend that fails three attempts in a row is ejected: routing skips it
+// until an attempt after a 1 s cooldown is answered. -probe adds a
+// background health prober that also ejects backends failing /healthz or a
+// known-answer canary, and -fallback local degrades to in-process
 // simulation when the whole fleet is unavailable, keeping output identical.
 //
 // Usage:
@@ -99,6 +100,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	if *accuracy != "" {
+		if err := checkAccuracyFlags(flag.CommandLine); err != nil {
+			sweepflags.Fatal("braidbench", err)
+		}
+	}
 	start := time.Now()
 	sw, err := suite.Load(ctx, "braidbench")
 	if err != nil {
@@ -192,6 +198,19 @@ func main() {
 	if exit != 0 {
 		os.Exit(exit)
 	}
+}
+
+// checkAccuracyFlags names the first of -remote, -checkpoint and
+// -sim-timeout set on fs: the accuracy sweep simulates in-process, journals
+// nothing and runs without a deadline, so each would go without effect.
+// The fleet flags and -resume then fail Suite.Load's own checks.
+func checkAccuracyFlags(fs *flag.FlagSet) error {
+	for _, name := range []string{"remote", "checkpoint", "sim-timeout"} {
+		if f := fs.Lookup(name); f.Value.String() != f.DefValue {
+			return fmt.Errorf("-sampling-accuracy simulates in-process: -%s has no effect", name)
+		}
+	}
+	return nil
 }
 
 // writeAccuracyReport sweeps the suite exact-vs-sampled for the two

@@ -2,7 +2,15 @@ package remote
 
 import (
 	"context"
+	"encoding/json"
+	"flag"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -12,15 +20,63 @@ import (
 	"braid/internal/uarch"
 )
 
-// soakOutcome summarizes one chaos sweep for the breaker-on/off comparison.
-type soakOutcome struct {
-	stats    Stats
-	injected int64
+// fleetFault is a fault schedule for the second of a sweep's two backends.
+type fleetFault struct {
+	name  string
+	sched func(points int) chaos.Schedule // the schedule for a sweep of so many points
+	paced bool                            // sweep in waves of 8, 400 ms apart, across several flap periods
 }
 
-// soakPoints is the sweep grid: every suite benchmark on three out-of-order
-// widths and the 8-wide braid machine — enough distinct points that the
-// sweep outlives several flap periods when run in paced waves.
+var (
+	// faultFlap is down 2 s and up 2 s, starting down.
+	faultFlap = fleetFault{name: "flap 2s/2s", paced: true, sched: func(int) chaos.Schedule {
+		return chaos.Flap(2*time.Second, 2*time.Second).Schedule
+	}}
+	// faultKilled resets every request from the backend's simulate that
+	// falls a third of the way into the sweep: it owns about half the points.
+	faultKilled = fleetFault{name: "killed a third in", sched: func(points int) chaos.Schedule {
+		dead := int64(points / 6)
+		return func(r *http.Request, n int64) chaos.Fault {
+			if n >= dead {
+				return chaos.Fault{Kind: chaos.Reset}
+			}
+			return chaos.Fault{Kind: chaos.Pass}
+		}
+	}}
+	fault503 = fleetFault{name: "503 every 2nd simulate", sched: func(int) chaos.Schedule {
+		return chaos.EveryN(2, chaos.Fault{Kind: chaos.Status, Status: http.StatusServiceUnavailable})
+	}}
+	faultCorrupt = fleetFault{name: "corrupt every 2nd simulate", sched: func(int) chaos.Schedule {
+		return chaos.EveryN(2, chaos.Fault{Kind: chaos.Corrupt})
+	}}
+)
+
+// fleetPolicy is the pool under test: its ejection paths and its timing.
+type fleetPolicy struct {
+	requestPath bool          // eject after consecutive failed attempts
+	probe       time.Duration // health-prober interval (0: no prober)
+	tune        func(*Pool)   // shortens the default timing (nil: keeps it)
+}
+
+// fleetSweep is a suite sweep that runs the same points against every
+// fault and policy.
+type fleetSweep struct {
+	dyn    uint64
+	jobs   int
+	points func(*experiments.Workloads) []experiments.Point
+	want   []float64 // local IPC of each point, filled by the first run
+}
+
+// fleetOutcome is one sweep's pool counters and cost.
+type fleetOutcome struct {
+	Stats
+	injected int64
+	wall     time.Duration
+	differ   int // points that failed or whose IPC differs from local simulation
+}
+
+// soakPoints is every suite benchmark on the 2-, 4- and 8-wide out-of-order
+// cores and the 8-wide braid core: 104 points.
 func soakPoints(w *experiments.Workloads) []experiments.Point {
 	var points []experiments.Point
 	for _, b := range w.Benches {
@@ -32,139 +88,298 @@ func soakPoints(w *experiments.Workloads) []experiments.Point {
 	return points
 }
 
-// runChaosSweep runs one full sweep against a two-backend fleet — one
-// healthy, one flapping down 2s / up 2s (starting down) — in paced waves so
-// the sweep spans multiple flap periods, and demands bit-identical
-// convergence with zero failed design points. It returns the pool counters
-// for the breaker-on vs breaker-off comparison.
-func runChaosSweep(t *testing.T, disableBreaker bool) soakOutcome {
+// widthPoints is every suite benchmark on the out-of-order and braid cores
+// at widths 2, 4, 8 and 16: 104 points, or 208 with both cores.
+func widthPoints(braid bool) func(*experiments.Workloads) []experiments.Point {
+	return func(w *experiments.Workloads) []experiments.Point {
+		var points []experiments.Point
+		for _, b := range w.Benches {
+			for _, width := range []int{2, 4, 8, 16} {
+				points = append(points, experiments.Point{Bench: b, Cfg: uarch.OutOfOrderConfig(width)})
+				if braid {
+					points = append(points, experiments.Point{Bench: b, Braided: true, Cfg: uarch.BraidConfig(width)})
+				}
+			}
+		}
+		return points
+	}
+}
+
+// runFleet sweeps sw against two in-process braidd, the second behind a
+// chaos proxy running f, through a pool set up by pol, and compares every
+// point with local simulation.
+func runFleet(t testing.TB, sw *fleetSweep, f fleetFault, pol fleetPolicy) fleetOutcome {
 	t.Helper()
+	w, err := experiments.LoadSuiteCtx(context.Background(), sw.dyn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := sw.points(w)
+	if sw.want == nil {
+		for _, pt := range points {
+			p := pt.Bench.Orig
+			if pt.Braided {
+				p = pt.Bench.Braided
+			}
+			st, err := uarch.SimulateChecked(context.Background(), p, pt.Cfg)
+			if err != nil {
+				t.Fatalf("local %s: %v", pt.Bench.Name, err)
+			}
+			sw.want = append(sw.want, st.IPC())
+		}
+	}
+
 	healthy := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
 	defer healthy.Close()
 	backend := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
 	defer backend.Close()
-	flap := chaos.Flap(2*time.Second, 2*time.Second)
-	cp, err := chaos.New(backend.URL, flap.Schedule)
+	cp, err := chaos.New(backend.URL, f.sched(len(points)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	proxy := httptest.NewServer(cp)
 	defer proxy.Close()
-
-	pool, err := NewPool(Options{
-		Backends:    []string{healthy.URL, proxy.URL},
-		MaxAttempts: 6,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
-		// Trip fast and cool down for 1s: the request path short-circuits
-		// the down backend almost immediately, and the prober (breaker-on
-		// only) reinstates it within a probe interval of the up transition.
-		DisableBreaker:   disableBreaker,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Second,
-	})
+	pool, err := NewPool(Options{Backends: []string{healthy.URL, proxy.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !disableBreaker {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		stop := pool.StartProber(ctx, 250*time.Millisecond)
+	if pol.tune != nil {
+		pol.tune(pool)
+	}
+	if !pol.requestPath {
+		pool.ejectAfter = 0
+	}
+	if pol.probe > 0 {
+		stop := pool.StartProber(context.Background(), pol.probe)
 		defer stop()
 	}
 
-	w, err := experiments.LoadSuiteCtx(context.Background(), 1500, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := soakPoints(w)
-
-	// Ground truth, in-process: the determinism reference every remote
-	// result must match bit for bit (IPC is derived from exact Stats).
-	want := make(map[experiments.Point]float64, len(points))
-	for _, pt := range points {
-		p := pt.Bench.Orig
-		if pt.Braided {
-			p = pt.Bench.Braided
-		}
-		st, err := uarch.SimulateChecked(context.Background(), p, pt.Cfg)
-		if err != nil {
-			t.Fatalf("local %s: %v", pt.Bench.Name, err)
-		}
-		want[pt] = st.IPC()
-	}
-
 	w.SetRunner(pool)
-	w.SetJobs(8)
+	w.SetJobs(sw.jobs)
+	wave := len(points)
+	if f.paced {
+		wave = 8
+	}
 	got := make(map[experiments.Point]float64, len(points))
-	const waveSize = 8
-	for start := 0; start < len(points); start += waveSize {
-		end := start + waveSize
-		if end > len(points) {
-			end = len(points)
-		}
+	t0 := time.Now()
+	for start := 0; start < len(points); start += wave {
+		end := min(start+wave, len(points))
 		res, err := w.IPCAll(points[start:end])
 		if err != nil {
-			t.Fatalf("breaker=%v wave at %d: %v", !disableBreaker, start, err)
+			t.Fatalf("%s: wave at %d: %v", f.name, start, err)
 		}
 		for pt, ipc := range res {
 			got[pt] = ipc
 		}
-		// Pace the waves so the sweep spans several down/up transitions
-		// instead of finishing inside the first phase.
-		time.Sleep(400 * time.Millisecond)
-	}
-
-	for pt, wantIPC := range want {
-		if got[pt] != wantIPC {
-			t.Errorf("breaker=%v %s braided=%v width=%d: IPC %v != local %v",
-				!disableBreaker, pt.Bench.Name, pt.Braided, pt.Cfg.IssueWidth, got[pt], wantIPC)
+		if f.paced && end < len(points) {
+			time.Sleep(400 * time.Millisecond)
 		}
 	}
-	if fails := w.Failures(); len(fails) > 0 {
-		t.Errorf("breaker=%v: %d failed design points under flapping backend: %v",
-			!disableBreaker, len(fails), fails)
+	out := fleetOutcome{Stats: pool.Snapshot(), injected: cp.Faults(), wall: time.Since(t0), differ: len(w.Failures())}
+	for i, pt := range points {
+		if ipc, ok := got[pt]; !ok || ipc != sw.want[i] {
+			out.differ++
+		}
 	}
-	if runs := w.SimRuns(); runs != uint64(len(points)) {
-		t.Errorf("breaker=%v: sim runs = %d, want %d", !disableBreaker, runs, len(points))
-	}
-	out := soakOutcome{stats: pool.Snapshot(), injected: cp.Faults()}
-	t.Logf("breaker=%v: pool %s; injected %s", !disableBreaker, pool, cp.Counters())
+	t.Logf("%s, ejection on request path %v, probe %v: %v; pool %s; injected %s",
+		f.name, pol.requestPath, pol.probe, out.wall.Round(time.Millisecond), pool, cp.Counters())
 	return out
 }
 
+// soakSweep is the chaos soak's sweep: 104 small points, 8 at a time.
+func soakSweep() *fleetSweep { return &fleetSweep{dyn: 1500, jobs: 8, points: soakPoints} }
+
+// soakTiming retries within 10 ms, ejects after two failed attempts and
+// cools down for 1 s.
+func soakTiming(p *Pool) {
+	p.maxAttempts, p.baseBackoff, p.maxBackoff = 6, time.Millisecond, 10*time.Millisecond
+	p.ejectAfter, p.cooldown = 2, time.Second
+}
+
 // TestChaosSoakBreakerHalvesWastedAttempts is the self-healing acceptance
-// soak: with one backend flapping down 2s / up 2s and one healthy, a full
+// soak: with one backend flapping down 2s / up 2s and one healthy, a paced
 // sweep must converge bit-identically to local results with zero failed
-// design points both with and without circuit breakers — and the breakers
-// must pay for themselves by issuing at least 50% fewer failed request
-// attempts under the identical fault schedule.
+// design points both with ejection (request path and a 250 ms prober) and
+// without — and ejection must pay for itself by issuing at least 50% fewer
+// failed request attempts under the identical fault schedule.
 func TestChaosSoakBreakerHalvesWastedAttempts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos soak")
 	}
-	on := runChaosSweep(t, false)
-	off := runChaosSweep(t, true)
+	sw := soakSweep()
+	on := runFleet(t, sw, faultFlap, fleetPolicy{requestPath: true, probe: 250 * time.Millisecond, tune: soakTiming})
+	off := runFleet(t, sw, faultFlap, fleetPolicy{tune: soakTiming})
 
+	if on.differ != 0 || off.differ != 0 {
+		t.Errorf("%d points with ejection and %d without failed or differ from local simulation", on.differ, off.differ)
+	}
 	if on.injected == 0 || off.injected == 0 {
-		t.Fatalf("a proxy never injected a fault (on=%d off=%d); the soak proved nothing",
-			on.injected, off.injected)
+		t.Fatalf("a proxy never injected a fault (on=%d off=%d); the soak proved nothing", on.injected, off.injected)
 	}
-	if on.stats.BreakerTrips == 0 {
-		t.Error("breakers never tripped under a flapping backend")
+	if on.Ejections == 0 {
+		t.Error("the flapping backend was never ejected")
 	}
-	if on.stats.ShortCircuits == 0 {
-		t.Error("breakers never short-circuited a request; they saved nothing")
+	if on.ShortCircuits == 0 {
+		t.Error("no attempt skipped the ejected backend; ejection saved nothing")
 	}
-	if off.stats.FailedAttempts == 0 {
-		t.Fatal("breaker-off run recorded no failed attempts; the comparison is vacuous")
+	if off.FailedAttempts == 0 {
+		t.Fatal("the run without ejection recorded no failed attempts; the comparison is vacuous")
 	}
-	if 2*on.stats.FailedAttempts > off.stats.FailedAttempts {
-		t.Errorf("breakers saved too little: %d failed attempts with breakers vs %d without (need ≥50%% fewer)",
-			on.stats.FailedAttempts, off.stats.FailedAttempts)
+	if 2*on.FailedAttempts > off.FailedAttempts {
+		t.Errorf("ejection saved too little: %d failed attempts with it vs %d without (need ≥50%% fewer)",
+			on.FailedAttempts, off.FailedAttempts)
 	}
-	t.Logf("failed attempts: %d with breakers, %d without (%.0f%% saved); %d trips, %d short-circuits, %d probe failures",
-		on.stats.FailedAttempts, off.stats.FailedAttempts,
-		100*(1-float64(on.stats.FailedAttempts)/float64(off.stats.FailedAttempts)),
-		on.stats.BreakerTrips, on.stats.ShortCircuits, on.stats.ProbeFailures)
+}
+
+// TestEjectionSavesKilledBackend kills one of two backends a third of the
+// way into a sweep, with no prober: the request path must eject it and cut
+// the failed attempts by at least half against a pool that never ejects.
+func TestEjectionSavesKilledBackend(t *testing.T) {
+	sw := &fleetSweep{dyn: 1500, jobs: 2, points: widthPoints(false)}
+	fast := func(p *Pool) { p.baseBackoff, p.maxBackoff = time.Millisecond, 10*time.Millisecond }
+	on := runFleet(t, sw, faultKilled, fleetPolicy{requestPath: true, tune: fast})
+	off := runFleet(t, sw, faultKilled, fleetPolicy{tune: fast})
+	if on.differ != 0 || off.differ != 0 {
+		t.Errorf("%d points with ejection and %d without failed or differ from local simulation", on.differ, off.differ)
+	}
+	if on.Ejections == 0 || off.FailedAttempts < 10 {
+		t.Fatalf("%d ejections, %d failed attempts without ejection: the backend did not die as scheduled",
+			on.Ejections, off.FailedAttempts)
+	}
+	if 2*on.FailedAttempts > off.FailedAttempts {
+		t.Errorf("ejection saved too little: %d failed attempts with it vs %d without (need ≥50%% fewer)",
+			on.FailedAttempts, off.FailedAttempts)
+	}
+}
+
+// TestPassingCanaryKeepsFlakyBackendEjected: a backend that answers 503 to
+// every second simulate passes every second canary. The prober ejects it on
+// a failed canary and a passing one must not put it back, or the request
+// path pays for it again after every passing tick.
+func TestPassingCanaryKeepsFlakyBackendEjected(t *testing.T) {
+	const bound = 8 // measured: 0–6 with the prober only ejecting, 10–37 when passing canaries reinstate
+	sw := &fleetSweep{dyn: 1500, jobs: 2, points: widthPoints(false)}
+	out := runFleet(t, sw, fault503, fleetPolicy{requestPath: true, probe: 20 * time.Millisecond, tune: func(p *Pool) {
+		p.baseBackoff, p.maxBackoff, p.cooldown = time.Millisecond, 10*time.Millisecond, 100*time.Millisecond
+	}})
+	if out.differ != 0 {
+		t.Errorf("%d points failed or differ from local simulation", out.differ)
+	}
+	if out.Ejections == 0 {
+		t.Fatal("the flaky backend was never ejected")
+	}
+	if out.FailedAttempts > bound {
+		t.Errorf("%d failed attempts against a backend failing every second simulate, want at most %d",
+			out.FailedAttempts, bound)
+	}
+}
+
+var ablationOut = flag.String("ablation", "", "run the fleet ablation matrix and write it to this JSON file")
+
+// TestFleetAblation measures what each ejection path buys under four fault
+// schedules and writes BENCH_fleet_ablation.json. It runs only with
+// -ablation, for several minutes:
+//
+//	go test ./internal/remote -run TestFleetAblation -timeout 30m -ablation ../../BENCH_fleet_ablation.json
+func TestFleetAblation(t *testing.T) {
+	if *ablationOut == "" {
+		t.Skip("run with -ablation PATH")
+	}
+	const repeats = 5
+	const probe = 250 * time.Millisecond
+	arms := []struct {
+		name   string
+		policy fleetPolicy
+	}{
+		{"no ejection", fleetPolicy{}},
+		{"request path only", fleetPolicy{requestPath: true}},
+		{"prober only", fleetPolicy{probe: probe}},
+		{"both", fleetPolicy{requestPath: true, probe: probe}},
+	}
+	suite := &fleetSweep{dyn: 10000, jobs: 2, points: widthPoints(true)}
+	schedules := []struct {
+		fault fleetFault
+		sweep *fleetSweep
+		tune  func(*Pool)
+		setup string
+	}{
+		{faultFlap, soakSweep(), soakTiming,
+			"the chaos soak: 104 points at -dyn 1500 in waves of 8, 400 ms apart, 8 jobs; 6 attempts, backoff 1-10 ms, ejection after 2 failed attempts, 1 s cooldown"},
+		{faultKilled, suite, nil, "208 points at -dyn 10000, 2 jobs, default pool timing"},
+		{fault503, suite, nil, "208 points at -dyn 10000, 2 jobs, default pool timing"},
+		{faultCorrupt, suite, nil, "208 points at -dyn 10000, 2 jobs, default pool timing"},
+	}
+
+	type cell struct {
+		Schedule        string    `json:"schedule"`
+		Arm             string    `json:"arm"`
+		FailedMedian    uint64    `json:"failed_attempts_median"`
+		FailedMin       uint64    `json:"failed_attempts_min"`
+		FailedMax       uint64    `json:"failed_attempts_max"`
+		Failed          []uint64  `json:"failed_attempts"`
+		WallS           []float64 `json:"wall_s"`
+		Ejections       []uint64  `json:"ejections"`
+		ShortCircuits   []uint64  `json:"short_circuits"`
+		DifferFromLocal int       `json:"differ_from_local"`
+	}
+	report := struct {
+		Command    string            `json:"command"`
+		Host       string            `json:"host"`
+		Go         string            `json:"go"`
+		GOMAXPROCS int               `json:"gomaxprocs"`
+		Repeats    int               `json:"repeats"`
+		Probe      string            `json:"probe"`
+		Setups     map[string]string `json:"setups"`
+		Cells      []cell            `json:"cells"`
+	}{
+		Command:    "go test ./internal/remote -run TestFleetAblation -timeout 30m -ablation ../../BENCH_fleet_ablation.json",
+		Host:       hostName(),
+		Go:         runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Repeats:    repeats,
+		Probe:      probe.String(),
+		Setups:     map[string]string{},
+	}
+	for _, s := range schedules {
+		report.Setups[s.fault.name] = s.setup
+		for _, a := range arms {
+			c := cell{Schedule: s.fault.name, Arm: a.name}
+			pol := a.policy
+			pol.tune = s.tune
+			for r := 0; r < repeats; r++ {
+				out := runFleet(t, s.sweep, s.fault, pol)
+				c.Failed = append(c.Failed, out.FailedAttempts)
+				c.WallS = append(c.WallS, out.wall.Seconds())
+				c.Ejections = append(c.Ejections, out.Ejections)
+				c.ShortCircuits = append(c.ShortCircuits, out.ShortCircuits)
+				c.DifferFromLocal += out.differ
+			}
+			sorted := slices.Clone(c.Failed)
+			slices.Sort(sorted)
+			c.FailedMin, c.FailedMedian, c.FailedMax = sorted[0], sorted[repeats/2], sorted[repeats-1]
+			if c.DifferFromLocal != 0 {
+				t.Errorf("%s, %s: %d results differ from local simulation", c.Schedule, c.Arm, c.DifferFromLocal)
+			}
+			report.Cells = append(report.Cells, c)
+		}
+	}
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(*ablationOut, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// hostName describes the machine: its OS, architecture, CPU count and, on
+// Linux, CPU model.
+func hostName() string {
+	host := runtime.GOOS + "/" + runtime.GOARCH + ", " + strconv.Itoa(runtime.NumCPU()) + " CPUs"
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		if m := regexp.MustCompile(`(?m)^model name\s*:\s*(.+)$`).FindSubmatch(info); m != nil {
+			host += ", " + string(m[1])
+		}
+	}
+	return host
 }

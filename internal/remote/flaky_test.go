@@ -52,18 +52,9 @@ func TestFlakyBackendsConvergeBitIdentical(t *testing.T) {
 		urls = append(urls, proxy.URL)
 	}
 
-	pool, err := NewPool(Options{
-		Backends:    urls,
-		MaxAttempts: 16, // a third of requests fault; leave headroom to converge
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
-		Hedge:       true,
-		HedgeFloor:  time.Millisecond,
-		VerifyEvery: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A third of requests fault: 16 attempts leave headroom to converge.
+	pool := testPool(t, Options{Backends: urls, Hedge: true, VerifyEvery: 4}, 16, 10*time.Millisecond)
+	pool.hedgeFloor = time.Millisecond
 	if _, err := pool.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}

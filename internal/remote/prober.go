@@ -79,10 +79,11 @@ type healthzBody struct {
 // checks each backend's /healthz and, when the backend reports itself
 // neither draining nor overloaded, runs the canary simulation with a
 // known-answer check. A failed probe (or a canary answering wrong bytes)
-// ejects the backend — its breaker force-opens, so the request path
-// short-circuits around it without spending an attempt — and a passing
-// canary reinstates it. The verdicts surface in Snapshot().Healthy and the
-// braidload/braidbench pool summaries.
+// ejects the backend, so the request path skips it without spending an
+// attempt, and grants it no trial while probes keep failing. A passing
+// probe reinstates nothing: only an answered attempt puts a backend back
+// in rotation (see health). The verdicts surface in Snapshot().Healthy
+// and Ejections and in the braidload/braidbench pool summaries.
 //
 // The prober stops when ctx is done or the returned stop function is called
 // (stop waits for the probe goroutine to exit).
@@ -133,31 +134,18 @@ func (p *Pool) probeBackend(ctx context.Context, i int, timeout time.Duration) {
 	hctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	hb, err := p.checkHealthz(hctx, i)
-	if err != nil {
-		if ctx.Err() != nil {
-			return // the prober is shutting down, not the backend failing
-		}
+	if err != nil && ctx.Err() == nil {
 		p.probeFailures.Add(1)
-		p.breakers[i].eject(time.Now())
-		p.healthy[i].Store(false)
-		return
 	}
-	if hb.Overloaded {
-		// Alive but saturated: a canary would only deepen the queue, and
-		// ejecting would amplify the spike onto the rest of the fleet.
-		p.healthy[i].Store(true)
-		return
+	if err == nil && !hb.Overloaded {
+		// An overloaded backend is alive but saturated: a canary would only
+		// deepen its queue, and ejecting it would amplify the spike onto the
+		// rest of the fleet.
+		err = p.canary(hctx, i)
 	}
-	if err := p.canary(hctx, i); err != nil {
-		if ctx.Err() != nil {
-			return
-		}
-		p.breakers[i].eject(time.Now())
-		p.healthy[i].Store(false)
-		return
+	if err != nil && ctx.Err() == nil { // a prober shutting down is no verdict
+		p.health[i].eject(time.Now())
 	}
-	p.healthy[i].Store(true)
-	p.breakers[i].reinstate()
 }
 
 func (p *Pool) checkHealthz(ctx context.Context, i int) (healthzBody, error) {

@@ -8,7 +8,9 @@
 // transient failures — 429 overload, 5xx, connection errors — retry with
 // exponential backoff and jitter (honoring Retry-After) and fail over to the
 // program's next-ranked backend, so a backend killed mid-sweep costs latency,
-// not the sweep; optional hedged requests duplicate a straggler onto the next
+// not the sweep; a backend that fails three attempts in a row, or the health
+// prober's check, is ejected from rotation until an attempt after a cooldown
+// is answered; optional hedged requests duplicate a straggler onto the next
 // backend after the pool's observed p95; and a verify mode cross-checks a
 // deterministic sample of remote Stats bit-for-bit against local simulation.
 //
@@ -47,26 +49,17 @@ import (
 
 // Options configures a Pool. Zero fields take the documented defaults.
 type Options struct {
-	Backends    []string      // braidd base URLs (required)
-	MaxAttempts int           // tries per point across backends (default max(4, 2*len(Backends)))
-	BaseBackoff time.Duration // first retry delay (default 50ms)
-	MaxBackoff  time.Duration // retry delay ceiling (default 2s)
-	Timeout     time.Duration // per-attempt HTTP timeout (default 2m)
-	TimeoutMS   int64         // per-request simulation deadline sent to the server (0: server default)
-	Hedge       bool          // duplicate stragglers onto the next backend
-	HedgeFloor  time.Duration // lower bound on the hedge delay (default 25ms)
-	VerifyEvery int           // locally re-simulate every point whose request hashes to 0 mod N (0: off)
-	Client      *http.Client  // HTTP client (default: fresh client, per-attempt timeout via context)
-
-	Fallback       FallbackPolicy // what to do when every attempt fails (default FallbackFail)
-	DisableBreaker bool           // route to every backend regardless of breaker state
-
-	BreakerThreshold int           // consecutive failures that trip a backend's breaker (default 3)
-	BreakerCooldown  time.Duration // open -> half-open probe delay (default 1s)
+	Backends    []string       // braidd base URLs (required)
+	Timeout     time.Duration  // per-attempt HTTP timeout (default 2m)
+	TimeoutMS   int64          // per-request simulation deadline sent to the server (0: server default)
+	Hedge       bool           // duplicate stragglers onto the next backend
+	VerifyEvery int            // locally re-simulate every point whose request hashes to 0 mod N (0: off)
+	Client      *http.Client   // HTTP client (default: fresh client, per-attempt timeout via context)
+	Fallback    FallbackPolicy // what to do when every attempt fails (default FallbackFail)
 }
 
 // FallbackPolicy selects what a Pool does when a point exhausts every
-// attempt (or every breaker is open): fail with a transient Unavailable, or
+// attempt (or every backend is ejected): fail with a transient Unavailable, or
 // degrade to in-process simulation.
 type FallbackPolicy int
 
@@ -98,6 +91,14 @@ type Pool struct {
 	client   *http.Client
 	opt      Options
 
+	// Retry and ejection timing: fixed per pool, shortened by tests.
+	maxAttempts int           // tries per point across backends: 2 per backend, at least 4
+	baseBackoff time.Duration // first retry delay
+	maxBackoff  time.Duration // retry delay ceiling
+	hedgeFloor  time.Duration // lower bound on the hedge delay
+	ejectAfter  int           // consecutive failed attempts that eject a backend (0: never)
+	cooldown    time.Duration // ejection to the first trial attempt, and a trial's expiry
+
 	requests   atomic.Uint64
 	retries    atomic.Uint64
 	failovers  atomic.Uint64
@@ -107,15 +108,14 @@ type Pool struct {
 	perBackend []atomic.Uint64 // successful responses per backend
 
 	failedAttempts    atomic.Uint64 // HTTP attempts that came back retryable
-	shortCircuits     atomic.Uint64 // attempts skipped because a breaker was open
+	shortCircuits     atomic.Uint64 // attempts skipped because a backend was ejected
 	localFallbacks    atomic.Uint64 // points degraded to in-process simulation
 	imageResends      atomic.Uint64 // unknown_program answers followed by the image
 	integrityFailures atomic.Uint64 // 200s whose body SHA-256 was missing or did not match
 	probeFailures     atomic.Uint64 // health-prober checks that failed
 	canaryMismatches  atomic.Uint64 // canary simulations whose stats diverged
 
-	breakers []*breaker    // per-backend circuit breakers, indexed like backends
-	healthy  []atomic.Bool // prober's last verdict per backend (starts true)
+	health []health // per backend, indexed like backends
 
 	images imageMemo // the images of the programs sent most recently
 
@@ -138,17 +138,15 @@ type Stats struct {
 	Verified   uint64            `json:"verified"`
 	PerBackend map[string]uint64 `json:"per_backend"`
 
-	FailedAttempts    uint64            `json:"failed_attempts"`
-	ShortCircuits     uint64            `json:"short_circuits"`
-	BreakerTrips      uint64            `json:"breaker_trips"`
-	BreakerProbes     uint64            `json:"breaker_probes"`
-	LocalFallbacks    uint64            `json:"local_fallbacks"`
-	ImageResends      uint64            `json:"image_resends"`
-	IntegrityFailures uint64            `json:"integrity_failures"`
-	ProbeFailures     uint64            `json:"probe_failures"`
-	CanaryMismatches  uint64            `json:"canary_mismatches"`
-	Breakers          map[string]string `json:"breakers"` // backend -> closed|open|half-open
-	Healthy           map[string]bool   `json:"healthy"`  // prober's last verdict per backend
+	FailedAttempts    uint64          `json:"failed_attempts"`
+	ShortCircuits     uint64          `json:"short_circuits"`
+	Ejections         uint64          `json:"ejections"` // times a backend left rotation
+	LocalFallbacks    uint64          `json:"local_fallbacks"`
+	ImageResends      uint64          `json:"image_resends"`
+	IntegrityFailures uint64          `json:"integrity_failures"`
+	ProbeFailures     uint64          `json:"probe_failures"`
+	CanaryMismatches  uint64          `json:"canary_mismatches"`
+	Healthy           map[string]bool `json:"healthy"` // backend -> in rotation (not ejected)
 }
 
 // Result is one successfully simulated point with its provenance.
@@ -165,7 +163,7 @@ type Result struct {
 }
 
 // NewPool validates o and builds a routing pool. Two entries that normalize
-// to one URL are an error: they would share a server but not a breaker.
+// to one URL are an error: they would share a server but not a health record.
 func NewPool(o Options) (*Pool, error) {
 	if len(o.Backends) == 0 {
 		return nil, errors.New("remote: no backends")
@@ -187,43 +185,27 @@ func NewPool(o Options) (*Pool, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("remote: no backends")
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 2 * len(backends)
-		if o.MaxAttempts < 4 {
-			o.MaxAttempts = 4
-		}
-	}
-	if o.BaseBackoff <= 0 {
-		o.BaseBackoff = 50 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Minute
-	}
-	if o.HedgeFloor <= 0 {
-		o.HedgeFloor = 25 * time.Millisecond
 	}
 	client := o.Client
 	if client == nil {
 		client = &http.Client{}
 	}
-	p := &Pool{
-		backends:   backends,
-		client:     client,
-		opt:        o,
-		perBackend: make([]atomic.Uint64, len(backends)),
-		breakers:   make([]*breaker, len(backends)),
-		healthy:    make([]atomic.Bool, len(backends)),
-		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
-	bcfg := breakerConfig{threshold: o.BreakerThreshold, cooldown: o.BreakerCooldown}
-	for i := range p.breakers {
-		p.breakers[i] = newBreaker(bcfg)
-		p.healthy[i].Store(true)
-	}
-	return p, nil
+	return &Pool{
+		backends:    backends,
+		client:      client,
+		opt:         o,
+		maxAttempts: max(4, 2*len(backends)),
+		baseBackoff: 50 * time.Millisecond,
+		maxBackoff:  2 * time.Second,
+		hedgeFloor:  25 * time.Millisecond,
+		ejectAfter:  3,
+		cooldown:    time.Second,
+		perBackend:  make([]atomic.Uint64, len(backends)),
+		health:      make([]health, len(backends)),
+		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
+	}, nil
 }
 
 // Backends returns the normalized backend base URLs.
@@ -247,16 +229,13 @@ func (p *Pool) Snapshot() Stats {
 		IntegrityFailures: p.integrityFailures.Load(),
 		ProbeFailures:     p.probeFailures.Load(),
 		CanaryMismatches:  p.canaryMismatches.Load(),
-		Breakers:          make(map[string]string, len(p.backends)),
 		Healthy:           make(map[string]bool, len(p.backends)),
 	}
 	for i, b := range p.backends {
 		s.PerBackend[b] = p.perBackend[i].Load()
-		state, trips, probes := p.breakers[i].snapshot()
-		s.Breakers[b] = state
-		s.BreakerTrips += trips
-		s.BreakerProbes += probes
-		s.Healthy[b] = p.healthy[i].Load()
+		ejected, ejections := p.health[i].snapshot()
+		s.Healthy[b] = !ejected
+		s.Ejections += ejections
 	}
 	return s
 }
@@ -265,8 +244,8 @@ func (p *Pool) String() string {
 	s := p.Snapshot()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d requests, %d retries, %d failovers", s.Requests, s.Retries, s.Failovers)
-	fmt.Fprintf(&b, ", %d failed attempts, %d breaker trips, %d short-circuits",
-		s.FailedAttempts, s.BreakerTrips, s.ShortCircuits)
+	fmt.Fprintf(&b, ", %d failed attempts, %d ejections, %d short-circuits",
+		s.FailedAttempts, s.Ejections, s.ShortCircuits)
 	if s.LocalFallbacks > 0 {
 		fmt.Fprintf(&b, ", %d local fallbacks", s.LocalFallbacks)
 	}
@@ -361,10 +340,10 @@ func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp 
 	cands := rank(p.backends, w.req.ImageSHA256)
 
 	var res *Result
-	if p.opt.Hedge && p.opt.MaxAttempts > 1 {
+	if p.opt.Hedge && p.maxAttempts > 1 {
 		res, err = p.runHedged(ctx, w, cands)
 	} else {
-		res, err = p.runAttempts(ctx, w, cands, p.opt.MaxAttempts)
+		res, err = p.runAttempts(ctx, w, cands, p.maxAttempts)
 	}
 	if err != nil {
 		var un *Unavailable
@@ -550,12 +529,8 @@ func (p *Pool) runHedged(ctx context.Context, w *wireRequest, cands []int) (*Res
 	attemptCtx[0], attemptCancel[0] = context.WithCancel(ctx)
 	defer attemptCancel[0]()
 	ch := make(chan out, 2)
-	primaryAttempts := p.opt.MaxAttempts - 1
-	if primaryAttempts < 1 {
-		primaryAttempts = 1
-	}
 	go func() {
-		r, err := p.runAttempts(attemptCtx[0], w, cands, primaryAttempts)
+		r, err := p.runAttempts(attemptCtx[0], w, cands, p.maxAttempts-1)
 		ch <- out{r, err, 0}
 	}()
 	timer := time.NewTimer(p.hedgeDelay())
@@ -602,7 +577,7 @@ func (p *Pool) runHedged(ctx context.Context, w *wireRequest, cands []int) (*Res
 	}
 }
 
-// hedgeDelay is the pool's p95 observed latency, floored by HedgeFloor;
+// hedgeDelay is the pool's p95 observed latency, floored by hedgeFloor;
 // before enough samples accumulate it is a conservative fixed delay.
 func (p *Pool) hedgeDelay() time.Duration {
 	p.latMu.Lock()
@@ -613,19 +588,11 @@ func (p *Pool) hedgeDelay() time.Duration {
 	}
 	p.latMu.Unlock()
 	if sample == nil {
-		d := 250 * time.Millisecond
-		if d < p.opt.HedgeFloor {
-			d = p.opt.HedgeFloor
-		}
-		return d
+		return max(250*time.Millisecond, p.hedgeFloor)
 	}
 	sort.Float64s(sample)
 	p95 := sample[(len(sample)*95)/100]
-	d := time.Duration(p95 * float64(time.Millisecond))
-	if d < p.opt.HedgeFloor {
-		d = p.opt.HedgeFloor
-	}
-	return d
+	return max(time.Duration(p95*float64(time.Millisecond)), p.hedgeFloor)
 }
 
 func (p *Pool) observeLatency(d time.Duration) {
@@ -639,18 +606,99 @@ func (p *Pool) observeLatency(d time.Duration) {
 	p.latMu.Unlock()
 }
 
-// errBreakersOpen is the Unavailable cause when every candidate backend's
-// circuit breaker short-circuited the request before a single byte was sent.
-var errBreakersOpen = errors.New("every backend's circuit breaker is open")
+// errAllEjected is the Unavailable cause when every candidate backend was
+// ejected and none was due a trial attempt, so no byte was sent.
+var errAllEjected = errors.New("every backend is ejected")
+
+// health is one backend's place in rotation. A backend is ejected (taken
+// out of rotation) after ejectAfter consecutive failed attempts, or when
+// the prober fails it. Routing then skips it until the pool's cooldown has
+// passed, and grants it one trial attempt per cooldown from then on, so a
+// trial whose caller never reports (it was canceled mid-flight) expires
+// after another cooldown. Only an answer to an attempt that started after
+// the ejection puts it back in rotation; a failed attempt leaves it
+// ejected.
+type health struct {
+	mu        sync.Mutex
+	ejected   bool
+	since     time.Time // the ejection, then the latest trial's start
+	fails     int       // consecutive failed attempts while in rotation
+	ejections uint64    // times the backend left rotation
+}
+
+// allow reports whether an attempt may go to the backend now, granting
+// an ejected backend's trial once the cooldown since the ejection or the
+// previous trial has passed.
+func (h *health) allow(now time.Time, cooldown time.Duration) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.ejected {
+		return true
+	}
+	if now.Sub(h.since) < cooldown {
+		return false
+	}
+	h.since = now
+	return true
+}
+
+// answered records an answer to an attempt that started at start. It puts
+// the backend back in rotation unless the attempt started before the
+// ejection or the latest trial, so an answer older than the verdict
+// overrules nothing.
+func (h *health) answered(start time.Time) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ejected && start.Before(h.since) {
+		return
+	}
+	h.ejected, h.fails = false, 0
+}
+
+// failed records a failed attempt, ejecting the backend after ejectAfter
+// in a row. A failed trial, or an attempt that started before the
+// ejection, changes nothing: the next trial waits its cooldown.
+func (h *health) failed(now time.Time, ejectAfter int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ejected {
+		return
+	}
+	h.fails++
+	if ejectAfter > 0 && h.fails >= ejectAfter {
+		h.ejectLocked(now)
+	}
+}
+
+// eject takes the backend out of rotation. Ejecting it again restarts the
+// cooldown, so it gets no trial while the prober keeps failing it.
+func (h *health) eject(now time.Time) {
+	h.mu.Lock()
+	h.ejectLocked(now)
+	h.mu.Unlock()
+}
+
+func (h *health) ejectLocked(now time.Time) {
+	if !h.ejected {
+		h.ejections++
+	}
+	h.ejected, h.since, h.fails = true, now, 0
+}
+
+func (h *health) snapshot() (ejected bool, ejections uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.ejected, h.ejections
+}
 
 // pickBackend returns the first candidate, scanning rank order from the
-// attempt's rotation, whose circuit breaker admits a request. Skipped
-// backends count as short-circuits — the attempts the breaker saved.
+// attempt's rotation, that allows an attempt. Skipped backends count as
+// short-circuits: the attempts their ejection saved.
 func (p *Pool) pickBackend(cands []int, attempt int, now time.Time) (int, bool) {
 	n := len(cands)
 	for off := 0; off < n; off++ {
 		c := cands[(attempt+off)%n]
-		if p.opt.DisableBreaker || p.breakers[c].allow(now) {
+		if p.health[c].allow(now, p.cooldown) {
 			return c, true
 		}
 		p.shortCircuits.Add(1)
@@ -658,37 +706,23 @@ func (p *Pool) pickBackend(cands []int, attempt int, now time.Time) (int, bool) 
 	return 0, false
 }
 
-// noteOutcome feeds one attempt's result to the backend's breaker. An
-// overload (429) proves the backend alive — it answered, it is just
-// shedding — so it counts as breaker success even though the attempt
-// failed; tripping on shed would amplify a load spike into an ejection.
-func (p *Pool) noteOutcome(idx int, failed bool, now time.Time) {
-	if p.opt.DisableBreaker {
-		return
-	}
-	if failed {
-		p.breakers[idx].failure(now)
-	} else {
-		p.breakers[idx].success()
-	}
-}
-
 // runAttempts walks the candidate backends, retrying retryable failures with
 // exponential backoff + jitter and honoring Retry-After. Attempt k starts
 // from cands[k % len(cands)] — the program's owner first, then failover in
 // rank order, returning to the owner on later rounds in case it recovered —
-// and skips past backends whose breakers are open, so a tripped backend costs
-// nothing while keeping its programs (and therefore its cache affinity) for
-// when it heals. If every breaker is open the point fails fast as Unavailable
-// rather than burning the attempt budget.
+// and skips past ejected backends, so an ejected backend costs nothing while
+// keeping its programs (and therefore its cache affinity) for when it heals.
+// If every backend is ejected the point fails fast as Unavailable rather
+// than burning the attempt budget.
 func (p *Pool) runAttempts(ctx context.Context, w *wireRequest, cands []int, maxAttempts int) (*Result, error) {
 	var lastErr error
 	prev := -1
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		idx, ok := p.pickBackend(cands, attempt, time.Now())
+		start := time.Now()
+		idx, ok := p.pickBackend(cands, attempt, start)
 		if !ok {
 			if lastErr == nil {
-				lastErr = errBreakersOpen
+				lastErr = errAllEjected
 			}
 			return nil, &Unavailable{Key: w.req.ImageSHA256, Attempts: attempt, Last: lastErr}
 		}
@@ -703,7 +737,7 @@ func (p *Pool) runAttempts(ctx context.Context, w *wireRequest, cands []int, max
 		if err == nil {
 			res.Attempts = attempt + 1
 			p.perBackend[idx].Add(1)
-			p.noteOutcome(idx, false, time.Now())
+			p.health[idx].answered(start)
 			return res, nil
 		}
 		var re *retryableError
@@ -711,12 +745,18 @@ func (p *Pool) runAttempts(ctx context.Context, w *wireRequest, cands []int, max
 			if ctx.Err() == nil {
 				// A terminal, authoritative answer (translated sim error,
 				// bad request): the backend is alive and working.
-				p.noteOutcome(idx, false, time.Now())
+				p.health[idx].answered(start)
 			}
 			return nil, err // terminal: translated sim error, cancellation, ...
 		}
 		p.failedAttempts.Add(1)
-		p.noteOutcome(idx, !re.overload, time.Now())
+		if re.overload {
+			// A 429 is an answer: the backend is alive, only shedding, and
+			// ejecting it would amplify a load spike onto the rest.
+			p.health[idx].answered(start)
+		} else {
+			p.health[idx].failed(time.Now(), p.ejectAfter)
+		}
 		lastErr = re.err
 		if err := p.sleepBackoff(ctx, attempt, retryAfter); err != nil {
 			return nil, err
@@ -746,15 +786,12 @@ func (p *Pool) runLocal(ctx context.Context, prog *isa.Program, cfg uarch.Config
 // sleepBackoff waits out the exponential backoff (with ±50% jitter) or the
 // server's Retry-After hint, whichever the server asked for, respecting ctx.
 func (p *Pool) sleepBackoff(ctx context.Context, attempt int, retryAfter time.Duration) error {
-	d := p.opt.BaseBackoff << uint(attempt)
-	if d > p.opt.MaxBackoff || d <= 0 {
-		d = p.opt.MaxBackoff
+	d := p.baseBackoff << uint(attempt)
+	if d > p.maxBackoff || d <= 0 {
+		d = p.maxBackoff
 	}
 	if retryAfter > 0 {
-		d = retryAfter
-		if d > p.opt.MaxBackoff {
-			d = p.opt.MaxBackoff // a long hint should not stall failover
-		}
+		d = min(retryAfter, p.maxBackoff) // a long hint should not stall failover
 	}
 	p.rngMu.Lock()
 	jitter := 0.5 + p.rng.Float64() // 0.5x .. 1.5x
@@ -773,7 +810,7 @@ func (p *Pool) sleepBackoff(ctx context.Context, attempt int, retryAfter time.Du
 // retryableError wraps a failure worth another attempt: overload, a 5xx, or
 // a transport error. Everything else is terminal. overload marks a 429 —
 // the backend answered, it is just shedding — which retries like any other
-// transient failure but must not count against the backend's breaker.
+// transient failure but must not count toward the backend's ejection.
 type retryableError struct {
 	err      error
 	overload bool
@@ -880,8 +917,8 @@ func parseRetryAfter(resp *http.Response) time.Duration {
 // retryAfterDuration parses a Retry-After header in either RFC 9110 form:
 // delta-seconds ("120") or an HTTP-date ("Fri, 07 Aug 2026 12:00:00 GMT").
 // A hint in the past, zero, or unparseable is no hint at all. The caller
-// (sleepBackoff) caps whatever this returns at MaxBackoff, so a confused
-// server cannot stall failover.
+// (sleepBackoff) caps whatever this returns at the pool's backoff ceiling,
+// so a confused server cannot stall failover.
 func retryAfterDuration(s string, now time.Time) time.Duration {
 	s = strings.TrimSpace(s)
 	if s == "" {

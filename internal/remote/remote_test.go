@@ -43,6 +43,21 @@ func renamed(t *testing.T, kernel string, i int) *isa.Program {
 	return p
 }
 
+// testPool builds a pool over o that retries fast: it backs off from 1 ms
+// up to maxBackoff and makes attempts tries per point (0: the default).
+func testPool(t *testing.T, o Options, attempts int, maxBackoff time.Duration) *Pool {
+	t.Helper()
+	p, err := NewPool(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.baseBackoff, p.maxBackoff = time.Millisecond, maxBackoff
+	if attempts > 0 {
+		p.maxAttempts = attempts
+	}
+	return p
+}
+
 // owner returns the index of the backend that owns prog's points in pool.
 func owner(t *testing.T, pool *Pool, prog *isa.Program) int {
 	t.Helper()
@@ -158,7 +173,7 @@ func TestNewPoolNormalizesBackends(t *testing.T) {
 	if _, err := NewPool(Options{Backends: []string{"  ", ""}}); err == nil {
 		t.Error("NewPool with blank backends did not fail")
 	}
-	// Two spellings of one server would share its counters but not a breaker.
+	// Two spellings of one server would share its counters but not a health record.
 	_, err = NewPool(Options{Backends: []string{"127.0.0.1:8091", "http://127.0.0.1:8091/"}})
 	if err == nil || !strings.Contains(err.Error(), "http://127.0.0.1:8091") {
 		t.Errorf("NewPool with a duplicate backend: err = %v, want an error naming http://127.0.0.1:8091", err)
@@ -340,14 +355,14 @@ func TestImageMemoBounded(t *testing.T) {
 }
 
 // TestRetryHonors429: a shed backend with a Retry-After hint is retried (with
-// the hint capped by MaxBackoff, so a long hint cannot stall failover) until
-// it recovers.
+// the hint capped by the backoff ceiling, so a long hint cannot stall
+// failover) until it recovers.
 func TestRetryHonors429(t *testing.T) {
 	var calls atomic.Int64
 	st, _ := json.Marshal(&uarch.Stats{Cycles: 1, Retired: 1})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "30") // way beyond MaxBackoff
+			w.Header().Set("Retry-After", "30") // way beyond the backoff ceiling
 			w.WriteHeader(http.StatusTooManyRequests)
 			return
 		}
@@ -355,14 +370,7 @@ func TestRetryHonors429(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	pool, err := NewPool(Options{
-		Backends:    []string{ts.URL},
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := testPool(t, Options{Backends: []string{ts.URL}}, 0, 20*time.Millisecond)
 	t0 := time.Now()
 	res, err := pool.SimulateFull(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
 	if err != nil {
@@ -388,17 +396,10 @@ func TestFailoverAroundDeadBackend(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // connection refused from now on
 
-	pool, err := NewPool(Options{
-		Backends:    []string{dead.URL, live.URL},
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := testPool(t, Options{Backends: []string{dead.URL, live.URL}}, 0, 5*time.Millisecond)
 	// Choose the programs by their owner, through the pool's own ranking and
 	// request key, so three belong to the dead backend whatever ports the
-	// test servers got. Those run first, while its breaker is still closed.
+	// test servers got. Those run first, while it is still in rotation.
 	var onDead, onLive []*isa.Program
 	kernels := []string{"dot", "matmul", "fig2"}
 	for i := 0; len(onDead) < 3 || len(onLive) < 6; i++ {
@@ -458,11 +459,8 @@ func TestTerminalErrorsTranslate(t *testing.T) {
 			w.WriteHeader(tc.status)
 			fmt.Fprintf(w, `{"error":{"kind":%q,"message":"boom","cycle":42}}`, tc.kind)
 		}))
-		pool, err := NewPool(Options{Backends: []string{ts.URL}, BaseBackoff: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = pool.Simulate(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
+		pool := testPool(t, Options{Backends: []string{ts.URL}}, 0, 2*time.Second)
+		_, err := pool.Simulate(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
 		if err == nil || !tc.check(err) {
 			t.Errorf("%s: got %v, want %s", tc.kind, err, tc.want)
 		}
@@ -479,16 +477,8 @@ func TestTerminalErrorsTranslate(t *testing.T) {
 func TestAllBackendsDownIsTransient(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close()
-	pool, err := NewPool(Options{
-		Backends:    []string{dead.URL},
-		MaxAttempts: 3,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = pool.Simulate(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
+	pool := testPool(t, Options{Backends: []string{dead.URL}}, 3, 2*time.Millisecond)
+	_, err := pool.Simulate(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
 	var u *Unavailable
 	if !errors.As(err, &u) {
 		t.Fatalf("got %v, want *Unavailable", err)
@@ -533,14 +523,11 @@ func TestHedgeWinsOnStraggler(t *testing.T) {
 	fast := fakeBackend(t, &fastHits)
 	defer fast.Close()
 
-	pool, err := NewPool(Options{
-		Backends:   []string{slow.URL, fast.URL},
-		Hedge:      true,
-		HedgeFloor: time.Millisecond,
-	})
+	pool, err := NewPool(Options{Backends: []string{slow.URL, fast.URL}, Hedge: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool.hedgeFloor = time.Millisecond
 	// Search for a program the slow backend owns, so the hedge
 	// deterministically goes to the fast one.
 	var prog *isa.Program
@@ -687,13 +674,11 @@ func TestHedgeCancelsLoser(t *testing.T) {
 	}))
 	defer fast.Close()
 
-	pool, err := NewPool(Options{
-		Backends: []string{slow.URL, fast.URL}, Hedge: true, MaxAttempts: 2,
-		HedgeFloor: 10 * time.Millisecond,
-	})
+	pool, err := NewPool(Options{Backends: []string{slow.URL, fast.URL}, Hedge: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool.maxAttempts, pool.hedgeFloor = 2, 10*time.Millisecond
 	// Pre-fill the latency window so hedgeDelay is the floor, not the
 	// conservative 250ms cold-start delay.
 	pool.latMu.Lock()
@@ -768,13 +753,11 @@ func TestHedgedLoserFreesWorker(t *testing.T) {
 	defer backends[0].Close()
 	defer backends[1].Close()
 
-	pool, err := NewPool(Options{
-		Backends: []string{backends[0].URL, backends[1].URL}, Hedge: true,
-		MaxAttempts: 2, HedgeFloor: 10 * time.Millisecond,
-	})
+	pool, err := NewPool(Options{Backends: []string{backends[0].URL, backends[1].URL}, Hedge: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool.maxAttempts, pool.hedgeFloor = 2, 10*time.Millisecond
 	pool.latMu.Lock()
 	for i := range pool.latMS[:32] {
 		pool.latMS[i] = 1

@@ -16,6 +16,7 @@ import (
 
 	"braid/internal/chaos"
 	"braid/internal/experiments"
+	"braid/internal/isa"
 	"braid/internal/service"
 	"braid/internal/uarch"
 )
@@ -38,7 +39,7 @@ func TestRetryAfterDuration(t *testing.T) {
 		{"Mon, 07 Aug 2026 12:00:10 UTC", 0}, // not an RFC 9110 HTTP-date
 		{"soon", 0},
 		// Too many seconds for a Duration: clamped, not wrapped negative
-		// (which sleepBackoff would drop instead of capping at MaxBackoff).
+		// (which sleepBackoff would drop instead of capping at maxBackoff).
 		{"10000000000", math.MaxInt64},
 		{"9223372036854775807", math.MaxInt64},
 		{"9223372036", 9223372036 * time.Second},
@@ -72,7 +73,7 @@ func FuzzRetryAfter(f *testing.F) {
 
 // TestRetryHonorsHTTPDateRetryAfter is the end-to-end shape of the new
 // Retry-After form: a backend shedding with an HTTP-date far in the future
-// must still be retried promptly, because MaxBackoff caps the hint.
+// must still be retried promptly, because the backoff ceiling caps the hint.
 func TestRetryHonorsHTTPDateRetryAfter(t *testing.T) {
 	n := 0
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -85,15 +86,7 @@ func TestRetryHonorsHTTPDateRetryAfter(t *testing.T) {
 		fakeSimHandler(t, w)
 	}))
 	defer ts.Close()
-	pool, err := NewPool(Options{
-		Backends:    []string{ts.URL},
-		MaxAttempts: 4,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := testPool(t, Options{Backends: []string{ts.URL}}, 4, 20*time.Millisecond)
 	t0 := time.Now()
 	res, err := pool.SimulateFull(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
 	if err != nil {
@@ -103,7 +96,7 @@ func TestRetryHonorsHTTPDateRetryAfter(t *testing.T) {
 		t.Errorf("attempts = %d, want 3 (two dated 429s then success)", res.Attempts)
 	}
 	if d := time.Since(t0); d > 2*time.Second {
-		t.Errorf("an hour-long HTTP-date hint stalled retries for %v; MaxBackoff must cap it", d)
+		t.Errorf("an hour-long HTTP-date hint stalled retries for %v; the backoff ceiling must cap it", d)
 	}
 }
 
@@ -135,15 +128,7 @@ func TestIntegrityCheckCatchesCorruptedBody(t *testing.T) {
 	proxy := httptest.NewServer(cp)
 	defer proxy.Close()
 
-	pool, err := NewPool(Options{
-		Backends:    []string{proxy.URL},
-		MaxAttempts: 6,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := testPool(t, Options{Backends: []string{proxy.URL}}, 6, 5*time.Millisecond)
 	prog := mustKernel(t, "dot")
 	for i, width := range []int{2, 4, 8, 2, 4, 8} {
 		cfg := uarch.OutOfOrderConfig(width)
@@ -200,10 +185,7 @@ func TestIntegrityCheckCoversEstimate(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	pool, err := NewPool(Options{Backends: []string{ts.URL}, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := testPool(t, Options{Backends: []string{ts.URL}}, 0, 5*time.Millisecond)
 	prog, cfg := mustKernel(t, "matmul"), uarch.OutOfOrderConfig(8)
 	sp := uarch.Sampling{Period: 2000, Detail: 500, Warmup: 500}
 	_, want, err := uarch.SimulateSampled(context.Background(), prog, cfg, sp)
@@ -238,10 +220,7 @@ func TestMissingIntegrityHeaderRetried(t *testing.T) {
 		serveStats(w, st)
 	}))
 	defer ts.Close()
-	pool, err := NewPool(Options{Backends: []string{ts.URL}, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := testPool(t, Options{Backends: []string{ts.URL}}, 0, 5*time.Millisecond)
 	res, err := pool.SimulateFull(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
 	if err != nil {
 		t.Fatal(err)
@@ -260,18 +239,11 @@ func TestMissingIntegrityHeaderRetried(t *testing.T) {
 // memoization, and checkpoint entries indistinguishable from a healthy
 // fleet's.
 func TestFallbackLocalBitIdentical(t *testing.T) {
-	pool, err := NewPool(Options{
-		Backends:         []string{"127.0.0.1:1"}, // nothing listens here
-		MaxAttempts:      2,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       2 * time.Millisecond,
-		Fallback:         FallbackLocal,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour, // once tripped, short-circuit for the whole test
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := testPool(t, Options{
+		Backends: []string{"127.0.0.1:1"}, // nothing listens here
+		Fallback: FallbackLocal,
+	}, 2, 2*time.Millisecond)
+	pool.ejectAfter, pool.cooldown = 2, time.Hour // once ejected, skipped for the whole test
 
 	// Direct runner check: provenance and exact bytes.
 	prog, cfg := mustKernel(t, "dot"), uarch.OutOfOrderConfig(8)
@@ -339,7 +311,7 @@ func TestFallbackLocalBitIdentical(t *testing.T) {
 	if s := pool.Snapshot(); s.LocalFallbacks == 0 {
 		t.Error("no local fallbacks recorded against a dead fleet")
 	} else if s.ShortCircuits == 0 {
-		t.Error("breakers never short-circuited the dead backend")
+		t.Error("the dead backend was never ejected and skipped")
 	}
 
 	// The checkpoint written under fallback replays like any other: a fresh
@@ -377,16 +349,8 @@ func TestFallbackLocalBitIdentical(t *testing.T) {
 // TestFallbackFailStaysTransient: the default policy surfaces Unavailable
 // (transient, not memoized) exactly as before the fallback existed.
 func TestFallbackFailStaysTransient(t *testing.T) {
-	pool, err := NewPool(Options{
-		Backends:    []string{"127.0.0.1:1"},
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = pool.Simulate(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
+	pool := testPool(t, Options{Backends: []string{"127.0.0.1:1"}}, 2, 2*time.Millisecond)
+	_, err := pool.Simulate(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8))
 	if err == nil {
 		t.Fatal("a dead fleet with fallback=fail must error")
 	}
@@ -395,15 +359,153 @@ func TestFallbackFailStaysTransient(t *testing.T) {
 	}
 }
 
+// TestBreakerConsecutiveTripAndRecovery walks one backend's health record
+// on a synthetic clock: three failed attempts in a row eject it, it is
+// skipped for a cooldown and then granted one trial at a time, and the
+// answer to that trial puts it back in rotation with a fresh failure run.
+func TestBreakerConsecutiveTripAndRecovery(t *testing.T) {
+	const cooldown = time.Second
+	t0 := time.Unix(0, 0)
+	var h health
+	h.failed(t0, 3)
+	h.failed(t0, 3)
+	h.answered(t0) // any answer, a 429 included, ends the run
+	h.failed(t0, 3)
+	h.failed(t0, 3)
+	if !h.allow(t0, cooldown) {
+		t.Fatal("two failed attempts in a row ejected the backend")
+	}
+	h.failed(t0, 3)
+	if h.allow(t0.Add(cooldown-1), cooldown) {
+		t.Fatal("three failed attempts in a row did not eject the backend for a cooldown")
+	}
+	h.answered(t0.Add(-time.Millisecond)) // an attempt from before the ejection
+	if ejected, n := h.snapshot(); !ejected || n != 1 {
+		t.Fatalf("ejected %v after %d ejections, want still ejected after 1", ejected, n)
+	}
+
+	trial := t0.Add(cooldown)
+	if !h.allow(trial, cooldown) {
+		t.Fatal("no trial after the cooldown")
+	}
+	if h.allow(trial.Add(cooldown-1), cooldown) {
+		t.Fatal("a second trial while the first is in flight")
+	}
+	h.answered(trial)
+	if ejected, n := h.snapshot(); ejected || n != 1 {
+		t.Fatalf("ejected %v after %d ejections, want back in rotation after 1", ejected, n)
+	}
+	if !h.allow(trial, cooldown) {
+		t.Fatal("a backend back in rotation refused an attempt")
+	}
+
+	// The failure run restarted: it takes three fresh failures to eject again.
+	h.failed(trial, 3)
+	h.failed(trial, 3)
+	if !h.allow(trial, cooldown) {
+		t.Fatal("the failure run did not restart on the trial's answer")
+	}
+
+	var never health // ejectAfter 0: the request path never ejects
+	for i := 0; i < 10; i++ {
+		never.failed(t0, 0)
+	}
+	if !never.allow(t0, cooldown) {
+		t.Error("ejectAfter 0 ejected the backend")
+	}
+}
+
+// TestBreakerProbeFailureReopens: a failed trial leaves the backend
+// ejected until a cooldown after that trial started, and a late answer to
+// it overrules nothing once a newer trial is out; the newer trial's answer
+// puts the backend back.
+func TestBreakerProbeFailureReopens(t *testing.T) {
+	const cooldown = time.Second
+	t0 := time.Unix(0, 0)
+	var h health
+	h.failed(t0, 2)
+	h.failed(t0, 2) // ejects
+	trial := t0.Add(2 * cooldown)
+	if !h.allow(trial, cooldown) {
+		t.Fatal("no trial after the cooldown")
+	}
+	h.failed(trial.Add(time.Millisecond), 2) // the trial fails
+	if ejected, n := h.snapshot(); !ejected || n != 1 {
+		t.Fatalf("ejected %v after %d ejections, want still ejected after 1", ejected, n)
+	}
+	if h.allow(trial.Add(cooldown-1), cooldown) {
+		t.Fatal("a failed trial did not hold the backend out for a cooldown")
+	}
+	retrial := trial.Add(cooldown)
+	if !h.allow(retrial, cooldown) {
+		t.Fatal("no second trial after another cooldown")
+	}
+	h.answered(trial) // the first trial's late answer predates the retrial
+	if ejected, n := h.snapshot(); !ejected || n != 1 {
+		t.Fatalf("ejected %v after %d ejections, want still ejected after 1", ejected, n)
+	}
+	h.answered(retrial)
+	if ejected, n := h.snapshot(); ejected || n != 1 {
+		t.Fatalf("ejected %v after %d ejections, want back in rotation after 1", ejected, n)
+	}
+}
+
+// TestBreakerProbeExpiryPreventsDeadlock: a trial whose caller never
+// reports holds the slot for one cooldown and then expires, so a lost
+// caller can never keep the backend ejected for good.
+func TestBreakerProbeExpiryPreventsDeadlock(t *testing.T) {
+	const cooldown = time.Second
+	t0 := time.Unix(0, 0)
+	var h health
+	h.failed(t0, 1) // ejects
+	trial := t0.Add(2 * cooldown)
+	if !h.allow(trial, cooldown) {
+		t.Fatal("no trial after the cooldown")
+	}
+	if h.allow(trial.Add(cooldown/2), cooldown) {
+		t.Fatal("a second trial before the unreported one expired")
+	}
+	if !h.allow(trial.Add(cooldown), cooldown) {
+		t.Fatal("an unreported trial did not expire after another cooldown")
+	}
+}
+
+// TestHealthProberEjection: the prober's ejection counts once, and each
+// further failed probe restarts the cooldown, so no trial is granted while
+// the prober keeps failing the backend.
+func TestHealthProberEjection(t *testing.T) {
+	const cooldown = time.Second
+	t0 := time.Unix(0, 0)
+	var h health
+	h.eject(t0)
+	h.eject(t0.Add(900 * time.Millisecond))
+	if h.allow(t0.Add(1500*time.Millisecond), cooldown) {
+		t.Error("a trial within a cooldown of the latest failed probe")
+	}
+	if !h.allow(t0.Add(1900*time.Millisecond), cooldown) {
+		t.Error("no trial a cooldown after the latest failed probe")
+	}
+	if _, n := h.snapshot(); n != 1 {
+		t.Errorf("%d ejections, want 1", n)
+	}
+}
+
 // TestProberEjectsAndReintegrates runs the background prober against one
 // healthy backend and one flapping backend: the flapper starts down (every
-// connection reset), so the prober must eject it — force-opening its
-// breaker and marking it unhealthy in the snapshot — and once the flapper
-// heals, the canary must reinstate it automatically.
+// connection reset), so the prober must eject it. Once the flapper heals,
+// passing canaries leave it ejected; the first point it owns past the
+// cooldown is its trial, and the answer puts it back in rotation.
 func TestProberEjectsAndReintegrates(t *testing.T) {
 	healthy := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
 	defer healthy.Close()
-	backend := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
+	svc := service.New(service.Config{Workers: 2}).Handler()
+	var canaries atomic.Int64 // canaries that reached the flapping backend
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(canaryHeader) != "" {
+			canaries.Add(1)
+		}
+		svc.ServeHTTP(w, r)
+	}))
 	defer backend.Close()
 	flap := chaos.Flap(time.Hour, time.Hour) // phases pinned by Force below
 	flap.Force(false)
@@ -418,34 +520,55 @@ func TestProberEjectsAndReintegrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool.cooldown = 200 * time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stop := pool.StartProber(ctx, 25*time.Millisecond)
 	defer stop()
 
-	waitFor := func(desc string, cond func(Stats) bool) {
+	waitFor := func(desc string, cond func() bool) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if cond(pool.Snapshot()) {
-				return
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s; snapshot: %+v", desc, pool.Snapshot())
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		t.Fatalf("timed out waiting for %s; snapshot: %+v", desc, pool.Snapshot())
 	}
-
-	waitFor("the down backend to be ejected", func(s Stats) bool {
-		return !s.Healthy[proxy.URL] && s.Breakers[proxy.URL] == "open" && s.Healthy[healthy.URL]
+	waitFor("the down backend to be ejected", func() bool {
+		s := pool.Snapshot()
+		return !s.Healthy[proxy.URL] && s.Ejections == 1 && s.Healthy[healthy.URL]
 	})
 	if s := pool.Snapshot(); s.ProbeFailures == 0 {
 		t.Error("ejection without any recorded probe failures")
 	}
 
 	flap.Force(true)
-	waitFor("the healed backend to be reinstated", func(s Stats) bool {
-		return s.Healthy[proxy.URL] && s.Breakers[proxy.URL] == "closed"
-	})
+	waitFor("three passing canaries", func() bool { return canaries.Load() >= 3 })
+	if s := pool.Snapshot(); s.Healthy[proxy.URL] {
+		t.Fatal("passing canaries put the healed backend back in rotation")
+	}
+
+	// The last failed probe ended before the first passing canary, so one
+	// cooldown from now the healed backend is due its trial.
+	time.Sleep(pool.cooldown)
+	var prog *isa.Program
+	for i := 0; prog == nil; i++ {
+		if p := renamed(t, "dot", i); owner(t, pool, p) == 1 {
+			prog = p
+		}
+	}
+	res, err := pool.SimulateFull(context.Background(), prog, uarch.OutOfOrderConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Backend != proxy.URL || res.Attempts != 1 {
+		t.Errorf("the healed backend's point was answered by %s in %d attempts, want %s in 1", res.Backend, res.Attempts, proxy.URL)
+	}
+	if s := pool.Snapshot(); !s.Healthy[proxy.URL] || s.Ejections != 1 {
+		t.Errorf("after an answered trial: healthy %v, %d ejections; want back in rotation after 1", s.Healthy[proxy.URL], s.Ejections)
+	}
 }
 
 // TestCanaryMismatchEjects fronts a backend with a proxy corrupting every
@@ -478,7 +601,7 @@ func TestCanaryMismatchEjects(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		s := pool.Snapshot()
-		if s.CanaryMismatches > 0 && !s.Healthy[proxy.URL] && s.Breakers[proxy.URL] == "open" {
+		if s.CanaryMismatches > 0 && !s.Healthy[proxy.URL] && s.Ejections == 1 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

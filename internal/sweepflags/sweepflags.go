@@ -51,7 +51,7 @@ func AddSuite(fs *flag.FlagSet) *Suite {
 	fs.BoolVar(&s.hedge, "hedge", false, "hedge slow remote requests onto a second backend (needs -remote)")
 	fs.IntVar(&s.verify, "remote-verify", 0, "cross-check sampled remote results against local simulation, ~1 in N points (needs -remote; 0: off)")
 	fs.StringVar(&s.fallback, "fallback", "fail", "when every backend attempt fails: 'local' simulates in-process, 'fail' contains the point (needs -remote)")
-	fs.DurationVar(&s.probe, "probe", 0, "background health-probe interval; ejects dead backends and reintegrates recovered ones (needs -remote; 0: off)")
+	fs.DurationVar(&s.probe, "probe", 0, "background health-probe interval; ejects backends that fail /healthz or the known-answer canary (needs -remote; 0: off)")
 	return s
 }
 
