@@ -20,9 +20,11 @@
 // byte for byte.
 // A backend that fails three attempts in a row is ejected: routing skips it
 // until an attempt after a 1 s cooldown is answered. -probe adds a
-// background health prober that also ejects backends failing /healthz or a
-// known-answer canary, and -fallback local degrades to in-process
-// simulation when the whole fleet is unavailable, keeping output identical.
+// background health prober that also ejects backends failing a known-answer
+// canary, and -fallback local degrades to in-process simulation when the
+// whole fleet is unavailable, keeping output identical. A sweep whose
+// -remote-verify check failed removes its -checkpoint journal, which may
+// hold the lying backend's unverified answers.
 //
 // Usage:
 //

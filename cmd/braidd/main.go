@@ -6,12 +6,12 @@
 // Endpoints:
 //
 //	POST /v1/simulate   one program + config -> full Stats JSON
-//	GET  /healthz       readiness (503 while draining)
+//	GET  /healthz       readiness: 200 {"status":"ok"}
 //	GET  /metrics       expvar JSON: queue depth, cache hit rate, MIPS, ...
 //	GET  /debug/pprof/  live profiling
 //
-// SIGINT/SIGTERM flips /healthz to draining, stops accepting connections,
-// and waits up to -drain-timeout for in-flight simulations to finish.
+// SIGINT/SIGTERM stops accepting connections and waits up to -drain-timeout
+// for in-flight simulations to finish.
 package main
 
 import (
@@ -86,7 +86,6 @@ func main() {
 		log.Printf("braidd: %s received, draining (grace %s)", sig, *drainTimeout)
 	}
 
-	svc.StartDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -54,7 +54,7 @@ func main() {
 		wait      = flag.Duration("wait", 15*time.Second, "how long to wait for /healthz before starting")
 		verify    = flag.Bool("verify", false, "simulate each unique request locally and demand bit-identical Stats")
 		hedge     = flag.Bool("hedge", false, "hedge slow requests onto a second backend (pool mode)")
-		probe     = flag.Duration("probe", 0, "background health-probe interval; ejects backends that fail /healthz or the known-answer canary (pool mode; 0: off)")
+		probe     = flag.Duration("probe", 0, "background health-probe interval; ejects backends that fail the known-answer canary (pool mode; 0: off)")
 		out       = flag.String("out", "", "write the benchmark JSON here as well as stdout")
 	)
 	flag.Parse()

@@ -19,7 +19,9 @@
 // retraces the interrupted run (each generation reseeds its RNG from the
 // seed and the generation index) and simulates only the points the journal
 // lacks. A journal from other parameters restores the points they share;
-// one written by braidtune before it used the point journal is refused.
+// one written by braidtune before it used the point journal is refused. A
+// search whose -remote-verify check failed removes the journal, which may
+// hold the lying backend's unverified answers.
 //
 // Usage:
 //

@@ -1,8 +1,12 @@
 package remote
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"net/http"
 	"net/http/httptest"
@@ -11,19 +15,24 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"braid/internal/chaos"
 	"braid/internal/experiments"
+	"braid/internal/isa"
 	"braid/internal/service"
 	"braid/internal/uarch"
 )
 
-// fleetFault is a fault schedule for the second of a sweep's two backends.
+// fleetFault is a fault schedule for the second of a sweep's two backends:
+// a chaos proxy's schedule, or the answers a re-signing relay alters.
 type fleetFault struct {
 	name  string
 	sched func(points int) chaos.Schedule // the schedule for a sweep of so many points
+	wrong func(n int64) bool              // instead of sched: resignRelay's choice of answers
 	paced bool                            // sweep in waves of 8, 400 ms apart, across several flap periods
 }
 
@@ -49,12 +58,74 @@ var (
 	faultCorrupt = fleetFault{name: "corrupt every 2nd simulate", sched: func(int) chaos.Schedule {
 		return chaos.EveryN(2, chaos.Fault{Kind: chaos.Corrupt})
 	}}
+	// faultWrong and faultWrongHalf are a backend that computes wrong Stats
+	// and signs them, on every answer or on every second one.
+	faultWrong     = fleetFault{name: "wrong on every simulate, re-signed", wrong: func(int64) bool { return true }}
+	faultWrongHalf = fleetFault{name: "wrong on every 2nd simulate, re-signed", wrong: func(n int64) bool { return n%2 == 0 }}
 )
 
-// fleetPolicy is the pool under test: its ejection paths and its timing.
+// faultRelay fronts the faulty backend and counts the faults it injected.
+type faultRelay interface {
+	http.Handler
+	Faults() int64
+}
+
+// relay builds f's front for a backend serving svc at backendURL in a sweep
+// of so many points.
+func (f fleetFault) relay(t testing.TB, svc http.Handler, backendURL string, points int) faultRelay {
+	if f.wrong != nil {
+		return &resignRelay{next: svc, wrong: f.wrong}
+	}
+	cp, err := chaos.New(backendURL, f.sched(points))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// resignRelay fronts a braidd handler like a backend that computes wrong
+// Stats and signs them: on each answered simulate that wrong picks (the
+// nth, counted from 1), it alters the last digit of Cycles and stamps the
+// altered body's SHA-256. The body digest passes, so only a known answer or
+// local re-simulation can tell.
+type resignRelay struct {
+	next    http.Handler
+	wrong   func(n int64) bool
+	seq     atomic.Int64 // answered simulates
+	altered atomic.Int64
+}
+
+func (rr *resignRelay) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rec := httptest.NewRecorder()
+	rr.next.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	if r.URL.Path == "/v1/simulate" && rec.Code == http.StatusOK && rr.wrong(rr.seq.Add(1)) {
+		key := []byte(`"Cycles":`)
+		at := bytes.Index(body, key) + len(key)
+		for body[at+1] >= '0' && body[at+1] <= '9' {
+			at++
+		}
+		body[at] = '0' + (body[at]-'0'+1)%10
+		sum := sha256.Sum256(body)
+		rec.Header().Set(bodySHAHeader, hex.EncodeToString(sum[:]))
+		rr.altered.Add(1)
+	}
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	w.WriteHeader(rec.Code)
+	w.Write(body)
+}
+
+// Faults is the number of answers the relay altered.
+func (rr *resignRelay) Faults() int64 { return rr.altered.Load() }
+
+// fleetPolicy is the pool under test: its ejection paths, its verification
+// and its timing.
 type fleetPolicy struct {
 	requestPath bool          // eject after consecutive failed attempts
 	probe       time.Duration // health-prober interval (0: no prober)
+	verify      int           // Options.VerifyEvery (0: off)
 	tune        func(*Pool)   // shortens the default timing (nil: keeps it)
 }
 
@@ -72,6 +143,8 @@ type fleetOutcome struct {
 	Stats
 	injected int64
 	wall     time.Duration
+	wrong    int // points answered with an IPC that differs from local simulation
+	flagged  int // points that failed verification
 	differ   int // points that failed or whose IPC differs from local simulation
 }
 
@@ -105,9 +178,10 @@ func widthPoints(braid bool) func(*experiments.Workloads) []experiments.Point {
 	}
 }
 
-// runFleet sweeps sw against two in-process braidd, the second behind a
-// chaos proxy running f, through a pool set up by pol, and compares every
-// point with local simulation.
+// runFleet sweeps sw against two in-process braidd, the second behind f's
+// relay, through a pool set up by pol, and compares every point with local
+// simulation. Points go to the pool one call each, sw.jobs at a time, so a
+// failed point, a verification error included, ends only itself.
 func runFleet(t testing.TB, sw *fleetSweep, f fleetFault, pol fleetPolicy) fleetOutcome {
 	t.Helper()
 	w, err := experiments.LoadSuiteCtx(context.Background(), sw.dyn, 0)
@@ -115,13 +189,16 @@ func runFleet(t testing.TB, sw *fleetSweep, f fleetFault, pol fleetPolicy) fleet
 		t.Fatal(err)
 	}
 	points := sw.points(w)
+	programs := make([]*isa.Program, len(points))
+	for i, pt := range points {
+		programs[i] = pt.Bench.Orig
+		if pt.Braided {
+			programs[i] = pt.Bench.Braided
+		}
+	}
 	if sw.want == nil {
-		for _, pt := range points {
-			p := pt.Bench.Orig
-			if pt.Braided {
-				p = pt.Bench.Braided
-			}
-			st, err := uarch.SimulateChecked(context.Background(), p, pt.Cfg)
+		for i, pt := range points {
+			st, err := uarch.SimulateChecked(context.Background(), programs[i], pt.Cfg)
 			if err != nil {
 				t.Fatalf("local %s: %v", pt.Bench.Name, err)
 			}
@@ -131,15 +208,13 @@ func runFleet(t testing.TB, sw *fleetSweep, f fleetFault, pol fleetPolicy) fleet
 
 	healthy := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
 	defer healthy.Close()
-	backend := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
+	svc := service.New(service.Config{Workers: 2}).Handler()
+	backend := httptest.NewServer(svc)
 	defer backend.Close()
-	cp, err := chaos.New(backend.URL, f.sched(len(points)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := httptest.NewServer(cp)
+	relay := f.relay(t, svc, backend.URL, len(points))
+	proxy := httptest.NewServer(relay)
 	defer proxy.Close()
-	pool, err := NewPool(Options{Backends: []string{healthy.URL, proxy.URL}})
+	pool, err := NewPool(Options{Backends: []string{healthy.URL, proxy.URL}, VerifyEvery: pol.verify})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,35 +229,51 @@ func runFleet(t testing.TB, sw *fleetSweep, f fleetFault, pol fleetPolicy) fleet
 		defer stop()
 	}
 
-	w.SetRunner(pool)
-	w.SetJobs(sw.jobs)
 	wave := len(points)
 	if f.paced {
 		wave = 8
 	}
-	got := make(map[experiments.Point]float64, len(points))
+	var out fleetOutcome
+	var mu sync.Mutex
 	t0 := time.Now()
 	for start := 0; start < len(points); start += wave {
 		end := min(start+wave, len(points))
-		res, err := w.IPCAll(points[start:end])
-		if err != nil {
-			t.Fatalf("%s: wave at %d: %v", f.name, start, err)
+		next := make(chan int)
+		var wg sync.WaitGroup
+		for j := 0; j < min(sw.jobs, end-start); j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					st, err := pool.Simulate(context.Background(), programs[i], points[i].Cfg)
+					var ve *VerifyError
+					mu.Lock()
+					switch {
+					case errors.As(err, &ve):
+						out.flagged++
+					case err != nil:
+						t.Logf("%s: %s: %v", f.name, points[i].Bench.Name, err)
+						out.differ++
+					case st.IPC() != sw.want[i]:
+						out.wrong++
+					}
+					mu.Unlock()
+				}
+			}()
 		}
-		for pt, ipc := range res {
-			got[pt] = ipc
+		for i := start; i < end; i++ {
+			next <- i
 		}
+		close(next)
+		wg.Wait()
 		if f.paced && end < len(points) {
 			time.Sleep(400 * time.Millisecond)
 		}
 	}
-	out := fleetOutcome{Stats: pool.Snapshot(), injected: cp.Faults(), wall: time.Since(t0), differ: len(w.Failures())}
-	for i, pt := range points {
-		if ipc, ok := got[pt]; !ok || ipc != sw.want[i] {
-			out.differ++
-		}
-	}
-	t.Logf("%s, ejection on request path %v, probe %v: %v; pool %s; injected %s",
-		f.name, pol.requestPath, pol.probe, out.wall.Round(time.Millisecond), pool, cp.Counters())
+	out.Stats, out.injected, out.wall = pool.Snapshot(), relay.Faults(), time.Since(t0)
+	out.differ += out.flagged + out.wrong
+	t.Logf("%s, ejection on request path %v, probe %v, verify %d: %v; pool %s; %d faults injected",
+		f.name, pol.requestPath, pol.probe, pol.verify, out.wall.Round(time.Millisecond), pool, out.injected)
 	return out
 }
 
@@ -196,13 +287,13 @@ func soakTiming(p *Pool) {
 	p.ejectAfter, p.cooldown = 2, time.Second
 }
 
-// TestChaosSoakBreakerHalvesWastedAttempts is the self-healing acceptance
+// TestChaosSoakEjectionHalvesWastedAttempts is the self-healing acceptance
 // soak: with one backend flapping down 2s / up 2s and one healthy, a paced
 // sweep must converge bit-identically to local results with zero failed
 // design points both with ejection (request path and a 250 ms prober) and
 // without — and ejection must pay for itself by issuing at least 50% fewer
 // failed request attempts under the identical fault schedule.
-func TestChaosSoakBreakerHalvesWastedAttempts(t *testing.T) {
+func TestChaosSoakEjectionHalvesWastedAttempts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos soak")
 	}
@@ -277,8 +368,9 @@ func TestPassingCanaryKeepsFlakyBackendEjected(t *testing.T) {
 var ablationOut = flag.String("ablation", "", "run the fleet ablation matrix and write it to this JSON file")
 
 // TestFleetAblation measures what each ejection path buys under four fault
-// schedules and writes BENCH_fleet_ablation.json. It runs only with
-// -ablation, for several minutes:
+// schedules, and what each corruption detector catches under three more,
+// and writes BENCH_fleet_ablation.json. It runs only with -ablation, for
+// several minutes:
 //
 //	go test ./internal/remote -run TestFleetAblation -timeout 30m -ablation ../../BENCH_fleet_ablation.json
 func TestFleetAblation(t *testing.T) {
@@ -287,15 +379,24 @@ func TestFleetAblation(t *testing.T) {
 	}
 	const repeats = 5
 	const probe = 250 * time.Millisecond
-	arms := []struct {
+	type arm struct {
 		name   string
 		policy fleetPolicy
-	}{
+	}
+	arms := []arm{
 		{"no ejection", fleetPolicy{}},
 		{"request path only", fleetPolicy{requestPath: true}},
 		{"prober only", fleetPolicy{probe: probe}},
 		{"both", fleetPolicy{requestPath: true, probe: probe}},
 	}
+	// The body digest is always on: there is no switch to turn it off.
+	detectorArms := []arm{
+		{"digest only", fleetPolicy{requestPath: true}},
+		{"digest + prober", fleetPolicy{requestPath: true, probe: probe}},
+		{"digest + verify 4", fleetPolicy{requestPath: true, verify: 4}},
+		{"digest + verify 1", fleetPolicy{requestPath: true, verify: 1}},
+	}
+	const suiteSetup = "208 points at -dyn 10000, 2 jobs, default pool timing"
 	suite := &fleetSweep{dyn: 10000, jobs: 2, points: widthPoints(true)}
 	schedules := []struct {
 		fault fleetFault
@@ -305,10 +406,11 @@ func TestFleetAblation(t *testing.T) {
 	}{
 		{faultFlap, soakSweep(), soakTiming,
 			"the chaos soak: 104 points at -dyn 1500 in waves of 8, 400 ms apart, 8 jobs; 6 attempts, backoff 1-10 ms, ejection after 2 failed attempts, 1 s cooldown"},
-		{faultKilled, suite, nil, "208 points at -dyn 10000, 2 jobs, default pool timing"},
-		{fault503, suite, nil, "208 points at -dyn 10000, 2 jobs, default pool timing"},
-		{faultCorrupt, suite, nil, "208 points at -dyn 10000, 2 jobs, default pool timing"},
+		{faultKilled, suite, nil, suiteSetup},
+		{fault503, suite, nil, suiteSetup},
+		{faultCorrupt, suite, nil, suiteSetup},
 	}
+	detectorFaults := []fleetFault{faultCorrupt, faultWrong, faultWrongHalf}
 
 	type cell struct {
 		Schedule        string    `json:"schedule"`
@@ -322,6 +424,17 @@ func TestFleetAblation(t *testing.T) {
 		ShortCircuits   []uint64  `json:"short_circuits"`
 		DifferFromLocal int       `json:"differ_from_local"`
 	}
+	type detectorCell struct {
+		Schedule     string   `json:"schedule"`
+		Arm          string   `json:"arm"`
+		WrongMedian  int      `json:"wrong_accepted_median"`
+		WrongMin     int      `json:"wrong_accepted_min"`
+		WrongMax     int      `json:"wrong_accepted_max"`
+		Wrong        []int    `json:"wrong_accepted"`
+		VerifyErrors []int    `json:"verify_errors"`
+		Failed       []uint64 `json:"failed_attempts"`
+		Ejections    []uint64 `json:"ejections"`
+	}
 	report := struct {
 		Command    string            `json:"command"`
 		Host       string            `json:"host"`
@@ -331,6 +444,7 @@ func TestFleetAblation(t *testing.T) {
 		Probe      string            `json:"probe"`
 		Setups     map[string]string `json:"setups"`
 		Cells      []cell            `json:"cells"`
+		Detectors  []detectorCell    `json:"detectors"`
 	}{
 		Command:    "go test ./internal/remote -run TestFleetAblation -timeout 30m -ablation ../../BENCH_fleet_ablation.json",
 		Host:       hostName(),
@@ -361,6 +475,29 @@ func TestFleetAblation(t *testing.T) {
 				t.Errorf("%s, %s: %d results differ from local simulation", c.Schedule, c.Arm, c.DifferFromLocal)
 			}
 			report.Cells = append(report.Cells, c)
+		}
+	}
+	for _, f := range detectorFaults {
+		report.Setups[f.name] = suiteSetup
+		for _, a := range detectorArms {
+			c := detectorCell{Schedule: f.name, Arm: a.name}
+			for r := 0; r < repeats; r++ {
+				out := runFleet(t, suite, f, a.policy)
+				if failed := out.differ - out.wrong - out.flagged; failed != 0 {
+					t.Errorf("%s, %s: %d points failed", f.name, a.name, failed)
+				}
+				c.Wrong = append(c.Wrong, out.wrong)
+				c.VerifyErrors = append(c.VerifyErrors, out.flagged)
+				c.Failed = append(c.Failed, out.FailedAttempts)
+				c.Ejections = append(c.Ejections, out.Ejections)
+			}
+			sorted := slices.Clone(c.Wrong)
+			slices.Sort(sorted)
+			c.WrongMin, c.WrongMedian, c.WrongMax = sorted[0], sorted[repeats/2], sorted[repeats-1]
+			if c.WrongMax != 0 && (f.wrong == nil || a.policy.verify == 1) {
+				t.Errorf("%s, %s: up to %d wrong results accepted, want 0", f.name, a.name, c.WrongMax)
+			}
+			report.Detectors = append(report.Detectors, c)
 		}
 	}
 	data, err := json.MarshalIndent(report, "", "  ")

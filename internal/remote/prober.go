@@ -6,19 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 	"time"
 
 	"braid/internal/uarch"
 	"braid/internal/workload"
 )
-
-// canaryHeader marks a probe simulation: the server admits it without
-// shedding (it waits for a slot instead of 429ing), so an overloaded-but-
-// healthy backend is not misdiagnosed as broken.
-const canaryHeader = "X-Braid-Canary"
 
 // canaryMaterial is the known-answer probe, built once per process: the
 // tiny "dot" kernel on a 2-wide out-of-order core, with the expected Stats
@@ -68,22 +61,16 @@ func canaryRequest() ([]byte, []byte, error) {
 	return canaryBody, canaryWant, canaryErr
 }
 
-// healthzBody is the overload signal braidd exposes on a healthy /healthz.
-type healthzBody struct {
-	Status     string `json:"status"`
-	QueueDepth int    `json:"queue_depth"`
-	Overloaded bool   `json:"overloaded"`
-}
-
 // StartProber launches the background health prober: every interval it
-// checks each backend's /healthz and, when the backend reports itself
-// neither draining nor overloaded, runs the canary simulation with a
-// known-answer check. A failed probe (or a canary answering wrong bytes)
+// sends each backend the canary, a known-answer simulation, through post,
+// the path every point takes. A canary that fails — a transport error, a
+// non-200 other than 429, a bad digest, a malformed body or wrong Stats —
 // ejects the backend, so the request path skips it without spending an
-// attempt, and grants it no trial while probes keep failing. A passing
-// probe reinstates nothing: only an answered attempt puts a backend back
-// in rotation (see health). The verdicts surface in Snapshot().Healthy
-// and Ejections and in the braidload/braidbench pool summaries.
+// attempt, and grants it no trial while canaries keep failing. A 429 is no
+// verdict: the backend is busy, not broken. A passing canary reinstates
+// nothing: only an answered attempt puts a backend back in rotation (see
+// health). The verdicts surface in Snapshot().Healthy and Ejections and in
+// the braidload/braidbench pool summaries.
 //
 // The prober stops when ctx is done or the returned stop function is called
 // (stop waits for the probe goroutine to exit).
@@ -131,43 +118,15 @@ func (p *Pool) probeAll(ctx context.Context, interval time.Duration) {
 }
 
 func (p *Pool) probeBackend(ctx context.Context, i int, timeout time.Duration) {
-	hctx, cancel := context.WithTimeout(ctx, timeout)
+	cctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	hb, err := p.checkHealthz(hctx, i)
-	if err != nil && ctx.Err() == nil {
-		p.probeFailures.Add(1)
+	err := p.canary(cctx, i)
+	var re *retryableError
+	if err == nil || ctx.Err() != nil || errors.As(err, &re) && re.overload {
+		return // passed, the prober is shutting down, or the backend is shedding
 	}
-	if err == nil && !hb.Overloaded {
-		// An overloaded backend is alive but saturated: a canary would only
-		// deepen its queue, and ejecting it would amplify the spike onto the
-		// rest of the fleet.
-		err = p.canary(hctx, i)
-	}
-	if err != nil && ctx.Err() == nil { // a prober shutting down is no verdict
-		p.health[i].eject(time.Now())
-	}
-}
-
-func (p *Pool) checkHealthz(ctx context.Context, i int) (healthzBody, error) {
-	var hb healthzBody
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.backends[i]+"/healthz", nil)
-	if err != nil {
-		return hb, err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return hb, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return hb, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return hb, fmt.Errorf("healthz status %d", resp.StatusCode)
-	}
-	json.Unmarshal(data, &hb) // best effort: an old server's body lacks the fields
-	return hb, nil
+	p.probeFailures.Add(1)
+	p.health[i].eject(time.Now())
 }
 
 // canary runs the known-answer simulation directly against backend i
@@ -178,36 +137,11 @@ func (p *Pool) canary(ctx context.Context, i int) error {
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		p.backends[i]+"/v1/simulate", bytes.NewReader(body))
+	res, _, err := p.post(ctx, p.backends[i], body)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(canaryHeader, "1")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		p.probeFailures.Add(1)
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		p.probeFailures.Add(1)
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		p.probeFailures.Add(1)
-		return fmt.Errorf("canary status %d", resp.StatusCode)
-	}
-	var sr struct {
-		Stats json.RawMessage `json:"stats"`
-	}
-	if err := json.Unmarshal(data, &sr); err != nil {
-		p.probeFailures.Add(1)
-		return fmt.Errorf("canary response: %w", err)
-	}
-	if !bytes.Equal(sr.Stats, want) {
+	if !bytes.Equal(res.RawStats, want) {
 		p.canaryMismatches.Add(1)
 		return fmt.Errorf("canary stats mismatch: backend %s diverges from local simulation", p.backends[i])
 	}

@@ -9,10 +9,11 @@
 // exponential backoff and jitter (honoring Retry-After) and fail over to the
 // program's next-ranked backend, so a backend killed mid-sweep costs latency,
 // not the sweep; a backend that fails three attempts in a row, or the health
-// prober's check, is ejected from rotation until an attempt after a cooldown
-// is answered; optional hedged requests duplicate a straggler onto the next
-// backend after the pool's observed p95; and a verify mode cross-checks a
-// deterministic sample of remote Stats bit-for-bit against local simulation.
+// prober's known-answer canary, is ejected from rotation until an attempt
+// after a cooldown is answered; optional hedged requests duplicate a
+// straggler onto the next backend after the pool's observed p95; and a
+// verify mode cross-checks a deterministic sample of remote Stats
+// bit-for-bit against local simulation.
 //
 // The pool implements experiments.Runner (SimulateSampled), so a Workloads suite
 // pointed at it keeps its memoization, checkpoint/resume, and Failures()
@@ -113,6 +114,7 @@ type Pool struct {
 	imageResends      atomic.Uint64 // unknown_program answers followed by the image
 	integrityFailures atomic.Uint64 // 200s whose body SHA-256 was missing or did not match
 	probeFailures     atomic.Uint64 // health-prober checks that failed
+	verifyFailures    atomic.Uint64 // points whose verification failed
 	canaryMismatches  atomic.Uint64 // canary simulations whose stats diverged
 
 	health []health // per backend, indexed like backends
@@ -145,21 +147,21 @@ type Stats struct {
 	ImageResends      uint64          `json:"image_resends"`
 	IntegrityFailures uint64          `json:"integrity_failures"`
 	ProbeFailures     uint64          `json:"probe_failures"`
+	VerifyFailures    uint64          `json:"verify_failures"`
 	CanaryMismatches  uint64          `json:"canary_mismatches"`
 	Healthy           map[string]bool `json:"healthy"` // backend -> in rotation (not ejected)
 }
 
 // Result is one successfully simulated point with its provenance.
 type Result struct {
-	Stats      *uarch.Stats
-	Estimate   *uarch.SampleEstimate // sampled runs only; nil for exact
-	Complexity float64               // server's hardware-cost total (0: backend predates the field)
-	RawStats   []byte                // the exact Stats JSON bytes the backend served
-	Source     string                // run, cache, or coalesced (server-side provenance)
-	Backend    string                // base URL that answered
-	Attempts   int                   // HTTP attempts spent (1 = first try)
-	Hedged     bool                  // answered by a hedge request
-	Verified   bool                  // cross-checked against local simulation
+	Stats    *uarch.Stats
+	Estimate *uarch.SampleEstimate // sampled runs only; nil for exact
+	RawStats []byte                // the exact Stats JSON bytes the backend served
+	Source   string                // run, cache, or coalesced (server-side provenance)
+	Backend  string                // base URL that answered
+	Attempts int                   // HTTP attempts spent (1 = first try)
+	Hedged   bool                  // answered by a hedge request
+	Verified bool                  // cross-checked against local simulation
 }
 
 // NewPool validates o and builds a routing pool. Two entries that normalize
@@ -228,6 +230,7 @@ func (p *Pool) Snapshot() Stats {
 		ImageResends:      p.imageResends.Load(),
 		IntegrityFailures: p.integrityFailures.Load(),
 		ProbeFailures:     p.probeFailures.Load(),
+		VerifyFailures:    p.verifyFailures.Load(),
 		CanaryMismatches:  p.canaryMismatches.Load(),
 		Healthy:           make(map[string]bool, len(p.backends)),
 	}
@@ -278,14 +281,12 @@ func (p *Pool) String() string {
 // by ctx fails with uarch.ErrCanceled (ErrTimeout past a deadline).
 func (p *Pool) Ping(ctx context.Context) (down []string, err error) {
 	up := 0
-	for i, b := range p.backends {
-		hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		if _, herr := p.checkHealthz(hctx, i); herr != nil {
-			down = append(down, b)
-		} else {
+	for _, b := range p.backends {
+		if p.live(ctx, b) {
 			up++
+		} else {
+			down = append(down, b)
 		}
-		cancel()
 	}
 	if ctx.Err() != nil {
 		return nil, fmt.Errorf("remote: ping: %w", ctxSentinel(ctx))
@@ -294,6 +295,22 @@ func (p *Pool) Ping(ctx context.Context) (down []string, err error) {
 		return down, fmt.Errorf("remote: no live backend among %s", strings.Join(p.backends, ","))
 	}
 	return down, nil
+}
+
+// live reports whether backend answers /healthz with a 200 within 5 s.
+func (p *Pool) live(ctx context.Context, backend string) bool {
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backend+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := p.client.Do(req)
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }
 
 // Simulate runs one point remotely with exact timing: the returned Stats and
@@ -358,6 +375,10 @@ func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp 
 	}
 	if p.opt.VerifyEvery > 0 && sum64(w.body)%uint64(p.opt.VerifyEvery) == 0 {
 		if err := p.verifyLocal(ctx, prog, cfg, sp, res); err != nil {
+			if ctx.Err() != nil { // a local run cut short is no verdict
+				return nil, fmt.Errorf("remote: %w", ctxSentinel(ctx))
+			}
+			p.verifyFailures.Add(1)
 			return nil, err
 		}
 		res.Verified = true
@@ -779,8 +800,7 @@ func (p *Pool) runLocal(ctx context.Context, prog *isa.Program, cfg uarch.Config
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Stats: st, Estimate: est, RawStats: raw, Source: "local",
-		Complexity: uarch.EstimateComplexity(cfg).Total()}, nil
+	return &Result{Stats: st, Estimate: est, RawStats: raw, Source: "local"}, nil
 }
 
 // sleepBackoff waits out the exponential backoff (with ±50% jitter) or the
@@ -823,21 +843,27 @@ func (e *retryableError) Unwrap() error { return e.err }
 // then, if the backend answers unknown_program (it has never seen the image,
 // evicted it or restarted), the request with the image. The exchange is one
 // attempt: the unknown_program answer is not a failure, a retry or a latency
-// sample, and a second one is a terminal error.
+// sample, and a second one is a terminal error. The answer that ends the
+// attempt is a hedge-latency sample.
 func (p *Pool) call(ctx context.Context, backend string, w *wireRequest) (*Result, time.Duration, error) {
+	t0 := time.Now()
 	res, retryAfter, err := p.post(ctx, backend, w.body)
-	if !errors.Is(err, errUnknownProgram) {
-		return res, retryAfter, err
+	if errors.Is(err, errUnknownProgram) {
+		p.imageResends.Add(1)
+		body, berr := w.imageBody()
+		if berr != nil {
+			return nil, 0, berr
+		}
+		t0 = time.Now()
+		res, retryAfter, err = p.post(ctx, backend, body)
 	}
-	p.imageResends.Add(1)
-	body, err := w.imageBody()
-	if err != nil {
-		return nil, 0, err
+	if err == nil {
+		p.observeLatency(time.Since(t0))
 	}
-	return p.post(ctx, backend, body)
+	return res, retryAfter, err
 }
 
-// post sends one request body to one backend's /v1/simulate.
+// post sends body to backend's /v1/simulate and checks and parses the answer.
 func (p *Pool) post(ctx context.Context, backend string, body []byte) (*Result, time.Duration, error) {
 	actx, cancel := context.WithTimeout(ctx, p.opt.Timeout)
 	defer cancel()
@@ -846,7 +872,6 @@ func (p *Pool) post(ctx context.Context, backend string, body []byte) (*Result, 
 		return nil, 0, fmt.Errorf("remote: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	t0 := time.Now()
 	resp, err := p.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -880,9 +905,6 @@ func (p *Pool) post(ctx context.Context, backend string, body []byte) (*Result, 
 			Sampling *struct {
 				Estimate *uarch.SampleEstimate `json:"estimate"`
 			} `json:"sampling"`
-			Complexity *struct {
-				Total float64 `json:"total"`
-			} `json:"complexity"`
 		}
 		if err := json.Unmarshal(data, &sr); err != nil || len(sr.Stats) == 0 {
 			return nil, 0, &retryableError{err: fmt.Errorf("%s: malformed response: %v", backend, err)}
@@ -891,15 +913,11 @@ func (p *Pool) post(ctx context.Context, backend string, body []byte) (*Result, 
 		if err := json.Unmarshal(sr.Stats, st); err != nil {
 			return nil, 0, &retryableError{err: fmt.Errorf("%s: malformed stats: %w", backend, err)}
 		}
-		p.observeLatency(time.Since(t0))
 		raw := make([]byte, len(sr.Stats))
 		copy(raw, sr.Stats)
 		res := &Result{Stats: st, RawStats: raw, Source: sr.Source, Backend: backend}
 		if sr.Sampling != nil {
 			res.Estimate = sr.Sampling.Estimate
-		}
-		if sr.Complexity != nil {
-			res.Complexity = sr.Complexity.Total
 		}
 		return res, 0, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -359,11 +360,11 @@ func TestFallbackFailStaysTransient(t *testing.T) {
 	}
 }
 
-// TestBreakerConsecutiveTripAndRecovery walks one backend's health record
+// TestHealthEjectsAfterConsecutiveFailures walks one backend's health record
 // on a synthetic clock: three failed attempts in a row eject it, it is
 // skipped for a cooldown and then granted one trial at a time, and the
 // answer to that trial puts it back in rotation with a fresh failure run.
-func TestBreakerConsecutiveTripAndRecovery(t *testing.T) {
+func TestHealthEjectsAfterConsecutiveFailures(t *testing.T) {
 	const cooldown = time.Second
 	t0 := time.Unix(0, 0)
 	var h health
@@ -415,11 +416,11 @@ func TestBreakerConsecutiveTripAndRecovery(t *testing.T) {
 	}
 }
 
-// TestBreakerProbeFailureReopens: a failed trial leaves the backend
+// TestHealthFailedTrialStaysEjected: a failed trial leaves the backend
 // ejected until a cooldown after that trial started, and a late answer to
 // it overrules nothing once a newer trial is out; the newer trial's answer
 // puts the backend back.
-func TestBreakerProbeFailureReopens(t *testing.T) {
+func TestHealthFailedTrialStaysEjected(t *testing.T) {
 	const cooldown = time.Second
 	t0 := time.Unix(0, 0)
 	var h health
@@ -450,10 +451,10 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	}
 }
 
-// TestBreakerProbeExpiryPreventsDeadlock: a trial whose caller never
+// TestHealthTrialExpiryPreventsDeadlock: a trial whose caller never
 // reports holds the slot for one cooldown and then expires, so a lost
 // caller can never keep the backend ejected for good.
-func TestBreakerProbeExpiryPreventsDeadlock(t *testing.T) {
+func TestHealthTrialExpiryPreventsDeadlock(t *testing.T) {
 	const cooldown = time.Second
 	t0 := time.Unix(0, 0)
 	var h health
@@ -498,14 +499,8 @@ func TestHealthProberEjection(t *testing.T) {
 func TestProberEjectsAndReintegrates(t *testing.T) {
 	healthy := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
 	defer healthy.Close()
-	svc := service.New(service.Config{Workers: 2}).Handler()
 	var canaries atomic.Int64 // canaries that reached the flapping backend
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(canaryHeader) != "" {
-			canaries.Add(1)
-		}
-		svc.ServeHTTP(w, r)
-	}))
+	backend := httptest.NewServer(countCanaries(t, service.New(service.Config{Workers: 2}).Handler(), &canaries))
 	defer backend.Close()
 	flap := chaos.Flap(time.Hour, time.Hour) // phases pinned by Force below
 	flap.Force(false)
@@ -571,22 +566,15 @@ func TestProberEjectsAndReintegrates(t *testing.T) {
 	}
 }
 
-// TestCanaryMismatchEjects fronts a backend with a proxy corrupting every
-// simulate response: /healthz passes, so only the canary's known-answer
-// check can notice the backend is serving wrong results — and must eject it.
+// TestCanaryMismatchEjects fronts a backend with a relay that alters one
+// Stats digit in every answer and signs the altered body: the digest
+// passes, so only the canary's known-answer check can notice the backend is
+// serving wrong results — and must eject it.
 func TestCanaryMismatchEjects(t *testing.T) {
-	backend := httptest.NewServer(service.New(service.Config{Workers: 2}).Handler())
-	defer backend.Close()
-	cp, err := chaos.New(backend.URL, func(r *http.Request, n int64) chaos.Fault {
-		if r.Method == http.MethodPost {
-			return chaos.Fault{Kind: chaos.Corrupt}
-		}
-		return chaos.Fault{Kind: chaos.Pass}
+	proxy := httptest.NewServer(&resignRelay{
+		next:  service.New(service.Config{Workers: 2}).Handler(),
+		wrong: func(int64) bool { return true },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := httptest.NewServer(cp)
 	defer proxy.Close()
 
 	pool, err := NewPool(Options{Backends: []string{proxy.URL}})
@@ -606,5 +594,94 @@ func TestCanaryMismatchEjects(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("corrupting backend never ejected; snapshot: %+v", pool.Snapshot())
+	t.Fatalf("wrong-answering backend never ejected; snapshot: %+v", pool.Snapshot())
+}
+
+// countCanaries wraps next, counting the prober's canaries among the
+// requests it serves.
+func countCanaries(t *testing.T, next http.Handler, n *atomic.Int64) http.Handler {
+	canary, _, err := canaryRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if bytes.Equal(body, canary) {
+			n.Add(1)
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		next.ServeHTTP(w, r)
+	})
+}
+
+// TestCanary429KeepsBackendInRotation: a canary answered 429 is no verdict,
+// the rule the request path applies to a shedding backend, so a backend
+// busy shedding stays in rotation.
+func TestCanary429KeepsBackendInRotation(t *testing.T) {
+	var canaries atomic.Int64
+	shedding := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.Write([]byte(`{"status":"ok"}`))
+			return
+		}
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+	})
+	ts := httptest.NewServer(countCanaries(t, shedding, &canaries))
+	defer ts.Close()
+	pool, err := NewPool(Options{Backends: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		pool.probeAll(context.Background(), 25*time.Millisecond)
+	}
+	if canaries.Load() != 3 {
+		t.Fatalf("%d canaries reached the backend in 3 ticks, want 3", canaries.Load())
+	}
+	if s := pool.Snapshot(); !s.Healthy[ts.URL] || s.Ejections != 0 || s.ProbeFailures != 0 {
+		t.Errorf("after three 429 canaries: healthy %v, %d ejections, %d probe failures; want in rotation, 0, 0",
+			s.Healthy[ts.URL], s.Ejections, s.ProbeFailures)
+	}
+}
+
+// TestProberSendsOneRequestPerBackend: each tick costs every backend one
+// request, the canary, and no answer to it is a hedge-latency sample.
+func TestProberSendsOneRequestPerBackend(t *testing.T) {
+	var urls []string
+	var requests, canaries [2]atomic.Int64
+	for i := range requests {
+		svc := countCanaries(t, service.New(service.Config{Workers: 2}).Handler(), &canaries[i])
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests[i].Add(1)
+			svc.ServeHTTP(w, r)
+		}))
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	pool, err := NewPool(Options{Backends: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ticks = 3
+	for i := 0; i < ticks; i++ {
+		pool.probeAll(context.Background(), 25*time.Millisecond)
+	}
+	for i := range requests {
+		if r, c := requests[i].Load(), canaries[i].Load(); r != ticks || c != ticks {
+			t.Errorf("backend %d got %d requests, %d of them canaries, in %d ticks; want %d canaries only", i, r, c, ticks, ticks)
+		}
+	}
+	if s := pool.Snapshot(); s.Ejections != 0 || s.ProbeFailures != 0 {
+		t.Errorf("healthy backends: %d ejections, %d probe failures", s.Ejections, s.ProbeFailures)
+	}
+	if pool.latN != 0 {
+		t.Errorf("the prober added %d hedge-latency samples, want 0", pool.latN)
+	}
+	if _, err := pool.SimulateFull(context.Background(), mustKernel(t, "dot"), uarch.OutOfOrderConfig(8)); err != nil {
+		t.Fatal(err)
+	}
+	if pool.latN != 1 {
+		t.Errorf("one point added %d hedge-latency samples, want 1", pool.latN)
+	}
 }

@@ -25,23 +25,14 @@ func newAdmission(workers, depth int) *admission {
 	}
 }
 
-// admit reserves a queue position. With shed set the reservation never
-// blocks — a full queue returns errOverloaded; otherwise (a prober's
-// canary) it waits for a position or for ctx.
-func (a *admission) admit(ctx context.Context, shed bool) error {
-	if shed {
-		select {
-		case a.queue <- struct{}{}:
-			return nil
-		default:
-			return errOverloaded
-		}
-	}
+// admit reserves a queue position without blocking: a full queue returns
+// errOverloaded.
+func (a *admission) admit() error {
 	select {
 	case a.queue <- struct{}{}:
 		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	default:
+		return errOverloaded
 	}
 }
 
@@ -65,11 +56,6 @@ func (a *admission) releaseQueue() { <-a.queue }
 // the reads — so the difference is clamped: /metrics must never report a
 // negative queue depth.
 func (a *admission) busy() int { return len(a.slots) }
-
-// saturated reports a full admission queue: the next shedding admit would
-// 429. /healthz exposes it so health probers can tell "overloaded but
-// alive" from "broken" and leave a loaded backend in rotation.
-func (a *admission) saturated() bool { return len(a.queue) == cap(a.queue) }
 func (a *admission) waiting() int {
 	if n := len(a.queue) - len(a.slots); n > 0 {
 		return n

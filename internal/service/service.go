@@ -22,23 +22,16 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"braid/internal/isa"
 	"braid/internal/uarch"
 )
 
-// Wire headers shared with the internal/remote client (which keeps its own
-// copies — the client imports this package, not the other way around).
-const (
-	// canaryHeader marks a health prober's known-answer simulation; such
-	// requests wait for admission instead of being shed.
-	canaryHeader = "X-Braid-Canary"
-	// bodySHAHeader carries the hex SHA-256 of a /v1/simulate response
-	// body, for end-to-end integrity verification.
-	bodySHAHeader = "X-Braid-Body-SHA256"
-)
+// bodySHAHeader carries the hex SHA-256 of a /v1/simulate response body,
+// for end-to-end integrity verification. The internal/remote client keeps
+// its own copy: it imports this package, not the other way around.
+const bodySHAHeader = "X-Braid-Body-SHA256"
 
 // Config sizes the server. Zero fields take the documented defaults.
 type Config struct {
@@ -76,10 +69,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server implements the simulation service endpoints. Create one with New,
-// mount Handler on an http.Server, and call StartDrain before shutting the
-// http.Server down so load balancers see /healthz flip before connections
-// stop being accepted.
+// Server implements the simulation service endpoints. Create one with New
+// and mount Handler on an http.Server; http.Server.Shutdown drains it.
 type Server struct {
 	cfg      Config
 	adm      *admission
@@ -88,7 +79,6 @@ type Server struct {
 	flights  *flightGroup
 	met      *metrics
 	mux      *http.ServeMux
-	draining atomic.Bool
 	logMu    sync.Mutex
 
 	// releaseProgram drops a program's replay state
@@ -123,7 +113,6 @@ func New(cfg Config) *Server {
 	s.met.m.Set("workers_busy", expvar.Func(func() any { return s.adm.busy() }))
 	s.met.m.Set("cache_entries", expvar.Func(func() any { return s.cache.len() }))
 	s.met.m.Set("program_cache_entries", expvar.Func(func() any { return s.programs.len() }))
-	s.met.m.Set("draining", expvar.Func(func() any { return s.draining.Load() }))
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
@@ -140,36 +129,21 @@ func New(cfg Config) *Server {
 // Handler is the server's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// StartDrain flips /healthz to 503 so load balancers stop routing here. The
-// actual drain — refusing new connections while in-flight requests finish —
-// is http.Server.Shutdown's job; call this first.
-func (s *Server) StartDrain() { s.draining.Store(true) }
-
 // SimResponse is the success body of POST /v1/simulate. Sampling is present
 // exactly when the request asked for interval-sampled timing; exact
 // responses are byte-identical to the pre-sampling schema.
 type SimResponse struct {
-	Program     string           `json:"program"`
-	Core        string           `json:"core"`
-	Width       int              `json:"width"`
-	Braided     bool             `json:"braided"`
-	ProgramHash string           `json:"program_hash"`
-	ConfigHash  string           `json:"config_hash"`
-	IPC         float64          `json:"ipc"`
-	Stats       *uarch.Stats     `json:"stats"`
-	Sampling    *SampledBlock    `json:"sampling,omitempty"`
-	Complexity  *ComplexityBlock `json:"complexity,omitempty"`
-	Source      string           `json:"source"` // run, cache, or coalesced
-	SimMS       float64          `json:"sim_ms"` // leader's wall-clock simulation time
-}
-
-// ComplexityBlock carries the hardware-cost estimate for the simulated
-// configuration (the §5.1 proxies of uarch.EstimateComplexity), so fleet
-// clients — braidstat's -complexity column, braidtune's Pareto search — can
-// rank configurations without re-deriving the model client-side.
-type ComplexityBlock struct {
-	uarch.Complexity
-	Total float64 `json:"total"`
+	Program     string        `json:"program"`
+	Core        string        `json:"core"`
+	Width       int           `json:"width"`
+	Braided     bool          `json:"braided"`
+	ProgramHash string        `json:"program_hash"`
+	ConfigHash  string        `json:"config_hash"`
+	IPC         float64       `json:"ipc"`
+	Stats       *uarch.Stats  `json:"stats"`
+	Sampling    *SampledBlock `json:"sampling,omitempty"`
+	Source      string        `json:"source"` // run, cache, or coalesced
+	SimMS       float64       `json:"sim_ms"` // leader's wall-clock simulation time
 }
 
 // SampledBlock is the sampled-timing section of a SimResponse: the geometry
@@ -211,11 +185,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, body)
 		return
 	}
-	// A health prober's canary waits for a worker slot instead of being
-	// shed: a saturated queue means the backend is busy, not broken, and a
-	// 429 here would read as a failed probe and eject a healthy backend.
-	shed := r.Header.Get(canaryHeader) == ""
-	res, err := s.runSim(r.Context(), b, shed)
+	res, err := s.runSim(r.Context(), b)
 	if err != nil {
 		status, body := simErrorBody(err)
 		if status == http.StatusTooManyRequests {
@@ -225,8 +195,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Marshal once and stamp the SHA-256 of exactly the bytes written, so
-	// the client can verify end-to-end that the whole body — Stats, the
-	// sampling estimate, the complexity block — survived transit.
+	// the client can verify end-to-end that the whole body — Stats and the
+	// sampling estimate — survived transit.
 	body, err := json.Marshal(s.response(b, res))
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, ErrorBody{Kind: "internal", Message: err.Error()})
@@ -240,18 +210,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	// Overload signaling: "alive but saturated" lets probers keep a loaded
-	// backend in rotation instead of misreading backpressure as breakage.
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"status":       "ok",
-		"queue_depth":  s.adm.waiting(),
-		"workers_busy": s.adm.busy(),
-		"overloaded":   s.adm.saturated(),
-	})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -262,16 +221,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // runSim resolves one built simulation: result cache, then coalescing onto
 // an identical in-progress run, then the admission queue and a worker slot,
-// then the simulator itself under the request deadline. shed selects
-// fail-fast admission (interactive requests) over waiting (a prober's
-// canary).
+// then the simulator itself under the request deadline.
 //
 // A cache miss is counted only for the flight leader — the request that
 // actually puts demand on the simulator. Followers count as coalesced, and
 // a follower whose leader was canceled (the leader's client hung up, so the
 // flight published context.Canceled) re-elects instead of inheriting an
 // error its own still-live caller never caused.
-func (s *Server) runSim(ctx context.Context, b *Built, shed bool) (*simResult, error) {
+func (s *Server) runSim(ctx context.Context, b *Built) (*simResult, error) {
 	key := b.Key()
 	for {
 		if st, est, ok := s.cache.get(key); ok {
@@ -298,7 +255,7 @@ func (s *Server) runSim(ctx context.Context, b *Built, shed bool) (*simResult, e
 		}
 
 		s.met.cacheMiss.Add(1)
-		st, est, simMS, err := s.lead(ctx, key, b, shed)
+		st, est, simMS, err := s.lead(ctx, key, b)
 		s.flights.complete(key, fl, st, est, err, simMS)
 		if err != nil {
 			s.classifyFailure(err)
@@ -327,8 +284,8 @@ func isCancellation(err error) bool {
 
 // lead is the flight leader's path: pass admission, take a worker slot, and
 // simulate under the request's wall-clock deadline.
-func (s *Server) lead(ctx context.Context, key string, b *Built, shed bool) (*uarch.Stats, *uarch.SampleEstimate, float64, error) {
-	if err := s.adm.admit(ctx, shed); err != nil {
+func (s *Server) lead(ctx context.Context, key string, b *Built) (*uarch.Stats, *uarch.SampleEstimate, float64, error) {
+	if err := s.adm.admit(); err != nil {
 		return nil, nil, 0, err
 	}
 	defer s.adm.releaseQueue()
@@ -450,8 +407,6 @@ func (s *Server) response(b *Built, res *simResult) SimResponse {
 	if b.Sampling.Enabled() {
 		resp.Sampling = &SampledBlock{Geometry: b.Sampling, Estimate: res.est}
 	}
-	comp := uarch.EstimateComplexity(b.Config)
-	resp.Complexity = &ComplexityBlock{Complexity: comp, Total: comp.Total()}
 	return resp
 }
 

@@ -51,7 +51,7 @@ func AddSuite(fs *flag.FlagSet) *Suite {
 	fs.BoolVar(&s.hedge, "hedge", false, "hedge slow remote requests onto a second backend (needs -remote)")
 	fs.IntVar(&s.verify, "remote-verify", 0, "cross-check sampled remote results against local simulation, ~1 in N points (needs -remote; 0: off)")
 	fs.StringVar(&s.fallback, "fallback", "fail", "when every backend attempt fails: 'local' simulates in-process, 'fail' contains the point (needs -remote)")
-	fs.DurationVar(&s.probe, "probe", 0, "background health-probe interval; ejects backends that fail /healthz or the known-answer canary (needs -remote; 0: off)")
+	fs.DurationVar(&s.probe, "probe", 0, "background health-probe interval; ejects backends that fail the known-answer canary (needs -remote; 0: off)")
 	return s
 }
 
@@ -168,10 +168,11 @@ func (sw *Sweep) connect(ctx context.Context) error {
 	return nil
 }
 
-// Fatal ends the sweep on err. An interrupt says how to resume, naming the
-// step it stopped when during is not empty, closes the checkpoint and exits
-// 130; any other error exits 1.
+// Fatal ends the sweep on err after dropUnverified. An interrupt says how to
+// resume, naming the step it stopped when during is not empty, closes the
+// checkpoint and exits 130; any other error exits 1.
 func (sw *Sweep) Fatal(err error, during string) {
+	dropped := sw.dropUnverified()
 	if status(err) != 130 {
 		Fatal(sw.tool, err)
 	}
@@ -179,7 +180,7 @@ func (sw *Sweep) Fatal(err error, during string) {
 	if during != "" {
 		msg += " during " + during
 	}
-	if sw.flags.checkpoint != "" {
+	if sw.flags.checkpoint != "" && !dropped {
 		msg += fmt.Sprintf("; rerun with -checkpoint %s -resume to continue", sw.flags.checkpoint)
 	}
 	fmt.Fprintln(os.Stderr, msg)
@@ -190,7 +191,8 @@ func (sw *Sweep) Fatal(err error, during string) {
 // Finish reports a sweep that ran to the end on stderr: the count of
 // contained failures followed by heading (say "design points failed and
 // were skipped:") and the failures, then summary, then the pool's counters.
-// It closes the checkpoint and returns the first error appending to it.
+// It removes an unverified checkpoint (see dropUnverified), or closes it
+// and returns the first error appending to it.
 func (sw *Sweep) Finish(heading, summary string) error {
 	if failures := sw.Failures(); len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "%s: %d %s\n", sw.tool, len(failures), heading)
@@ -202,7 +204,26 @@ func (sw *Sweep) Finish(heading, summary string) error {
 	if sw.pool != nil {
 		fmt.Fprintf(os.Stderr, "%s: remote pool: %s\n", sw.tool, sw.pool)
 	}
+	sw.dropUnverified()
 	return sw.CloseCheckpoint()
+}
+
+// dropUnverified removes the -checkpoint journal once the pool has failed
+// verification, and says so: a backend caught with one wrong answer may have
+// served others among the unverified points, which -resume would trust. It
+// reports whether the journal was unverified.
+func (sw *Sweep) dropUnverified() bool {
+	path := sw.flags.checkpoint
+	if sw.pool == nil || path == "" || sw.pool.Snapshot().VerifyFailures == 0 {
+		return false
+	}
+	sw.CloseCheckpoint()
+	msg := "removed checkpoint " + path + ", which may hold wrong results"
+	if err := os.Remove(path); err != nil {
+		msg = fmt.Sprintf("checkpoint %s may hold wrong results: %v", path, err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: remote verification failed; %s\n", sw.tool, msg)
+	return true
 }
 
 // Fatal reports err under the tool's name and exits with its status.

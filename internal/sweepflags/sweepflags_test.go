@@ -2,11 +2,21 @@ package sweepflags
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"flag"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"braid/internal/remote"
+	"braid/internal/uarch"
 )
 
 // TestSuiteFlagDefaults pins every shared flag's name and default: command
@@ -100,5 +110,54 @@ func TestLoadExitStatus(t *testing.T) {
 		if err := s.check(); err != nil {
 			t.Errorf("%v: %v", args, err)
 		}
+	}
+}
+
+// TestFailedVerificationRemovesCheckpoint: a sweep over a backend that
+// answers every point with wrong, correctly signed Stats fails verification
+// on the points -remote-verify samples and journals the rest. Finish must
+// remove the checkpoint, or -resume would restore those wrong results.
+func TestFailedVerificationRemovesCheckpoint(t *testing.T) {
+	lying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body := []byte(`{"stats":{"Cycles":1,"Retired":1},"source":"run"}` + "\n")
+		sum := sha256.Sum256(body)
+		w.Header().Set("X-Braid-Body-SHA256", hex.EncodeToString(sum[:]))
+		w.Write(body)
+	}))
+	defer lying.Close()
+	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	s := AddSuite(fs)
+	if err := fs.Parse([]string{"-dyn", "2000", "-j", "1", "-remote", lying.URL, "-remote-verify", "2", "-checkpoint", ckpt}); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := s.Load(context.Background(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Attach(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	flagged, journaled := 0, 0
+	for _, b := range sw.Benches[:8] {
+		_, err := sw.IPC(b, false, uarch.OutOfOrderConfig(8))
+		var ve *remote.VerifyError
+		switch {
+		case errors.As(err, &ve):
+			flagged++
+		case err != nil:
+			t.Fatal(err)
+		default:
+			journaled++
+		}
+	}
+	if flagged == 0 || journaled == 0 {
+		t.Fatalf("%d points failed verification and %d were journaled; want some of each", flagged, journaled)
+	}
+	if err := sw.Finish("failed:", "done"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the checkpoint of a sweep that failed verification survived Finish (stat: %v)", err)
 	}
 }
