@@ -83,7 +83,7 @@ func main() {
 			cfg = uarch.OutOfOrderConfig(*width)
 		case "braid":
 			cfg = uarch.BraidConfig(*width)
-			if alreadyBraided(p) {
+			if p.Braided() {
 				fmt.Fprintln(os.Stderr, "braidsim: input is already braided")
 				break
 			}
@@ -159,16 +159,6 @@ func main() {
 	fmt.Printf("RF entry stalls %d, read-port stalls %d, write-port stalls %d, bypass denied %d, RF peak %d\n",
 		st.RFEntryStalls, st.PortStalls, st.WritePortStalls, st.BypassDenied, st.RFPeak)
 	return
-}
-
-// alreadyBraided detects a program that carries braid ISA bits.
-func alreadyBraided(p *isa.Program) bool {
-	for i := range p.Instrs {
-		if p.Instrs[i].Start {
-			return true
-		}
-	}
-	return false
 }
 
 func load(bench, kernel string, iters int, args []string) (*isa.Program, error) {

@@ -57,7 +57,6 @@ func main() {
 		budget    = flag.Int("budget", 96, "unique design points to simulate before stopping")
 		workloads = flag.String("workloads", "", "comma-separated benchmark subset (empty: whole suite)")
 		frontOut  = flag.String("front", "", "write the final front as JSON to this file ('-': stdout)")
-		inject    = flag.Int("inject-fault", 0, "arm the Nth unique evaluation with a pipeline fault (CI containment check; 0: off)")
 		suite     = sweepflags.AddSuite(flag.CommandLine)
 	)
 	flag.Parse()
@@ -88,11 +87,10 @@ func main() {
 		time.Since(start).Round(time.Millisecond), len(benches), *pop, *budget, *seed)
 
 	res, err := explore.Search(ctx, w, benches, explore.Options{
-		Seed:          *seed,
-		Pop:           *pop,
-		Budget:        *budget,
-		InjectFaultAt: *inject,
-		Log:           os.Stderr,
+		Seed:   *seed,
+		Pop:    *pop,
+		Budget: *budget,
+		Log:    os.Stderr,
 	})
 	if err != nil {
 		sw.Fatal(err, "")

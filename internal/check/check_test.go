@@ -2,7 +2,6 @@ package check
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"braid/internal/isa"
@@ -163,20 +162,5 @@ func TestEquivalenceDetectsDivergence(t *testing.T) {
 	}
 	if f := Equivalence("tampered-copy", p, tampered, 3_000_000); f == nil {
 		t.Fatal("equivalence oracle failed to flag a tampered store")
-	}
-}
-
-// TestSignatureContainsFault: the metamorphic runs contain an engine panic
-// as a *uarch.SimFault like every other run, instead of taking the whole
-// checking process down.
-func TestSignatureContainsFault(t *testing.T) {
-	p, _ := workload.KernelByName("dot")
-	cfg := uarch.OutOfOrderConfig(8)
-	cfg.Paranoid = true
-	cfg.Inject = &uarch.FaultPlan{Kind: uarch.FaultRefSkew, AtCycle: 20}
-	_, _, err := signature(context.Background(), p, cfg)
-	var sf *uarch.SimFault
-	if !errors.As(err, &sf) {
-		t.Fatalf("signature on an injected fault returned %v, want a *uarch.SimFault", err)
 	}
 }

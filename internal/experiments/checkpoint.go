@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"braid/internal/isa"
@@ -18,20 +16,17 @@ import (
 type ckptRecord struct {
 	Bench   string `json:"bench"`
 	Braided bool   `json:"braided"`
-	// Prog is the hex SHA-256 of the simulated program's .brd image. A
-	// record restores only into a suite whose program has this digest, so
-	// a journal written at another -dyn (another iteration count, so
-	// another program) restores nothing. Records written before the field
-	// have none and restore by benchmark name.
+	// Prog is the hex SHA-256 of the simulated program's .brd image
+	// (isa.EncodeImage). A record restores only into a suite whose program
+	// has this digest, so a journal written at another -dyn (another
+	// iteration count, so another program) restores nothing. A record
+	// written before the field existed has none and is refused.
 	Prog string       `json:"prog,omitempty"`
 	IPC  float64      `json:"ipc"`
 	Cfg  uarch.Config `json:"cfg"`
 	// Sampling marks interval-sampled points; absent (nil) means exact.
 	// Sampled and exact records restore into disjoint memo keyspaces.
 	Sampling *uarch.Sampling `json:"sampling,omitempty"`
-	// CI is the sampled estimate's relative 95% confidence half-width on
-	// IPC; omitted for exact points.
-	CI float64 `json:"ipc_rel_ci95,omitempty"`
 }
 
 // binary names one of a benchmark's two programs.
@@ -81,11 +76,11 @@ func (w *Workloads) programDigests() (map[binary]string, error) {
 	progs := make(map[binary]string, 2*len(w.Benches))
 	for _, b := range w.Benches {
 		for _, braided := range []bool{false, true} {
-			h := sha256.New()
-			if err := isa.WriteImage(h, b.program(braided)); err != nil {
+			_, digest, err := isa.EncodeImage(b.program(braided))
+			if err != nil {
 				return nil, fmt.Errorf("%s: %w", b.Name, err)
 			}
-			progs[binary{b.Name, braided}] = hex.EncodeToString(h.Sum(nil))
+			progs[binary{b.Name, braided}] = digest
 		}
 	}
 	return progs, nil
@@ -107,22 +102,24 @@ func (w *Workloads) CloseCheckpoint() error {
 
 // restore replays the records of the suite's programs into the memo cache
 // as finished cells, deduplicating repeated keys with last-write-wins: a
-// kill → resume → kill → resume cycle (or an explicit Retry) re-appends keys
-// the file already holds, and the newest record is the authoritative one.
-// The restored count is unique keys, not lines. A record whose digest names
-// another program is skipped: its result is not this suite's.
+// kill → resume → kill → resume cycle re-appends keys the file already
+// holds, and the newest record is the authoritative one. The restored count
+// is unique keys, not lines. A record whose digest names another program is
+// skipped: its result is not this suite's.
 func (w *Workloads) restore(recs []ckptRecord, progs map[binary]string) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	restored := 0
 	for i, rec := range recs {
-		if rec.Bench == "" {
+		if rec.Bench == "" || rec.Prog == "" {
 			// braidtune's generation journal, which it kept before it
 			// shared this one, holds "meta" and "gen" records; they
-			// decode here with no benchmark.
-			return 0, fmt.Errorf("record %d is not a simulation point (a generation journal from an older braidtune?); rerun without -resume", i+1)
+			// decode here with no benchmark. A point written before
+			// records carried their program's digest could belong to any
+			// program of that name, at any -dyn.
+			return 0, fmt.Errorf("record %d is not a simulation point with a program digest (a journal from an older braidbench or braidtune?); rerun without -resume", i+1)
 		}
-		if rec.Prog != "" && rec.Prog != progs[binary{rec.Bench, rec.Braided}] {
+		if rec.Prog != progs[binary{rec.Bench, rec.Braided}] {
 			continue
 		}
 		var sp uarch.Sampling
@@ -133,18 +130,13 @@ func (w *Workloads) restore(recs []ckptRecord, progs map[binary]string) (int, er
 		if _, ok := w.memo[key]; !ok {
 			restored++
 		}
-		w.memo[key] = &memoCell{done: ckptDone, ipc: rec.IPC, ci: rec.CI}
+		w.memo[key] = &memoCell{done: ckptDone, ipc: rec.IPC}
 	}
 	return restored, nil
 }
 
-// checkpointPoint appends one completed simulation. Injected-fault configs
-// never checkpoint (the Inject field is process-local and json-excluded, so
-// a resumed record could not reproduce the run).
-func (w *Workloads) checkpointPoint(key memoKey, ipc, ci float64) {
-	if key.cfg.Inject != nil {
-		return
-	}
+// checkpointPoint appends one completed simulation.
+func (w *Workloads) checkpointPoint(key memoKey, ipc float64) {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
 	if w.ckpt == nil {
@@ -155,7 +147,6 @@ func (w *Workloads) checkpointPoint(key memoKey, ipc, ci float64) {
 	if key.sampling.Enabled() {
 		sp := key.sampling
 		rec.Sampling = &sp
-		rec.CI = ci
 	}
 	// The journal keeps the first failure and CloseCheckpoint returns it;
 	// the sweep itself carries on, since its results are still correct.

@@ -127,7 +127,6 @@ func WriteCrashArtifact(dir, bench string, braided bool, p *isa.Program, cfg uar
 	// Paranoid mode is what detects the corruption; force it on in the
 	// artifact so the replay panics at the same cycle the original did.
 	cfg.Paranoid = true
-	cfg.Inject = nil
 	art := CrashArtifact{
 		Bench:   bench,
 		Braided: braided,

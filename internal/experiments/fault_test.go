@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,16 +12,36 @@ import (
 	"testing"
 	"time"
 
+	"braid/internal/isa"
 	"braid/internal/uarch"
 )
 
-// faultyCfg arms the braid machine's test-only injector so the paranoid
-// checker will panic mid-simulation.
+// faultyCfg is the configuration faultRunner fails: the braid machine with
+// the paranoid checker on, so its memo key is not BraidConfig(8)'s.
 func faultyCfg() uarch.Config {
 	cfg := uarch.BraidConfig(8)
 	cfg.Paranoid = true
-	cfg.Inject = &uarch.FaultPlan{Kind: uarch.FaultBusyBit, AtCycle: 10}
 	return cfg
+}
+
+// faultRunner simulates in-process like a suite without a Runner, except
+// that a point on faultyCfg runs under a retire observer that panics at its
+// 50th retirement. uarch.SimulateObserved contains the panic as a
+// *uarch.SimFault that says where the run stopped, as it does a corruption
+// the paranoid checker catches.
+type faultRunner struct{}
+
+func (faultRunner) SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error) {
+	if cfg != faultyCfg() {
+		return uarch.SimulateSampled(ctx, p, cfg, sp)
+	}
+	retired := 0
+	st, err := uarch.SimulateObserved(ctx, p, cfg, func(uarch.RetireEvent) {
+		if retired++; retired == 50 {
+			panic("observer fault")
+		}
+	})
+	return st, nil, err
 }
 
 // TestWorkerPoolSurvivesFault is the tentpole guarantee: one benchmark's
@@ -52,7 +71,7 @@ func TestWorkerPoolSurvivesFault(t *testing.T) {
 
 	for _, jobs := range []int{1, 4, 8} {
 		crash := t.TempDir()
-		wj := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: jobs}
+		wj := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: jobs, runner: faultRunner{}}
 		wj.SetCrashDir(crash)
 		got, err := wj.IPCAll(pts)
 		if err != nil {
@@ -97,17 +116,18 @@ func TestWorkerPoolSurvivesFault(t *testing.T) {
 }
 
 // TestCrashArtifactRoundTrip: the repro pair (program image + config JSON)
-// reloads into the exact program and a replayable configuration — paranoid
-// forced on, the process-local injector stripped.
+// reloads into the exact program and a replayable configuration, paranoid
+// forced on, at the cycle the fault stopped the run.
 func TestCrashArtifactRoundTrip(t *testing.T) {
 	w := testSuite(t)
 	b := w.Benches[0]
 	crash := t.TempDir()
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1, runner: faultRunner{}}
 	ws.SetCrashDir(crash)
 	_, err := ws.IPC(b, true, faultyCfg())
-	if err == nil {
-		t.Fatal("injected fault did not surface")
+	var sf *uarch.SimFault
+	if !errors.As(err, &sf) {
+		t.Fatalf("want a *uarch.SimFault, got %v", err)
 	}
 	fails := ws.Failures()
 	if len(fails) != 1 || fails[0].Artifact == "" {
@@ -121,20 +141,18 @@ func TestCrashArtifactRoundTrip(t *testing.T) {
 	if art.Bench != b.Name || !art.Braided {
 		t.Errorf("artifact names %s braided=%v, want %s braided=true", art.Bench, art.Braided, b.Name)
 	}
-	if art.Panic == "" || art.Cycle < 10 {
-		t.Errorf("artifact missing fault detail: cycle=%d panic=%q", art.Cycle, art.Panic)
+	if art.Panic != fmt.Sprint(sf.Panic) || art.Cycle != sf.Cycle || art.Cycle == 0 {
+		t.Errorf("artifact says cycle %d, panic %q; the fault stopped at cycle %d with %v", art.Cycle, art.Panic, sf.Cycle, sf.Panic)
 	}
 	if !art.Config.Paranoid {
 		t.Error("artifact config must force Paranoid for the replay")
-	}
-	if art.Config.Inject != nil {
-		t.Error("artifact config must not carry the process-local injector")
 	}
 	if len(p.Instrs) != len(b.Braided.Instrs) {
 		t.Fatalf("program image round trip: %d instructions, want %d", len(p.Instrs), len(b.Braided.Instrs))
 	}
 	// The artifact's config is runnable as-is: the replay completes (the
-	// corruption was injected, so a clean engine passes its own audit).
+	// fault came from the test's observer, so a clean engine passes its own
+	// audit).
 	if _, err := uarch.SimulateChecked(context.Background(), p, art.Config); err != nil {
 		t.Fatalf("replaying artifact config: %v", err)
 	}
@@ -181,7 +199,7 @@ func TestDeterministicFaultsStayMemoized(t *testing.T) {
 	w := testSuite(t)
 	b := w.Benches[0]
 	cfg := faultyCfg()
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1, runner: faultRunner{}}
 	_, err1 := ws.IPC(b, true, cfg)
 	_, err2 := ws.IPC(b, true, cfg)
 	var sf *uarch.SimFault
@@ -190,29 +208,6 @@ func TestDeterministicFaultsStayMemoized(t *testing.T) {
 	}
 	if runs := ws.SimRuns(); runs != 1 {
 		t.Errorf("deterministic fault re-simulated: %d runs, want 1", runs)
-	}
-}
-
-// TestRetryReruns: Retry evicts a finished cell — success or deterministic
-// failure — and executes the point again.
-func TestRetryReruns(t *testing.T) {
-	w := testSuite(t)
-	b := w.Benches[0]
-	cfg := uarch.BraidConfig(8)
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
-	v1, err := ws.IPC(b, true, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := ws.Retry(Point{b, true, cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1 != v2 {
-		t.Errorf("deterministic simulator: retry IPC %v != first %v", v2, v1)
-	}
-	if runs := ws.SimRuns(); runs != 2 {
-		t.Errorf("Retry did not rerun: %d simulations", runs)
 	}
 }
 
@@ -349,43 +344,6 @@ func TestCheckpointTornTail(t *testing.T) {
 	}
 }
 
-// parentFormatRecord is a checkpoint line as braidbench -checkpoint wrote it
-// before checkpoints moved onto internal/journal (gcc, braided, the Table 4
-// braid/8w machine); files in this format must keep resuming.
-const parentFormatRecord = `{"bench":"gcc","braided":true,"ipc":3.1817375886524824,"cfg":{"Core":2,"FetchWidth":8,"FetchBranches":3,"FrontDepth":8,"AllocWidth":4,"RenameSrc":8,"MispredictMin":19,"PerfectBP":false,"PredEntries":0,"PredHistory":0,"IssueWidth":8,"RetireWidth":0,"TotalFUs":16,"ROB":512,"RFEntries":8,"RFReadPorts":6,"RFWritePorts":3,"BypassLevels":1,"BypassValues":2,"ExtWakeupExtra":0,"DeadValueRelease":true,"Schedulers":0,"SchedEntries":0,"SteerFIFOs":0,"SteerFIFODeep":0,"BEUs":8,"BEUFIFO":32,"BEUWindow":2,"BEUFUs":2,"BEUQueueBraids":false,"Clusters":0,"InterClusterDelay":0,"Mem":{"L1I":{"SizeKB":64,"Assoc":4,"LineB":64,"Latency":3},"L1D":{"SizeKB":64,"Assoc":2,"LineB":64,"Latency":3},"L2":{"SizeKB":1024,"Assoc":8,"LineB":64,"Latency":6},"MemLatency":400,"Perfect":false},"LatIntALU":1,"LatIntMul":4,"LatIntDiv":12,"LatFPAdd":4,"LatFPMul":4,"LatFPDiv":12,"LatAGU":1,"ExceptionEvery":0,"ExceptionHandler":0,"MaxCycles":50000000,"Paranoid":false,"NoFastForward":false}}`
-
-// TestCheckpointResumesParentFormat: an existing checkpoint line restores to
-// the exact memo key and serves its recorded IPC without simulating.
-func TestCheckpointResumesParentFormat(t *testing.T) {
-	w := testSuite(t)
-	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
-	if err := os.WriteFile(ckpt, []byte(parentFormatRecord+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
-	restored, err := ws.OpenCheckpoint(ckpt, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ws.CloseCheckpoint()
-	if restored != 1 {
-		t.Fatalf("restored %d records, want 1", restored)
-	}
-	var gcc *Bench
-	for _, b := range w.Benches {
-		if b.Name == "gcc" {
-			gcc = b
-		}
-	}
-	got, err := ws.IPC(gcc, true, uarch.BraidConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3.1817375886524824 || ws.SimRuns() != 0 {
-		t.Errorf("served %v after %d simulations, want the recorded 3.1817375886524824 after none", got, ws.SimRuns())
-	}
-}
-
 // TestCheckpointFromOtherProgramsRestoresNothing: records carry the digest of
 // the program they simulated, so a journal written for a suite at one -dyn
 // (one iteration count per benchmark) restores nothing into a suite at
@@ -441,28 +399,41 @@ const generationJournal = `{"kind":"meta","meta":{"lattice":1,"seed":1,"pop":2,"
 {"kind":"gen","evals":2,"population":[{"core":1,"width":3,"retire":1,"beus":3,"iq":1,"window":0,"erf":3,"rports":0,"wports":1,"bypass":0,"predent":2,"predhist":1}],"fresh":[]}
 `
 
+// digestlessRecord is a checkpoint line as braidbench -checkpoint wrote it
+// before records carried their program's digest (gcc, braided, the Table 4
+// braid/8w machine). It names a benchmark but not which of its programs,
+// at which -dyn, it measured.
+const digestlessRecord = `{"bench":"gcc","braided":true,"ipc":3.1817375886524824,"cfg":{"Core":2,"FetchWidth":8,"FetchBranches":3,"FrontDepth":8,"AllocWidth":4,"RenameSrc":8,"MispredictMin":19,"PerfectBP":false,"PredEntries":0,"PredHistory":0,"IssueWidth":8,"RetireWidth":0,"TotalFUs":16,"ROB":512,"RFEntries":8,"RFReadPorts":6,"RFWritePorts":3,"BypassLevels":1,"BypassValues":2,"ExtWakeupExtra":0,"DeadValueRelease":true,"Schedulers":0,"SchedEntries":0,"SteerFIFOs":0,"SteerFIFODeep":0,"BEUs":8,"BEUFIFO":32,"BEUWindow":2,"BEUFUs":2,"BEUQueueBraids":false,"Clusters":0,"InterClusterDelay":0,"Mem":{"L1I":{"SizeKB":64,"Assoc":4,"LineB":64,"Latency":3},"L1D":{"SizeKB":64,"Assoc":2,"LineB":64,"Latency":3},"L2":{"SizeKB":1024,"Assoc":8,"LineB":64,"Latency":6},"MemLatency":400,"Perfect":false},"LatIntALU":1,"LatIntMul":4,"LatIntDiv":12,"LatFPAdd":4,"LatFPMul":4,"LatFPDiv":12,"LatAGU":1,"ExceptionEvery":0,"ExceptionHandler":0,"MaxCycles":50000000,"Paranoid":false,"NoFastForward":false}}
+`
+
 // TestCheckpointRefusesGenerationJournal: a generation record decodes as a
-// point record with no benchmark. Resume must refuse the file, naming the
-// record, rather than restore a zero point.
+// point record with no benchmark, and a record written before the digest
+// names no program. Resume must refuse either file, naming the record,
+// rather than restore a zero point or another program's result.
 func TestCheckpointRefusesGenerationJournal(t *testing.T) {
 	w := testSuite(t)
-	ckpt := filepath.Join(t.TempDir(), "tune.jsonl")
-	if err := os.WriteFile(ckpt, []byte(generationJournal), 0o644); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ name, journal string }{
+		{"generation journal", generationJournal},
+		{"record without a digest", digestlessRecord},
+	} {
+		ckpt := filepath.Join(t.TempDir(), "tune.jsonl")
+		if err := os.WriteFile(ckpt, []byte(c.journal), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+		_, err := ws.OpenCheckpoint(ckpt, true)
+		if err == nil || !strings.Contains(err.Error(), "record 1 is not a simulation point") {
+			t.Fatalf("%s: resume: err %v, want one naming record 1", c.name, err)
+		}
+		if len(ws.memo) != 0 {
+			t.Errorf("%s: refused journal left %d memo cells", c.name, len(ws.memo))
+		}
+		// The refusal closed the file: starting over without resume works.
+		if _, err := ws.OpenCheckpoint(ckpt, false); err != nil {
+			t.Fatal(err)
+		}
+		ws.CloseCheckpoint()
 	}
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
-	_, err := ws.OpenCheckpoint(ckpt, true)
-	if err == nil || !strings.Contains(err.Error(), "record 1 is not a simulation point") {
-		t.Fatalf("resume of a generation journal: err %v, want one naming record 1", err)
-	}
-	if len(ws.memo) != 0 {
-		t.Errorf("refused journal left %d memo cells", len(ws.memo))
-	}
-	// The refusal closed the file: starting over without resume works.
-	if _, err := ws.OpenCheckpoint(ckpt, false); err != nil {
-		t.Fatal(err)
-	}
-	ws.CloseCheckpoint()
 }
 
 // TestCheckpointWriteErrorSurfaces: a checkpoint that cannot be written (a
@@ -500,12 +471,12 @@ func TestCheckpointCorruptMiddleRejected(t *testing.T) {
 	}
 }
 
-// TestFaultyPointsNotCheckpointed: injected-fault configs are process-local;
-// even a (hypothetically) successful injected run must not be persisted.
+// TestFaultyPointsNotCheckpointed: a contained fault is never journaled,
+// only successes are, so a resumed sweep runs the point again.
 func TestFaultyPointsNotCheckpointed(t *testing.T) {
 	w := testSuite(t)
 	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
-	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1, runner: faultRunner{}}
 	if _, err := ws.OpenCheckpoint(ckpt, false); err != nil {
 		t.Fatal(err)
 	}
@@ -521,14 +492,13 @@ func TestFaultyPointsNotCheckpointed(t *testing.T) {
 }
 
 // TestCheckpointDoubleResumeLastWins: a kill → resume → kill → resume cycle
-// appends keys the checkpoint already holds (here forced with Retry, which
-// re-executes a restored point). Reload must deduplicate repeated keys with
-// last-write-wins, counting unique keys — not lines — as restored.
+// appends keys the checkpoint already holds. Reload must deduplicate
+// repeated keys with last-write-wins, counting unique keys — not lines — as
+// restored.
 func TestCheckpointDoubleResumeLastWins(t *testing.T) {
 	w := testSuite(t)
 	b := w.Benches[0]
 	cfg := uarch.BraidConfig(8)
-	pt := Point{b, true, cfg}
 	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
 
 	first := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
@@ -543,59 +513,47 @@ func TestCheckpointDoubleResumeLastWins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second process: resume, then re-execute the same point so the file
-	// gains a duplicate line for the key.
-	second := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
-	if restored, err := second.OpenCheckpoint(ckpt, true); err != nil || restored != 1 {
-		t.Fatalf("first resume: restored=%d err=%v, want 1, nil", restored, err)
-	}
-	if _, err := second.Retry(pt); err != nil {
-		t.Fatal(err)
-	}
-	if err := second.CloseCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(ckpt)
+	// The key again, as a rerun after a resume appends it, and then a
+	// forged newest record with a distinguishable value: if reload is
+	// last-write-wins, this is the value a resume must serve.
+	line, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := len(bytes.Fields(data)); lines != 2 {
-		t.Fatalf("checkpoint holds %d records, want the key twice", lines)
+	var forged ckptRecord
+	if err := json.Unmarshal(line, &forged); err != nil {
+		t.Fatal(err)
 	}
-
-	// Append a forged newest record with a distinguishable value: if reload
-	// is last-write-wins, this is the value a third resume must serve.
-	forged := ckptRecord{Bench: b.Name, Braided: true, IPC: want + 1024, Cfg: cfg}
+	if forged.Prog == "" {
+		t.Fatal("the journaled point carries no program digest")
+	}
+	forged.IPC = want + 1024
 	raw, err := json.Marshal(&forged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(ckpt, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	journal := string(line) + string(line) + string(raw) + "\n"
+	if err := os.WriteFile(ckpt, []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(append(raw, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
-	third := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
-	restored, err := third.OpenCheckpoint(ckpt, true)
+	second := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1}
+	restored, err := second.OpenCheckpoint(ckpt, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer third.CloseCheckpoint()
+	defer second.CloseCheckpoint()
 	if restored != 1 {
 		t.Fatalf("double resume restored %d, want 1 unique key", restored)
 	}
-	got, err := third.IPC(b, true, cfg)
+	got, err := second.IPC(b, true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want+1024 {
 		t.Errorf("resume served %v; last record (%v) must win", got, want+1024)
 	}
-	if runs := third.SimRuns(); runs != 0 {
+	if runs := second.SimRuns(); runs != 0 {
 		t.Errorf("deduplicated resume still re-simulated %d points", runs)
 	}
 }

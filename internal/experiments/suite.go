@@ -77,8 +77,9 @@ func (b *Bench) program(braided bool) *isa.Program {
 // under the suite context (LoadSuiteCtx) with an optional per-simulation
 // deadline (SetTimeout), engine panics surface as contained *uarch.SimFault
 // errors with a crash artifact (SetCrashDir), transient failures are not
-// memoized (Retry reruns a point), and completed points can be persisted to
-// an append-only checkpoint (OpenCheckpoint) and reloaded across processes.
+// memoized (the next IPC call reruns the point), and completed points can be
+// persisted to an append-only checkpoint (OpenCheckpoint) and reloaded
+// across processes.
 type Workloads struct {
 	Benches []*Bench
 
@@ -119,7 +120,6 @@ type memoKey struct {
 type memoCell struct {
 	done chan struct{}
 	ipc  float64
-	ci   float64 // relative 95% CI half-width on IPC (0 for exact runs)
 	err  error
 }
 
@@ -138,13 +138,6 @@ func defaultJobs(n int) int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// Jobs reports the suite's worker-pool width.
-func (w *Workloads) Jobs() int { return w.jobs }
-
-// SetJobs bounds the worker pool used by IPCAll and EachBench; n <= 0 means
-// one worker per processor.
-func (w *Workloads) SetJobs(n int) { w.jobs = defaultJobs(n) }
 
 // SetTimeout bounds each individual simulation's wall-clock time; an expired
 // deadline surfaces as an error wrapping uarch.ErrTimeout and is treated as
@@ -383,19 +376,12 @@ func (w *Workloads) characterizeAll() ([]*Characterization, error) {
 // failures (timeout, cancellation) are not memoized, so a later call may
 // retry the point.
 func (w *Workloads) IPC(b *Bench, braided bool, cfg uarch.Config) (float64, error) {
-	ipc, _, err := w.IPCCI(b, braided, cfg)
-	return ipc, err
-}
-
-// IPCCI is IPC plus the estimate's relative 95% confidence half-width on
-// IPC — zero for exact runs, where the result is not an estimate.
-func (w *Workloads) IPCCI(b *Bench, braided bool, cfg uarch.Config) (float64, float64, error) {
 	key := memoKey{b.Name, braided, cfg, w.sampling}
 	w.mu.Lock()
 	if c, ok := w.memo[key]; ok {
 		w.mu.Unlock()
 		<-c.done
-		return c.ipc, c.ci, c.err
+		return c.ipc, c.err
 	}
 	c := &memoCell{done: make(chan struct{})}
 	w.memo[key] = c
@@ -407,7 +393,7 @@ func (w *Workloads) IPCCI(b *Bench, braided bool, cfg uarch.Config) (float64, fl
 // result through its latch. Transient errors evict the cell afterwards —
 // waiters that already joined the latch still see the error, but the key is
 // not poisoned for the process lifetime.
-func (w *Workloads) runPoint(key memoKey, c *memoCell, b *Bench, braided bool, cfg uarch.Config) (float64, float64, error) {
+func (w *Workloads) runPoint(key memoKey, c *memoCell, b *Bench, braided bool, cfg uarch.Config) (float64, error) {
 	w.simRuns.Add(1)
 	ctx := w.baseCtx()
 	cancel := func() {}
@@ -425,13 +411,12 @@ func (w *Workloads) runPoint(key memoKey, c *memoCell, b *Bench, braided bool, c
 		w.simInstrs.Add(st.Retired)
 		w.simCycles.Add(st.Cycles)
 		if est != nil && !est.Exact {
-			c.ci = est.IPCRelCI
 			w.simDetailed.Add(est.DetailedInstrs)
 			w.simFFwd.Add(est.FFwdInstrs)
 		} else {
 			w.simDetailed.Add(st.Retired)
 		}
-		w.checkpointPoint(key, c.ipc, c.ci)
+		w.checkpointPoint(key, c.ipc)
 	}
 	close(c.done)
 	if c.err != nil && Transient(c.err) {
@@ -441,24 +426,7 @@ func (w *Workloads) runPoint(key memoKey, c *memoCell, b *Bench, braided bool, c
 		}
 		w.mu.Unlock()
 	}
-	return c.ipc, c.ci, c.err
-}
-
-// Retry reruns one point: a finished memo cell (successful or failed) is
-// evicted first, so the simulation executes again; an in-flight cell is
-// joined instead of duplicated.
-func (w *Workloads) Retry(pt Point) (float64, error) {
-	key := memoKey{pt.Bench.Name, pt.Braided, pt.Cfg, w.sampling}
-	w.mu.Lock()
-	if c, ok := w.memo[key]; ok {
-		select {
-		case <-c.done:
-			delete(w.memo, key)
-		default:
-		}
-	}
-	w.mu.Unlock()
-	return w.IPC(pt.Bench, pt.Braided, pt.Cfg)
+	return c.ipc, c.err
 }
 
 // IPCAll simulates every point through the bounded worker pool and returns

@@ -21,13 +21,6 @@ type Options struct {
 	Pop    int   // population size (default 16)
 	Budget int   // total genome evaluations before stopping (default 6*Pop)
 
-	// InjectFaultAt, when positive, arms the Nth unique genome evaluation
-	// (1-based) with a deliberate pipeline corruption under the paranoid
-	// checker. The faulted genome must come back infeasible — contained and
-	// excluded — without aborting the search. Test hook; never set in real
-	// searches.
-	InjectFaultAt int
-
 	Log io.Writer // per-generation progress lines (nil: quiet)
 }
 
@@ -252,9 +245,8 @@ func (s *searcher) offspring(rng *rand.Rand) []Genome {
 // Point, so scheduling does not affect which value lands where.
 func (s *searcher) evaluate(cohort []Genome, gen int) (int, error) {
 	type job struct {
-		g      Genome
-		cfg    uarch.Config
-		inject bool
+		g   Genome
+		cfg uarch.Config
 	}
 	var jobs []job
 	seen := map[Genome]bool{}
@@ -271,16 +263,7 @@ func (s *searcher) evaluate(cohort []Genome, gen int) (int, error) {
 			continue
 		}
 		s.evals++
-		j := job{g: g, cfg: cfg}
-		if s.opt.InjectFaultAt > 0 && s.evals == s.opt.InjectFaultAt {
-			// Arm the fault injector: a calendar-queue drop a short way in,
-			// with the paranoid checker on to catch it. The Inject pointer
-			// keeps this run's memo key distinct from the clean config's.
-			j.cfg.Paranoid = true
-			j.cfg.Inject = &uarch.FaultPlan{Kind: uarch.FaultCalendarDrop, AtCycle: 500}
-			j.inject = true
-		}
-		jobs = append(jobs, j)
+		jobs = append(jobs, job{g: g, cfg: cfg})
 	}
 
 	var points []experiments.Point

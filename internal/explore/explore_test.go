@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"braid/internal/experiments"
+	"braid/internal/isa"
 	"braid/internal/uarch"
 )
 
@@ -104,11 +106,10 @@ func TestSearchDigestIndependentOfParallelism(t *testing.T) {
 	_ = benches0
 	digests := map[int]string{}
 	for _, jobs := range []int{1, 8} {
-		w, err := experiments.LoadSuiteCtx(context.Background(), testDyn, 0)
+		w, err := experiments.LoadSuiteCtx(context.Background(), testDyn, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.SetJobs(jobs)
 		benches, err := SelectBenches(w, testBenchNames)
 		if err != nil {
 			t.Fatal(err)
@@ -251,42 +252,83 @@ func TestResumeAcrossParametersMatchesFreshRun(t *testing.T) {
 	}
 }
 
-// TestInjectedFaultContainedAndExcluded: arming the fault injector on one
-// evaluation must not abort the search — the genome comes back infeasible,
-// is excluded from the front, and the containment shows up in Failures().
+// faultRunner simulates in-process, except that every point on cfg runs
+// under a retire observer that panics at its 50th retirement:
+// uarch.SimulateObserved contains the panic as a *uarch.SimFault, as it
+// does a corruption the paranoid checker catches.
+type faultRunner struct{ cfg uarch.Config }
+
+func (r faultRunner) SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error) {
+	if cfg != r.cfg {
+		return uarch.SimulateSampled(ctx, p, cfg, sp)
+	}
+	retired := 0
+	st, err := uarch.SimulateObserved(ctx, p, cfg, func(uarch.RetireEvent) {
+		if retired++; retired == 50 {
+			panic("observer fault")
+		}
+	})
+	return st, nil, err
+}
+
+// TestInjectedFaultContainedAndExcluded: a machine on the front whose
+// simulations fault must not abort the search. The rerun with the same seed
+// evaluates it as before, records the contained failures, keeps it off the
+// front and archives it as infeasible.
 func TestInjectedFaultContainedAndExcluded(t *testing.T) {
+	shared, benches := testSuite(t)
+	opt := searchOpts(9)
+	clean, err := Search(context.Background(), shared, benches, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := clean.Front[len(clean.Front)/2].Genome
+	cfg, err := target.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh suite: the shared one has the target's points memoized.
 	w, err := experiments.LoadSuiteCtx(context.Background(), testDyn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	benches, err := SelectBenches(w, testBenchNames)
-	if err != nil {
+	w.SetRunner(faultRunner{cfg})
+	if benches, err = SelectBenches(w, testBenchNames); err != nil {
 		t.Fatal(err)
 	}
-	opt := searchOpts(9)
-	opt.InjectFaultAt = 3
 	res, err := Search(context.Background(), w, benches, opt)
 	if err != nil {
-		t.Fatalf("search aborted on an injected fault: %v", err)
+		t.Fatalf("search aborted on a contained fault: %v", err)
 	}
 	if len(res.Front) == 0 {
 		t.Fatal("empty front")
 	}
-	if len(w.Failures()) == 0 {
-		t.Fatal("no contained failure recorded for the injected fault")
-	}
 	for _, e := range res.Front {
+		if e.Genome == target {
+			t.Errorf("the faulted machine %s is on the front", target)
+		}
 		if !e.Feasible {
-			t.Fatalf("infeasible evaluation on the front: %s", e.Genome)
+			t.Errorf("infeasible evaluation on the front: %s", e.Genome)
 		}
 	}
-
-	// The same seed without injection evaluates the same genomes; the
-	// faulted one must be the only difference, and the search survives
-	// either way.
-	opt.InjectFaultAt = 0
-	if _, err := Search(context.Background(), w, benches, opt); err != nil {
+	fails := w.Failures()
+	if len(fails) == 0 {
+		t.Fatalf("no contained failure recorded for %s", target)
+	}
+	t.Logf("faulted %s: %d contained failures; front %d points, %d before", target, len(fails), len(res.Front), len(clean.Front))
+	for _, f := range fails {
+		var sf *uarch.SimFault
+		if f.Core != cfg.Core || !errors.As(f.Err, &sf) {
+			t.Errorf("recorded failure %s, want a *uarch.SimFault of %s", f, target)
+		}
+	}
+	s := &searcher{w: w, benches: benches, opt: opt.withDefaults(), archive: map[Genome]*Eval{}}
+	if _, err := s.evaluate([]Genome{target}, 0); err != nil {
 		t.Fatal(err)
+	}
+	if ev := s.archive[target]; ev.Feasible || ev.IPC != 0 {
+		t.Errorf("the faulted machine scored feasible=%v, IPC %v; want infeasible", ev.Feasible, ev.IPC)
 	}
 }
 

@@ -2,7 +2,9 @@ package isa
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 )
@@ -56,6 +58,18 @@ func WriteImage(w io.Writer, p *Program) error {
 	buf.Write(p.Data)
 	_, err = w.Write(buf.Bytes())
 	return err
+}
+
+// EncodeImage returns p's .brd image and its hex SHA-256. The digest is the
+// program's identity wherever it leaves the process: a checkpoint record's
+// prog, braidd's program cache key and the fleet's image_sha256.
+func EncodeImage(p *Program) ([]byte, string, error) {
+	var buf bytes.Buffer
+	if err := WriteImage(&buf, p); err != nil {
+		return nil, "", err
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return buf.Bytes(), hex.EncodeToString(sum[:]), nil
 }
 
 // ReadImage deserializes a .brd image and validates the program.

@@ -40,6 +40,17 @@ func (p *Program) Clone() *Program {
 	return q
 }
 
+// Braided reports whether p carries braid ISA bits, as the braid compiler's
+// output does.
+func (p *Program) Braided() bool {
+	for i := range p.Instrs {
+		if p.Instrs[i].Start {
+			return true
+		}
+	}
+	return false
+}
+
 // Validate checks static well-formedness: valid opcodes, registers of the
 // right bank, encodable immediates, branch targets in range, and a HALT on
 // every fall-through path end. It returns the first problem found.

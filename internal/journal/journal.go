@@ -1,8 +1,7 @@
-// Package journal is the append-only JSONL file behind every checkpoint in
-// the repository: the completed simulations braidbench and braidtune share,
-// and braidstat's finished reports. One JSON value per line;
-// each Append is a single write followed by an fsync, so a crash can tear at
-// most the final line.
+// Package journal is the append-only JSONL file behind the repository's one
+// checkpoint, the completed simulations braidbench and braidtune share. One
+// JSON value per line; each Append is a single write followed by an fsync,
+// so a crash can tear at most the final line.
 //
 // Open on resume returns the complete lines and repairs the file for
 // appending: a torn final line is dropped and truncated off, so the next

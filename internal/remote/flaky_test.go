@@ -59,7 +59,7 @@ func TestFlakyBackendsConvergeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := experiments.LoadSuiteCtx(context.Background(), 1500, 0)
+	w, err := experiments.LoadSuiteCtx(context.Background(), 1500, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,6 @@ func TestFlakyBackendsConvergeBitIdentical(t *testing.T) {
 	}
 
 	w.SetRunner(pool)
-	w.SetJobs(8)
 	got, err := w.IPCAll(points)
 	if err != nil {
 		t.Fatalf("remote sweep: %v", err)

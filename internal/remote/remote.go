@@ -441,17 +441,15 @@ type programImage struct {
 }
 
 func newProgramImage(prog *isa.Program) (*programImage, error) {
-	var img bytes.Buffer
-	if err := isa.WriteImage(&img, prog); err != nil {
+	img, digest, err := isa.EncodeImage(prog)
+	if err != nil {
 		return nil, fmt.Errorf("remote: encoding %q: %w", prog.Name, err)
 	}
-	sum := sha256.Sum256(img.Bytes())
-	return &programImage{bytes: img.Bytes(), digest: hex.EncodeToString(sum[:])}, nil
+	return &programImage{bytes: img, digest: digest}, nil
 }
 
 // request is one point of the image's program, as encodeRequest describes.
 func (img *programImage) request(cfg uarch.Config, timeoutMS int64, sp uarch.Sampling) (*wireRequest, error) {
-	cfg.Inject = nil // process-local and json-excluded; never meaningful remotely
 	noBraid := false // the image is final; the backend must not recompile it
 	req := service.SimRequest{
 		ImageSHA256: img.digest,

@@ -265,7 +265,7 @@ func TestFallbackLocalBitIdentical(t *testing.T) {
 	}
 
 	// Sweep check: memoization and checkpoints stay clean.
-	w, err := experiments.LoadSuiteCtx(context.Background(), 1000, 0)
+	w, err := experiments.LoadSuiteCtx(context.Background(), 1000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,6 @@ func TestFallbackLocalBitIdentical(t *testing.T) {
 
 	ckpt := filepath.Join(t.TempDir(), "fallback.jsonl")
 	w.SetRunner(pool)
-	w.SetJobs(4)
 	if _, err := w.OpenCheckpoint(ckpt, false); err != nil {
 		t.Fatal(err)
 	}

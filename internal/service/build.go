@@ -165,7 +165,6 @@ func build(req *SimRequest, lim Limits, program func(req *SimRequest, braided bo
 	if req.MaxCycles > 0 && req.MaxCycles < cfg.MaxCycles {
 		cfg.MaxCycles = req.MaxCycles
 	}
-	cfg.Inject = nil // the fault injector is process-local and test-only
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
@@ -201,16 +200,16 @@ func newProgramHalf(req *SimRequest, braided bool) (*programHalf, error) {
 	if err != nil {
 		return nil, err
 	}
-	if braided && !alreadyBraided(p) {
+	if braided && !p.Braided() {
 		res, err := compileBraid(p)
 		if err != nil {
 			return nil, err
 		}
 		p = res.Prog
 	}
-	hash, err := hashProgram(p)
+	_, hash, err := isa.EncodeImage(p)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hashing program: %w", err)
 	}
 	return &programHalf{prog: p, hash: hash}, nil
 }
@@ -340,25 +339,6 @@ func compileBraid(p *isa.Program) (res *braid.Result, err error) {
 		err = fmt.Errorf("braid compile: %w", err)
 	}
 	return res, err
-}
-
-// alreadyBraided detects a program that carries braid ISA bits.
-func alreadyBraided(p *isa.Program) bool {
-	for i := range p.Instrs {
-		if p.Instrs[i].Start {
-			return true
-		}
-	}
-	return false
-}
-
-func hashProgram(p *isa.Program) (string, error) {
-	var buf bytes.Buffer
-	if err := isa.WriteImage(&buf, p); err != nil {
-		return "", fmt.Errorf("hashing program: %w", err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:]), nil
 }
 
 func hashConfig(cfg *uarch.Config) (string, error) {

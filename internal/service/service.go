@@ -299,16 +299,7 @@ func (s *Server) lead(ctx context.Context, key string, b *Built) (*uarch.Stats, 
 	simCtx, cancel := context.WithTimeout(ctx, b.Timeout)
 	defer cancel()
 	t0 := time.Now()
-	var (
-		st  *uarch.Stats
-		est *uarch.SampleEstimate
-		err error
-	)
-	if b.Sampling.Enabled() {
-		st, est, err = uarch.SimulateSampled(simCtx, b.Program, b.Config, b.Sampling)
-	} else {
-		st, err = uarch.SimulateChecked(simCtx, b.Program, b.Config)
-	}
+	st, est, err := uarch.SimulateSampled(simCtx, b.Program, b.Config, b.Sampling)
 	simMS := float64(time.Since(t0).Nanoseconds()) / 1e6
 	// Drop the program's replay state if this run may have rebuilt what
 	// eviction released, if the run failed (it stopped before the program

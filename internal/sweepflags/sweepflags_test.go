@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"braid/internal/isa"
 	"braid/internal/remote"
 	"braid/internal/uarch"
 )
@@ -159,5 +161,74 @@ func TestFailedVerificationRemovesCheckpoint(t *testing.T) {
 	}
 	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("the checkpoint of a sweep that failed verification survived Finish (stat: %v)", err)
+	}
+}
+
+// faultRunner simulates in-process, except that a point on cfg runs under a
+// retire observer that panics, which uarch.SimulateObserved contains as a
+// *uarch.SimFault.
+type faultRunner struct{ cfg uarch.Config }
+
+func (r faultRunner) SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, sp uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error) {
+	if cfg != r.cfg {
+		return uarch.SimulateSampled(ctx, p, cfg, sp)
+	}
+	st, err := uarch.SimulateObserved(ctx, p, cfg, func(uarch.RetireEvent) { panic("observer fault") })
+	return st, nil, err
+}
+
+// TestFinishNamesContainedFailureOnce: a contained failure that the sweep
+// asked for twice is one failure, printed once under Finish's heading, and
+// its line names the point once.
+func TestFinishNamesContainedFailureOnce(t *testing.T) {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	s := AddSuite(fs)
+	if err := fs.Parse([]string{"-dyn", "2000", "-j", "1", "-crashdir", t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := s.Load(context.Background(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := uarch.BraidConfig(8)
+	faulty.Paranoid = true
+	sw.SetRunner(faultRunner{faulty})
+	b := sw.Benches[0]
+	for i := 0; i < 2; i++ {
+		_, err := sw.IPC(b, true, faulty)
+		var sf *uarch.SimFault
+		if !errors.As(err, &sf) {
+			t.Fatalf("ask %d: %v, want a contained *uarch.SimFault", i+1, err)
+		}
+	}
+
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = stderr
+	err = sw.Finish("simulations failed and were contained:", "done")
+	os.Stderr = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := string(out)
+	if n := strings.Count(got, "failed and were contained"); n != 1 || !strings.HasPrefix(got, "test: 1 simulations failed and were contained:\n") {
+		t.Errorf("Finish printed %d failure headings, want one counting 1 failure:\n%s", n, got)
+	}
+	label := b.Name + " (braid braided=true): "
+	if n := strings.Count(got, label); n != 1 {
+		t.Errorf("Finish names %q %d times, want once:\n%s", label, n, got)
+	}
+	if regexp.MustCompile(`braided=(true|false)\): .*braided=(true|false)\):`).MatchString(got) {
+		t.Errorf("a failure line names its point twice:\n%s", got)
+	}
+	if !strings.Contains(got, "uarch: simulator fault") || !strings.HasSuffix(got, "test: done\n") {
+		t.Errorf("Finish output lacks the fault or the summary:\n%s", got)
 	}
 }

@@ -155,11 +155,10 @@ type Config struct {
 	// tests assert it); this exists for those tests and for debugging.
 	NoFastForward bool
 
-	// Inject arms the test-only fault injector (see FaultPlan): one
-	// deliberate corruption of a pipeline structure, used with Paranoid to
-	// prove the checker detects it and the run contains it. Excluded
-	// from checkpoints; never set outside tests.
-	Inject *FaultPlan `json:"-"`
+	// fault arms one corruption of a pipeline structure for the tests that
+	// prove the paranoid checker detects it; nil outside them. A pointer
+	// keeps Config comparable, and JSON skips it.
+	fault *faultHook
 }
 
 // Ceilings on what one configuration may ask of the simulator, with mem's

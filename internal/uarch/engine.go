@@ -143,8 +143,7 @@ type Machine struct {
 	draining       bool
 	serializedLeft int
 
-	// injected latches the test-only fault injector (Config.Inject) after
-	// it has corrupted its target once.
+	// injected latches Config.fault once it has corrupted its target.
 	injected bool
 }
 
@@ -202,8 +201,8 @@ func (m *Machine) step() bool {
 	m.cre.issue(m, t)
 	m.dispatch(t)
 	m.fe.fetch(m, t)
-	if m.cfg.Inject != nil && !m.injected {
-		m.injectFault(t)
+	if f := m.cfg.fault; f != nil && !m.injected && t >= f.at {
+		m.injected = f.apply(m)
 	}
 	if m.cfg.Paranoid {
 		m.checkInvariants(t)

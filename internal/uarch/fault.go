@@ -130,100 +130,11 @@ func SimulateChecked(ctx context.Context, p *isa.Program, cfg Config) (*Stats, e
 	return SimulateObserved(ctx, p, cfg, nil)
 }
 
-// ---------------------------------------------------------------------------
-// Test-only fault injection: deliberately corrupt one microarchitectural
-// structure mid-run to prove the paranoid checker detects the corruption and
-// the runner contains it as a *SimFault. The injector lives in the engine so
-// it can reach the same state the checker audits.
-
-// FaultKind selects which structure the injector corrupts.
-type FaultKind int
-
-const (
-	FaultNone FaultKind = iota
-	// FaultBusyBit clears a busy BEU's busy bit without releasing its
-	// braid, desynchronizing the braid core's freeCnt shadow counter.
-	FaultBusyBit
-	// FaultCalendarDrop silently removes one pending entry from the
-	// completion calendar, leaving wbCount overstating the pending set.
-	FaultCalendarDrop
-	// FaultRefSkew forces the ROB head's reference count negative, the
-	// arena-corruption signature the checker guards against.
-	FaultRefSkew
-	// FaultPortStuck wedges the per-cycle read-port counter above the
-	// configured limit, as if a port arbiter failed to reset.
-	FaultPortStuck
-)
-
-func (k FaultKind) String() string {
-	switch k {
-	case FaultNone:
-		return "none"
-	case FaultBusyBit:
-		return "busy-bit"
-	case FaultCalendarDrop:
-		return "calendar-drop"
-	case FaultRefSkew:
-		return "refcount-skew"
-	case FaultPortStuck:
-		return "port-stuck"
-	}
-	return "fault?"
-}
-
-// FaultPlan arms the injector: at the first cycle >= AtCycle where the
-// targeted structure exists, corrupt it exactly once. Strictly test-only;
-// it is excluded from checkpoints (experiments tags the Config field out of
-// its JSON) and must never be set outside a test.
-type FaultPlan struct {
-	Kind    FaultKind
-	AtCycle uint64
-}
-
-// injectFault applies the armed fault plan at cycle t. It runs immediately
-// before the paranoid checker in step, so a successful corruption is audited
-// the same cycle it happens. Kinds whose target structure is empty this
-// cycle stay armed and retry on later cycles.
-func (m *Machine) injectFault(t uint64) {
-	pl := m.cfg.Inject
-	if t < pl.AtCycle {
-		return
-	}
-	switch pl.Kind {
-	case FaultBusyBit:
-		bc, ok := m.cre.(*braidCore)
-		if !ok {
-			m.injected = true // only the braid core has busy bits
-			return
-		}
-		for i := range bc.beus {
-			if bc.beus[i].busy {
-				bc.beus[i].busy = false
-				m.injected = true
-				return
-			}
-		}
-	case FaultCalendarDrop:
-		if m.wbCount == 0 {
-			return
-		}
-		for i := range m.wbcal {
-			if n := len(m.wbcal[i]); n > 0 {
-				m.wbcal[i] = m.wbcal[i][:n-1]
-				m.injected = true
-				return
-			}
-		}
-	case FaultRefSkew:
-		if m.rob.len() == 0 {
-			return
-		}
-		m.rob.front().refs = -1
-		m.injected = true
-	case FaultPortStuck:
-		m.readPortsUsed = m.cfg.RFReadPorts + 1
-		m.injected = true
-	default:
-		m.injected = true
-	}
+// faultHook is the test seam for corrupting the machine mid-run (see
+// fault_test.go): from cycle at on, step calls apply just before the paranoid
+// checker, once per cycle, until apply reports that it corrupted its target.
+// Only a test can set Config.fault, so the product never carries one.
+type faultHook struct {
+	at    uint64
+	apply func(*Machine) bool
 }

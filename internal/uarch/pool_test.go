@@ -233,10 +233,10 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 			// An injected fault: the faulted machine and its hierarchy
 			// must not reach the pool, and the next run must be clean.
 			drainSpares()
-			fault := OutOfOrderConfig(8)
-			fault.Paranoid = true
-			fault.Inject = &FaultPlan{Kind: FaultCalendarDrop, AtCycle: 20}
-			if got := (poolPoint{prog: gcc, cfg: fault}).run(false); got != "fault" {
+			faulty := OutOfOrderConfig(8)
+			faulty.Paranoid = true
+			faulty.fault = &faultHook{at: 20, apply: dropCalendarEntry}
+			if got := (poolPoint{prog: gcc, cfg: faulty}).run(false); got != "fault" {
 				t.Fatalf("injected fault: got %s", got)
 			}
 			spares.Lock()

@@ -359,7 +359,7 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 // warmer's cursor where fetch stopped. The machine comes from recycled
 // memory and goes back to it, without the hierarchy, which is the warmer's.
 func runInterval(ctx context.Context, p *isa.Program, cfg Config, w *warmer, warmup, detail uint64) (cycles, instrs uint64, st Stats, err error) {
-	cfg.Inject = nil // the fault injector targets the exact path only
+	cfg.fault = nil // the fault hook targets the exact path only
 	shell, _ := takeSpares(false)
 	m, err := newMachine(p, cfg, w.hier, shell)
 	if err != nil {
