@@ -7,7 +7,7 @@
 //	braidsim -bench gcc -core ooo -width 16   16-wide out-of-order
 //	braidsim -kernel dot -core inorder
 //	braidsim file.s -core dep
-//	braidsim -config crashes/gcc-braid-braided=true.json
+//	braidsim -config crashes/gcc-braid-braided=true-1a2b3c4d.json
 //
 // The braid core automatically braids the input program first; other cores
 // run it as-is. -perfect-bp and -perfect-mem select the idealized front end

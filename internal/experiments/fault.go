@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -101,14 +102,21 @@ type CrashArtifact struct {
 
 // WriteCrashArtifact persists a minimal repro for a simulator fault: the
 // exact program image (<stem>.brd) and a JSON description with the full
-// machine configuration (<stem>.json). It returns the JSON path. The stem is
-// deterministic per (bench, core, braided), so a repeatedly faulting point
-// overwrites rather than accumulates.
+// machine configuration (<stem>.json). It returns the JSON path. The stem,
+// <bench>-<core>-braided=<v>-<config>, ends in the first 8 hex digits of the
+// SHA-256 of the simulated configuration's JSON: it is deterministic per
+// point, so a repeatedly faulting point overwrites rather than accumulates,
+// and two configurations of one core keep their own files.
 func WriteCrashArtifact(dir, bench string, braided bool, p *isa.Program, cfg uarch.Config, sf *uarch.SimFault) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	stem := fmt.Sprintf("%s-%s-braided=%v", bench, cfg.Core, braided)
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(cfgJSON)
+	stem := fmt.Sprintf("%s-%s-braided=%v-%x", bench, cfg.Core, braided, sum[:4])
 	progPath := filepath.Join(dir, stem+".brd")
 	jsonPath := filepath.Join(dir, stem+".json")
 

@@ -35,6 +35,13 @@ func (faultRunner) SimulateSampled(ctx context.Context, p *isa.Program, cfg uarc
 	if cfg != faultyCfg() {
 		return uarch.SimulateSampled(ctx, p, cfg, sp)
 	}
+	return faultAll{}.SimulateSampled(ctx, p, cfg, sp)
+}
+
+// faultAll faults every point the way faultRunner faults faultyCfg's.
+type faultAll struct{}
+
+func (faultAll) SimulateSampled(ctx context.Context, p *isa.Program, cfg uarch.Config, _ uarch.Sampling) (*uarch.Stats, *uarch.SampleEstimate, error) {
 	retired := 0
 	st, err := uarch.SimulateObserved(ctx, p, cfg, func(uarch.RetireEvent) {
 		if retired++; retired == 50 {
@@ -158,6 +165,39 @@ func TestCrashArtifactRoundTrip(t *testing.T) {
 	}
 	if filepath.Dir(art.Program) != crash {
 		t.Errorf("program image %s not in crash dir %s", art.Program, crash)
+	}
+}
+
+// TestCrashArtifactsPerConfig: two configurations of one core faulting on
+// one benchmark leave two artifacts, each holding its own configuration.
+func TestCrashArtifactsPerConfig(t *testing.T) {
+	w := testSuite(t)
+	b := w.Benches[0]
+	ws := &Workloads{Benches: w.Benches, memo: map[memoKey]*memoCell{}, jobs: 1, runner: faultAll{}}
+	ws.SetCrashDir(t.TempDir())
+	cfgs := []uarch.Config{uarch.BraidConfig(8), uarch.BraidConfig(16)}
+	for _, cfg := range cfgs {
+		if _, err := ws.IPC(b, true, cfg); !Contained(err) {
+			t.Fatalf("want a contained fault, got %v", err)
+		}
+	}
+	fails := ws.Failures()
+	if len(fails) != len(cfgs) {
+		t.Fatalf("%d failures recorded, want %d: %v", len(fails), len(cfgs), fails)
+	}
+	if fails[0].Artifact == fails[1].Artifact {
+		t.Errorf("both configurations wrote %s", fails[0].Artifact)
+	}
+	for i, f := range fails {
+		art, _, err := ReadCrashArtifact(f.Artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cfgs[i]
+		want.Paranoid = true // forced on for the replay
+		if art.Config != want {
+			t.Errorf("%s holds another configuration than its point's (fetch width %d, want %d)", f.Artifact, art.Config.FetchWidth, want.FetchWidth)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -317,6 +318,36 @@ func TestMemoryRoundTrip(t *testing.T) {
 	m.WriteBytes(200, []byte{1, 2, 3})
 	if got := m.ReadBytes(200, 3); got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("readbytes = %v", got)
+	}
+}
+
+// TestWriteBytesMatchesStore8: the page-at-a-time copy leaves memory exactly
+// as storing byte by byte does, pages touched included, for spans that are
+// empty, unaligned, exactly a page, cross pages or wrap past the top of the
+// address space.
+func TestWriteBytesMatchesStore8(t *testing.T) {
+	data := make([]byte, 3*pageSize+17)
+	for i := range data {
+		data[i] = byte(i*7 + i>>8)
+	}
+	data[pageSize] = 0 // a zero byte still touches its page
+	for _, c := range []struct {
+		addr uint64
+		n    int
+	}{
+		{0x10000, 0}, {0x10001, 5}, {0x10000, pageSize}, {0x10fff, 2}, {0x10003, pageSize},
+		{0x10800, 3*pageSize + 17}, {0x2000 - 1, 1}, {^uint64(0) - 100, 300},
+	} {
+		got, want := NewMemory(), NewMemory()
+		got.WriteBytes(c.addr, data[:c.n])
+		for i, b := range data[:c.n] {
+			want.Store8(c.addr+uint64(i), b)
+		}
+		if got.Hash() != want.Hash() || len(got.pages) != len(want.pages) ||
+			!bytes.Equal(got.ReadBytes(c.addr, c.n), want.ReadBytes(c.addr, c.n)) {
+			t.Errorf("%d bytes at %#x: WriteBytes left %d pages hashing %#x, Store8 %d pages hashing %#x",
+				c.n, c.addr, len(got.pages), got.Hash(), len(want.pages), want.Hash())
+		}
 	}
 }
 

@@ -111,10 +111,12 @@ func (m *Memory) Write32(addr uint64, v uint32) {
 	}
 }
 
-// WriteBytes copies b into memory starting at addr.
+// WriteBytes copies b into memory starting at addr, a page at a time.
 func (m *Memory) WriteBytes(addr uint64, b []byte) {
-	for i, x := range b {
-		m.Store8(addr+uint64(i), x)
+	for len(b) > 0 {
+		n := copy(m.page(addr, true)[addr&(pageSize-1):], b)
+		addr += uint64(n)
+		b = b[n:]
 	}
 }
 

@@ -5,7 +5,10 @@
 // perfect mode services every access at L1 latency for the Figure 1 study.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheConfig sizes one cache level.
 type CacheConfig struct {
@@ -17,17 +20,18 @@ type CacheConfig struct {
 
 // Cache is one set-associative LRU cache level. The per-way state lives in
 // flat slices indexed set*assoc+way, which keeps lookups on one cache line
-// per set and makes a copy a handful of memmoves.
+// per set and makes a copy a few passes over three arrays.
 type Cache struct {
-	cfg    CacheConfig
-	sets   int
-	lineSh uint
-	tags   []uint64
-	valid  []bool
-	stamp  []uint64
-	tick   uint64
-	Hits   uint64
-	Misses uint64
+	cfg     CacheConfig
+	setMask uint64 // the set count, a power of two, less one
+	setSh   uint   // log2 of the set count
+	lineSh  uint
+	tags    []uint64
+	valid   []bool
+	stamp   []uint64
+	tick    uint64
+	Hits    uint64
+	Misses  uint64
 }
 
 // Ceilings on a configuration, far above every machine the repository
@@ -42,44 +46,65 @@ const (
 	MaxLatency    = 1 << 18 // cycles, for any one latency
 )
 
-// check validates the configuration and returns its set count.
-func (cfg CacheConfig) check() (sets int, err error) {
+// sets is the configuration's set count.
+func (cfg CacheConfig) sets() int { return cfg.SizeKB * 1024 / cfg.LineB / cfg.Assoc }
+
+// check validates the configuration.
+func (cfg CacheConfig) check() error {
 	if cfg.SizeKB <= 0 || cfg.Assoc <= 0 || cfg.LineB <= 0 {
-		return 0, fmt.Errorf("mem: bad cache config %+v", cfg)
+		return fmt.Errorf("mem: bad cache config %+v", cfg)
 	}
 	if cfg.SizeKB > MaxCacheKB || cfg.Assoc > MaxAssoc || cfg.SizeKB*1024/cfg.LineB > MaxCacheLines || cfg.Latency > MaxLatency {
-		return 0, fmt.Errorf("mem: cache config %+v exceeds the ceilings (%d KB, %d lines, %d ways, %d cycles)",
+		return fmt.Errorf("mem: cache config %+v exceeds the ceilings (%d KB, %d lines, %d ways, %d cycles)",
 			cfg, MaxCacheKB, MaxCacheLines, MaxAssoc, MaxLatency)
 	}
-	lines := cfg.SizeKB * 1024 / cfg.LineB
-	sets = lines / cfg.Assoc
-	if sets == 0 || sets&(sets-1) != 0 {
-		return 0, fmt.Errorf("mem: cache %+v yields %d sets (must be a power of two)", cfg, sets)
+	if sets := cfg.sets(); sets == 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("mem: cache %+v yields %d sets (must be a power of two)", cfg, sets)
 	}
-	return sets, nil
+	return nil
 }
 
 // NewCache builds a cache from its configuration.
 func NewCache(cfg CacheConfig) (*Cache, error) {
-	sets, err := cfg.check()
-	if err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	sh := uint(0)
-	for 1<<sh < cfg.LineB {
-		sh++
+	return coldInto(cfg, nil), nil
+}
+
+// coldInto returns a cold cache of cfg, which must pass check, built in dst's
+// arrays when they have its size (dst may be nil), in new ones otherwise.
+func coldInto(cfg CacheConfig, dst *Cache) *Cache {
+	sets := cfg.sets()
+	n := sets * cfg.Assoc
+	if dst == nil || len(dst.tags) != n {
+		dst = &Cache{tags: make([]uint64, n), valid: make([]bool, n), stamp: make([]uint64, n)}
+	} else {
+		clear(dst.tags)
+		clear(dst.valid)
+		clear(dst.stamp)
 	}
-	c := &Cache{cfg: cfg, sets: sets, lineSh: sh}
-	c.tags = make([]uint64, sets*cfg.Assoc)
-	c.valid = make([]bool, sets*cfg.Assoc)
-	c.stamp = make([]uint64, sets*cfg.Assoc)
-	return c, nil
+	lineSh := uint(0)
+	for 1<<lineSh < cfg.LineB {
+		lineSh++
+	}
+	*dst = Cache{
+		cfg:     cfg,
+		setMask: uint64(sets - 1),
+		setSh:   uint(bits.TrailingZeros(uint(sets))),
+		lineSh:  lineSh,
+		tags:    dst.tags,
+		valid:   dst.valid,
+		stamp:   dst.stamp,
+	}
+	return dst
 }
 
 // cloneInto returns an independent copy of the cache, state and counters
-// alike. It reuses dst's arrays when they have c's length, and allocates
-// new ones otherwise (dst may be nil).
-func (c *Cache) cloneInto(dst *Cache) *Cache {
+// alike, with the tick and the stamp of every filled way (a way's stamp is 0
+// until it is first filled) moved up by shift. It reuses dst's arrays when
+// they have c's length, and allocates new ones otherwise (dst may be nil).
+func (c *Cache) cloneInto(dst *Cache, shift uint64) *Cache {
 	if dst == nil || len(dst.tags) != len(c.tags) {
 		dst = &Cache{
 			tags:  make([]uint64, len(c.tags)),
@@ -92,25 +117,45 @@ func (c *Cache) cloneInto(dst *Cache) *Cache {
 	dst.tags, dst.valid, dst.stamp = tags, valid, stamp
 	copy(dst.tags, c.tags)
 	copy(dst.valid, c.valid)
-	copy(dst.stamp, c.stamp)
+	stamp = stamp[:len(c.stamp)]
+	for i, s := range c.stamp {
+		if s != 0 {
+			s += shift
+		}
+		stamp[i] = s
+	}
+	dst.tick += shift
 	return dst
 }
 
 // Access looks up addr, filling on miss, and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.tick++
+	set, tag := c.locate(addr)
+	if c.touch(set, tag, c.tick) {
+		c.Hits++
+		return true
+	}
+	c.Misses++
+	return false
+}
+
+// locate returns the set addr maps to and its tag there.
+func (c *Cache) locate(addr uint64) (set int, tag uint64) {
 	line := addr >> c.lineSh
-	set := int(line % uint64(c.sets))
-	tag := line / uint64(c.sets)
+	return int(line & c.setMask), line >> c.setSh
+}
+
+// touch looks tag up in set, filling the set's LRU way when it is absent,
+// and stamps the way it is in with tick. It reports whether tag was present.
+func (c *Cache) touch(set int, tag, tick uint64) bool {
 	base := set * c.cfg.Assoc
 	for w := 0; w < c.cfg.Assoc; w++ {
 		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.stamp[base+w] = c.tick
-			c.Hits++
+			c.stamp[base+w] = tick
 			return true
 		}
 	}
-	c.Misses++
 	// Fill the LRU way.
 	victim := 0
 	for w := 1; w < c.cfg.Assoc; w++ {
@@ -124,7 +169,7 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	c.valid[base+victim] = true
 	c.tags[base+victim] = tag
-	c.stamp[base+victim] = c.tick
+	c.stamp[base+victim] = tick
 	return false
 }
 
@@ -160,7 +205,7 @@ type Hierarchy struct {
 // constraints NewHierarchy enforces, ceilings included.
 func (cfg Config) Validate() error {
 	for _, c := range []CacheConfig{cfg.L1I, cfg.L1D, cfg.L2} {
-		if _, err := c.check(); err != nil {
+		if err := c.check(); err != nil {
 			return err
 		}
 	}
@@ -193,29 +238,11 @@ func NewHierarchy(cfg Config) (*Hierarchy, error) {
 	return &Hierarchy{cfg: cfg, l1i: l1i, l1d: l1d, l2: l2}, nil
 }
 
-// CloneInto returns an independent deep copy of the hierarchy — cache
-// contents, LRU state, and hit/miss counters — so a pre-warmed prototype can
-// seed many simulations. The copy is made in dst, overwriting it, wherever
-// dst's caches have the same geometry as h's; other caches, or all of them
-// when dst is nil, are allocated afresh. Either way the result equals h.
-func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
-	if dst == nil {
-		dst = &Hierarchy{}
+func (c *Cache) bytes() int {
+	if c == nil {
+		return 0
 	}
-	dst.cfg = h.cfg
-	dst.l1i = h.l1i.cloneInto(dst.l1i)
-	dst.l1d = h.l1d.cloneInto(dst.l1d)
-	dst.l2 = h.l2.cloneInto(dst.l2)
-	return dst
-}
-
-// Footprint is the number of bytes the hierarchy's cache arrays hold.
-func (h *Hierarchy) Footprint() int {
-	n := 0
-	for _, c := range []*Cache{h.l1i, h.l1d, h.l2} {
-		n += 8*len(c.tags) + len(c.valid) + 8*len(c.stamp)
-	}
-	return n
+	return 8*len(c.tags) + len(c.valid) + 8*len(c.stamp)
 }
 
 // AccessI returns the latency of an instruction fetch at addr.

@@ -149,7 +149,7 @@ type Machine struct {
 
 // newMachine wires a machine around an already-built memory hierarchy; cfg
 // must be validated. Sampled simulation uses it to hand detailed measurement
-// intervals a functionally warmed hierarchy instead of the shared prototype.
+// intervals the functionally warmed hierarchy of its warmer.
 // shell, when not nil, is a recycled machine (pool.go) whose memory the new
 // one reuses.
 func newMachine(p *isa.Program, cfg Config, hier *mem.Hierarchy, shell *Machine) (*Machine, error) {

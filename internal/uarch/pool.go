@@ -9,20 +9,21 @@ import (
 )
 
 // Run recycling (DESIGN.md §5). A run sizes its working memory as it starts
-// and warms up: a copy of the warm cache hierarchy (~306 KiB at Table 4's
-// geometry), the dyn-arena chunks, the completion calendar, the rings and the
-// cores' queues. Every machine gives it back here when its run returns —
-// SimulateObserved's, and sampled mode's interval machines — and the next run
+// and warms up: its warm cache hierarchy (~306 KiB at Table 4's geometry),
+// the dyn-arena chunks, the completion calendar, the rings and the cores'
+// queues. Every run gives it back here when it returns — SimulateObserved's
+// machine with its hierarchy, sampled mode's interval machines, and a sampled
+// run's hierarchy, which its interval machines share — and the next run
 // starts from that memory instead of allocating its own: the hierarchy's
-// arrays are refilled from the prototype in place, and everything else is
-// reused empty, capacity kept. A machine whose run panicked is not recycled:
-// the panic may have left any structure half updated.
+// arrays are rewarmed in place (warm.go), and everything else is reused
+// empty, capacity kept. Nothing of a run that panicked is recycled: the panic
+// may have left any structure half updated.
 
 // spares holds the recycled memory, at most spareLimit() entries per list.
 var spares struct {
 	sync.Mutex
 	machines []*Machine       // stripped shells (see strip)
-	hiers    []*mem.Hierarchy // refilled from a prototype by the next run
+	hiers    []*mem.Hierarchy // rewarmed in place by the next run
 }
 
 // spareLimit is one entry per processor, as many runs as can make progress
@@ -44,24 +45,28 @@ func acquire(p *isa.Program, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shell, spare := takeSpares(true)
-	hier, err := warmHierarchy(p, cfg.Mem, spare)
+	hier, err := warmHierarchy(p, cfg.Mem, takeSpare(&spares.hiers))
 	if err != nil {
 		return nil, err
 	}
-	return newMachine(p, cfg, hier, shell)
+	return newMachine(p, cfg, hier, takeSpare(&spares.machines))
 }
 
-// takeSpares pops a recycled machine shell and, when hier is set, a
-// hierarchy; either is nil when none is pooled.
-func takeSpares(hier bool) (*Machine, *mem.Hierarchy) {
+// takeSpare pops an element of one of the pool's lists, nil when it is
+// empty.
+func takeSpare[T any](list *[]T) T {
 	spares.Lock()
 	defer spares.Unlock()
-	shell := pop(&spares.machines)
-	if !hier {
-		return shell, nil
+	return pop(list)
+}
+
+// putSpare pools v in one of the pool's lists unless the list is full.
+func putSpare[T any](list *[]T, v T) {
+	spares.Lock()
+	defer spares.Unlock()
+	if len(*list) < spareLimit() {
+		*list = append(*list, v)
 	}
-	return shell, pop(&spares.hiers)
 }
 
 // release copies out the Stats of m's run, which ended with err without
@@ -80,18 +85,12 @@ func (m *Machine) release(err error) (*Stats, error) {
 // recycle pools m's memory, and hier's when it is not nil; m must not be
 // used again.
 func (m *Machine) recycle(hier *mem.Hierarchy) {
-	keep := len(m.chunks) <= maxSpareChunks && len(m.wbcal) <= maxSpareSpan
-	if keep {
+	if len(m.chunks) <= maxSpareChunks && len(m.wbcal) <= maxSpareSpan {
 		m.strip()
+		putSpare(&spares.machines, m)
 	}
-	limit := spareLimit()
-	spares.Lock()
-	defer spares.Unlock()
-	if keep && len(spares.machines) < limit {
-		spares.machines = append(spares.machines, m)
-	}
-	if hier != nil && len(spares.hiers) < limit {
-		spares.hiers = append(spares.hiers, hier)
+	if hier != nil {
+		putSpare(&spares.hiers, hier)
 	}
 }
 

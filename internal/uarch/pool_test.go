@@ -14,7 +14,6 @@ import (
 	"braid/internal/asm"
 	"braid/internal/braid"
 	"braid/internal/isa"
-	"braid/internal/mem"
 	"braid/internal/workload"
 )
 
@@ -223,11 +222,12 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 			t.Errorf("%s, run %d: recycled memory changed the result\n got  %s\n want %s", pt.label, i, got, want[i])
 		}
 		spares.Lock()
-		grew := len(spares.hiers) > hiers
+		after := len(spares.hiers)
 		spares.Unlock()
-		if pt.sp.Enabled() && grew {
-			// The warmer's hierarchy outlives each interval machine.
-			t.Errorf("%s: a sampled run recycled a hierarchy", pt.label)
+		if pt.sp.Enabled() && after != max(hiers, 1) {
+			// The run takes the pool's last hierarchy, if any, for its
+			// warmer and hands it back when it returns.
+			t.Errorf("%s: a sampled run left %d hierarchies in a pool of %d", pt.label, after, hiers)
 		}
 		if i == 7 {
 			// An injected fault: the faulted machine and its hierarchy
@@ -256,11 +256,12 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 }
 
 // TestWarmRunAllocations pins the per-run allocation contract: once the
-// pool, the warm prototype and the program's trace exist, an exact run
+// pool, the warm parts and the program's trace exist, an exact run
 // allocates its returned Stats and little else. Without recycling every run
 // allocated 480–710 KB in ~300–840 objects (the hierarchy copy, the arena's
 // chunks, the calendar, the rings and the grown queues). A retire observer
-// adds nothing to that.
+// adds nothing to that. A sampled run, whose warmer's hierarchy comes from
+// the pool too, allocates its estimate and its interval list besides.
 func TestWarmRunAllocations(t *testing.T) {
 	gcc, gccB, _, _ := poolPrograms(t, 60)
 	drainSpares() // no hierarchy of another geometry left by earlier tests
@@ -275,16 +276,27 @@ func TestWarmRunAllocations(t *testing.T) {
 		prog     *isa.Program
 		cfg      Config
 		onRetire func(RetireEvent)
+		sp       Sampling
 	}{
-		{"inorder-8", gcc, InOrderConfig(8), nil},
-		{"depsteer-8", gcc, DepSteerConfig(8), nil},
-		{"ooo-8", gcc, OutOfOrderConfig(8), nil},
-		{"braid-8", gccB, BraidConfig(8), nil},
-		{"ooo-16", gcc, OutOfOrderConfig(16), nil},
-		{"braid-8 observed", gccB, BraidConfig(8), observe},
+		{"inorder-8", gcc, InOrderConfig(8), nil, Sampling{}},
+		{"depsteer-8", gcc, DepSteerConfig(8), nil, Sampling{}},
+		{"ooo-8", gcc, OutOfOrderConfig(8), nil, Sampling{}},
+		{"braid-8", gccB, BraidConfig(8), nil, Sampling{}},
+		{"ooo-16", gcc, OutOfOrderConfig(16), nil, Sampling{}},
+		{"braid-8 observed", gccB, BraidConfig(8), observe, Sampling{}},
+		{"sampled braid-8", gccB, BraidConfig(8), nil, Sampling{Period: 1500, Detail: 300, Warmup: 200}},
 	} {
 		run := func() {
-			if _, err := SimulateObserved(context.Background(), c.prog, c.cfg, c.onRetire); err != nil {
+			var err error
+			if c.sp.Enabled() {
+				var est *SampleEstimate
+				if _, est, err = SimulateSampled(context.Background(), c.prog, c.cfg, c.sp); err == nil && (est.Exact || est.Intervals < 2) {
+					t.Fatalf("%s: the run was not sampled: %+v", c.label, *est)
+				}
+			} else {
+				_, err = SimulateObserved(context.Background(), c.prog, c.cfg, c.onRetire)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -352,42 +364,5 @@ func TestRecyclingConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
-	}
-}
-
-// TestWarmPrototypesBounded: the warm prototypes' arrays stay within
-// maxProtoBytes, the oldest dropped first, and a dropped key warms again to
-// the same state.
-func TestWarmPrototypesBounded(t *testing.T) {
-	cfg := mem.DefaultConfig()
-	cfg.L2.SizeKB = mem.MaxCacheKB // ~4.5 MB of arrays per prototype
-	key := func(textLen int) warmKey { return warmKey{cfg: cfg, textLen: textLen} }
-	first, err := warmProto(key(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := hierCounters(first.Stats())
-	n := maxProtoBytes/first.Footprint() + 2
-	for i := 2; i <= n; i++ {
-		if _, err := warmProto(key(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warmCache.Lock()
-	bytes := warmCache.bytes
-	_, kept := warmCache.protos[key(1)]
-	warmCache.Unlock()
-	if bytes > maxProtoBytes {
-		t.Errorf("%d prototypes hold %d bytes, over the %d bound", n, bytes, maxProtoBytes)
-	}
-	if kept {
-		t.Error("the oldest prototype is still held")
-	}
-	again, err := warmProto(key(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hierCounters(again.Stats()); got != want || again == first {
-		t.Errorf("a dropped prototype came back as %s (same object: %v), want a new one at %s", got, again == first, want)
 	}
 }

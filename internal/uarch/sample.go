@@ -224,6 +224,7 @@ func (w *warmer) warm() {
 // runSampled alternates functional fast-forward with detailed measurement
 // intervals and scales the interval measurements into estimated Stats.
 func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr *trace, mispredicts uint64) (st *Stats, est *SampleEstimate, err error) {
+	var hier *mem.Hierarchy
 	defer func() {
 		if r := recover(); r != nil {
 			st, est = nil, nil
@@ -233,10 +234,14 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 				Panic:   r,
 				Stack:   debug.Stack(),
 			}
+			return // a panic may have left the hierarchy half updated
+		}
+		if hier != nil {
+			putSpare(&spares.hiers, hier)
 		}
 	}()
 
-	hier, err := warmHierarchy(p, cfg.Mem, nil)
+	hier, err = warmHierarchy(p, cfg.Mem, takeSpare(&spares.hiers))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -360,8 +365,7 @@ func runSampled(ctx context.Context, p *isa.Program, cfg Config, sp Sampling, tr
 // memory and goes back to it, without the hierarchy, which is the warmer's.
 func runInterval(ctx context.Context, p *isa.Program, cfg Config, w *warmer, warmup, detail uint64) (cycles, instrs uint64, st Stats, err error) {
 	cfg.fault = nil // the fault hook targets the exact path only
-	shell, _ := takeSpares(false)
-	m, err := newMachine(p, cfg, w.hier, shell)
+	m, err := newMachine(p, cfg, w.hier, takeSpare(&spares.machines))
 	if err != nil {
 		return 0, 0, Stats{}, err
 	}
