@@ -9,8 +9,7 @@
 //	braidchaos -listen 127.0.0.1:9093 -backend http://127.0.0.1:8092 -every 2 -kind corrupt
 //
 // -kind accepts a comma-separated cycle of fault names (429, 503, reset,
-// latency, slowloris, truncate, corrupt); -every N applies the cycle to
-// every Nth simulate request. -flap down:up resets every connection for
+// corrupt); -every N applies the cycle to every Nth simulate request. -flap down:up resets every connection for
 // down, then passes through for up, repeatedly, starting down. Both given
 // together compose: the flap wins while down, the cadence applies while up.
 //
@@ -40,7 +39,7 @@ func main() {
 		backend = flag.String("backend", "http://127.0.0.1:8080", "braidd base URL to proxy")
 		flap    = flag.String("flap", "", "down:up flap durations (e.g. 2s:2s); empty disables flapping")
 		every   = flag.Int64("every", 0, "fault every Nth simulate request (0: off)")
-		kinds   = flag.String("kind", "reset", "comma-separated fault cycle for -every: 429, 503, reset, latency, slowloris, truncate, corrupt")
+		kinds   = flag.String("kind", "reset", "comma-separated fault cycle for -every: 429, 503, reset, corrupt")
 	)
 	flag.Parse()
 
@@ -72,8 +71,8 @@ func main() {
 		log.Fatalf("braidchaos: %v", err)
 	}
 
-	// A plain HTTP/1.1 server: Reset/SlowLoris/Truncate faults hijack the
-	// connection, which HTTP/2 does not support.
+	// A plain HTTP/1.1 server: Reset faults hijack the connection, which
+	// HTTP/2 does not support.
 	srv := &http.Server{
 		Addr:              *listen,
 		Handler:           proxy,

@@ -3,6 +3,10 @@
 //
 //	braidd -addr :8080 -workers 8
 //
+// Up to 4x -workers requests wait for a worker; one more is shed with 429.
+// A request simulates at most 50M cycles and 30 s, and the result cache
+// holds 1,024 answers.
+//
 // Endpoints:
 //
 //	POST /v1/simulate   one program + config -> full Stats JSON
@@ -34,10 +38,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0: GOMAXPROCS)")
-		queue        = flag.Int("queue", 0, "admission queue depth beyond workers (0: 4x workers)")
-		cacheSize    = flag.Int("cache", 1024, "result-cache entries (negative disables)")
-		maxSimTime   = flag.Duration("max-sim-time", 30*time.Second, "per-request wall-clock ceiling")
-		maxCycles    = flag.Uint64("max-cycles", 50_000_000, "per-request simulated-cycle ceiling")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "shutdown grace for in-flight requests")
 		accessLog    = flag.String("access-log", "stderr", "access log destination: stderr, none, or a file path")
 	)
@@ -57,14 +57,7 @@ func main() {
 		logw = f
 	}
 
-	svc := service.New(service.Config{
-		Workers:      *workers,
-		QueueDepth:   *queue,
-		CacheEntries: *cacheSize,
-		MaxSimTime:   *maxSimTime,
-		MaxCycles:    *maxCycles,
-		AccessLog:    logw,
-	})
+	svc := service.New(service.Config{Workers: *workers, AccessLog: logw})
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           svc.Handler(),

@@ -1,28 +1,23 @@
-// Command braidload drives one or more running braidd backends with a
-// concurrent request mix and reports service-level throughput: requests/sec,
-// latency quantiles, and aggregate simulated MIPS. With -verify it also
-// simulates every unique request locally and demands bit-identical Stats
-// JSON from the service — the determinism contract the result cache depends
-// on.
-//
-// With a single -addr, requests go straight at the backend (the classic
-// single-server load test). With a comma-separated list, braidload drives
-// the internal/remote pool: each program's points route to one backend by
-// rendezvous hash, retry with backoff across backends, and optionally hedge
-// stragglers with -hedge — the same path braidbench -remote uses for
-// distributed sweeps.
+// Command braidload drives one running braidd with a concurrent request mix
+// and reports service-level throughput: requests/sec, latency quantiles, and
+// aggregate simulated MIPS. The mix is six workload profiles (gcc, mcf, gzip,
+// crafty, art, equake) on the out-of-order and braid cores, 8 wide, at 60
+// iterations: 12 requests that -n requests cycle over in order, so every one
+// repeats and exercises the result cache. With -verify it also simulates the
+// 12 locally and demands bit-identical Stats JSON from the service — the
+// determinism contract the result cache depends on.
 //
 //	braidd -addr 127.0.0.1:8080 &
 //	braidload -addr http://127.0.0.1:8080 -c 32 -n 512 -verify -out BENCH_service_throughput.json
 //
-//	braidd -addr 127.0.0.1:8091 & braidd -addr 127.0.0.1:8092 &
-//	braidload -addr 127.0.0.1:8091,127.0.0.1:8092 -hedge -verify -out BENCH_remote_throughput.json
+// A fleet of braidd is driven by braidbench -remote, whose sweeps diff byte
+// for byte against local output.
 package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,58 +30,44 @@ import (
 	"sync/atomic"
 	"time"
 
-	"braid/internal/isa"
-	"braid/internal/remote"
 	"braid/internal/service"
 	"braid/internal/uarch"
 )
 
+// The request mix and the client's patience. bench/'s braidd-mixed workload
+// replays the same mix.
+var (
+	mixWorkloads = []string{"gcc", "mcf", "gzip", "crafty", "art", "equake"}
+	mixCores     = []string{"ooo", "braid"}
+)
+
+const (
+	mixWidth       = 8
+	mixIters       = 60
+	requestTimeout = 120 * time.Second // per request
+	healthWait     = 15 * time.Second  // for /healthz before the first request
+)
+
 func main() {
 	var (
-		addr      = flag.String("addr", "http://127.0.0.1:8080", "comma-separated braidd base URLs (2+: drive the routing pool)")
-		conc      = flag.Int("c", 32, "concurrent clients")
-		total     = flag.Int("n", 512, "total requests")
-		iters     = flag.Int("iters", 60, "workload iterations per request")
-		width     = flag.Int("width", 8, "issue width")
-		cores     = flag.String("cores", "ooo,braid", "comma-separated cores in the mix")
-		workloads = flag.String("workloads", "gcc,mcf,gzip,crafty,art,equake", "comma-separated workload profiles")
-		timeout   = flag.Duration("timeout", 120*time.Second, "per-request client timeout")
-		wait      = flag.Duration("wait", 15*time.Second, "how long to wait for /healthz before starting")
-		verify    = flag.Bool("verify", false, "simulate each unique request locally and demand bit-identical Stats")
-		hedge     = flag.Bool("hedge", false, "hedge slow requests onto a second backend (pool mode)")
-		probe     = flag.Duration("probe", 0, "background health-probe interval; ejects backends that fail the known-answer canary (pool mode; 0: off)")
-		out       = flag.String("out", "", "write the benchmark JSON here as well as stdout")
+		addr   = flag.String("addr", "http://127.0.0.1:8080", "braidd base URL")
+		conc   = flag.Int("c", 32, "concurrent clients")
+		total  = flag.Int("n", 512, "total requests")
+		verify = flag.Bool("verify", false, "simulate each unique request locally and demand bit-identical Stats")
+		out    = flag.String("out", "", "write the benchmark JSON here as well as stdout")
 	)
 	flag.Parse()
-
-	mix := buildMix(splitList(*workloads), splitList(*cores), *width, *iters)
-	if len(mix) == 0 {
-		log.Fatal("braidload: empty request mix")
+	if strings.Contains(*addr, ",") {
+		log.Fatal("braidload: -addr takes one braidd; drive a fleet with braidbench -remote")
 	}
-	addrs := splitList(*addr)
-	if len(addrs) == 0 {
-		log.Fatal("braidload: no -addr")
-	}
-	client := &http.Client{Timeout: *timeout}
-
-	var res *loadResult
-	if len(addrs) > 1 {
-		res = runPoolMode(addrs, mix, *conc, *total, *verify, *hedge, *timeout, *wait, *probe, client)
-	} else {
-		if err := waitHealthy(client, addrs[0], *wait); err != nil {
-			log.Fatalf("braidload: %v", err)
-		}
-		var expected map[string][]byte
-		if *verify {
-			var err error
-			if expected, err = simulateLocally(buildPrograms(mix)); err != nil {
-				log.Fatalf("braidload: local verification run: %v", err)
-			}
-		}
-		res = run(client, addrs[0], mix, *conc, *total, expected)
-		res.Metrics = map[string]any{addrs[0]: scrapeMetrics(client, addrs[0])}
+	if *conc < 1 || *total < 1 {
+		log.Fatal("braidload: -c and -n must be positive")
 	}
 
+	res, err := load(&http.Client{Timeout: requestTimeout}, strings.TrimRight(*addr, "/"), *conc, *total, *verify)
+	if err != nil {
+		log.Fatalf("braidload: %v", err)
+	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -102,33 +83,38 @@ func main() {
 	}
 }
 
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
+// load waits for the braidd at addr to answer /healthz, simulates the mix
+// locally if verify is set, sends total requests from conc clients, and
+// scrapes the server's counters.
+func load(client *http.Client, addr string, conc, total int, verify bool) (*loadResult, error) {
+	if err := waitHealthy(client, addr, healthWait); err != nil {
+		return nil, err
+	}
+	mix := buildMix()
+	var want [][]byte
+	if verify {
+		var err error
+		if want, err = expectedStats(mix); err != nil {
+			return nil, fmt.Errorf("local verification run: %w", err)
 		}
 	}
-	return out
+	res := run(client, addr, mix, conc, total, want)
+	res.Metrics = scrapeMetrics(client, addr)
+	return res, nil
 }
 
-// mixItem is one unique request shape; the load is total requests cycled
-// over the mix, so every shape repeats and exercises the result cache.
-type mixItem struct {
-	req service.SimRequest
-	key string
-}
-
-func buildMix(profiles, cores []string, width, iters int) []mixItem {
-	var mix []mixItem
-	for _, prof := range profiles {
-		for _, core := range cores {
-			req := service.SimRequest{Workload: prof, Iters: iters, Core: core, Width: width}
-			mix = append(mix, mixItem{req: req, key: prof + "/" + core})
+// buildMix returns the mix's requests, workload by workload, core by core.
+func buildMix() []service.SimRequest {
+	var mix []service.SimRequest
+	for _, prof := range mixWorkloads {
+		for _, core := range mixCores {
+			mix = append(mix, service.SimRequest{Workload: prof, Iters: mixIters, Core: core, Width: mixWidth})
 		}
 	}
 	return mix
 }
+
+func mixKey(req *service.SimRequest) string { return req.Workload + "/" + req.Core }
 
 func waitHealthy(client *http.Client, addr string, wait time.Duration) error {
 	deadline := time.Now().Add(wait)
@@ -147,74 +133,37 @@ func waitHealthy(client *http.Client, addr string, wait time.Duration) error {
 	}
 }
 
-// builtItem is one unique request resolved to the exact program image and
-// configuration the service would build for it — what the pool routes on and
-// what local verification simulates.
-type builtItem struct {
-	key  string
-	prog *isa.Program
-	cfg  uarch.Config
-}
-
-// buildPrograms resolves every mix item through the same Build path the
-// service uses. Build is deterministic, so the client-side program is
-// byte-identical to the one the server would construct from the name.
-func buildPrograms(mix []mixItem) []builtItem {
-	items := make([]builtItem, len(mix))
+// expectedStats simulates every mix request in-process, through the Build
+// path the service uses, and returns the Stats JSON a correct response to
+// each must carry. Build is deterministic, so the program is byte-identical
+// to the one the server builds from the name.
+func expectedStats(mix []service.SimRequest) ([][]byte, error) {
+	want := make([][]byte, len(mix))
+	errs := make([]error, len(mix))
 	var wg sync.WaitGroup
-	for i, it := range mix {
+	for i := range mix {
 		wg.Add(1)
-		go func(i int, it mixItem) {
+		go func(i int) {
 			defer wg.Done()
-			b, err := service.Build(&it.req, service.Limits{})
-			if err != nil {
-				log.Fatalf("braidload: building %s: %v", it.key, err)
+			b, err := service.Build(&mix[i], service.Limits{})
+			var st *uarch.Stats
+			if err == nil {
+				st, err = uarch.Simulate(b.Program, b.Config)
 			}
-			items[i] = builtItem{key: it.key, prog: b.Program, cfg: b.Config}
-		}(i, it)
+			if err == nil {
+				want[i], err = json.Marshal(st)
+			}
+			if err != nil {
+				errs[i] = fmt.Errorf("%s: %w", mixKey(&mix[i]), err)
+			}
+		}(i)
 	}
 	wg.Wait()
-	return items
+	return want, errors.Join(errs...)
 }
 
-// simulateLocally simulates every unique item in-process and records the
-// exact Stats JSON a correct response must carry.
-func simulateLocally(items []builtItem) (map[string][]byte, error) {
-	expected := make(map[string][]byte, len(items))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errc := make(chan error, len(items))
-	for _, it := range items {
-		wg.Add(1)
-		go func(it builtItem) {
-			defer wg.Done()
-			st, err := uarch.Simulate(it.prog, it.cfg)
-			if err != nil {
-				errc <- fmt.Errorf("%s: %w", it.key, err)
-				return
-			}
-			data, err := json.Marshal(st)
-			if err != nil {
-				errc <- err
-				return
-			}
-			mu.Lock()
-			expected[it.key] = data
-			mu.Unlock()
-		}(it)
-	}
-	wg.Wait()
-	close(errc)
-	if err := <-errc; err != nil {
-		return nil, err
-	}
-	return expected, nil
-}
-
-// loadResult is the benchmark artifact (BENCH_service_throughput.json,
-// BENCH_remote_throughput.json). server_metrics is keyed by backend URL.
+// loadResult is the benchmark artifact (BENCH_service_throughput.json).
 type loadResult struct {
-	Backends      []string       `json:"backends,omitempty"`
 	Concurrency   int            `json:"concurrency"`
 	Requests      int            `json:"requests"`
 	Errors        int            `json:"errors"`
@@ -229,113 +178,7 @@ type loadResult struct {
 	Instructions  uint64         `json:"sim_instructions"`
 	AggregateMIPS float64        `json:"aggregate_mips"`
 	Sources       map[string]int `json:"responses_by_source"`
-	ByBackend     map[string]int `json:"responses_by_backend,omitempty"`
-	Pool          *remote.Stats  `json:"pool,omitempty"`
 	Metrics       map[string]any `json:"server_metrics,omitempty"`
-}
-
-// runPoolMode drives the request mix through the internal/remote pool:
-// per-program rendezvous routing, retry/failover, and optional hedging across
-// every backend — the distributed analogue of the single-server burst.
-func runPoolMode(addrs []string, mix []mixItem, conc, total int, verify, hedge bool, timeout, wait, probe time.Duration, client *http.Client) *loadResult {
-	ctx := context.Background()
-	pool, err := remote.NewPool(remote.Options{
-		Backends: addrs,
-		Hedge:    hedge,
-		Timeout:  timeout,
-	})
-	if err != nil {
-		log.Fatalf("braidload: %v", err)
-	}
-	if probe > 0 {
-		stop := pool.StartProber(ctx, probe)
-		defer stop()
-	}
-	deadline := time.Now().Add(wait)
-	for {
-		var down []string
-		down, err = pool.Ping(ctx)
-		if err == nil && len(down) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			if err != nil {
-				log.Fatalf("braidload: %v", err)
-			}
-			log.Printf("braidload: backends still down after %s (will fail over): %s", wait, strings.Join(down, ","))
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-
-	items := buildPrograms(mix)
-	var expected map[string][]byte
-	if verify {
-		if expected, err = simulateLocally(items); err != nil {
-			log.Fatalf("braidload: local verification run: %v", err)
-		}
-	}
-
-	var (
-		next      atomic.Int64
-		mu        sync.Mutex
-		latencies []float64
-		sources   = map[string]int{}
-		byBackend = map[string]int{}
-		res       = &loadResult{
-			Backends: pool.Backends(), Concurrency: conc, Requests: total,
-			Sources: sources, ByBackend: byBackend,
-		}
-		wg sync.WaitGroup
-	)
-	t0 := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				it := items[i%len(items)]
-				r0 := time.Now()
-				r, err := pool.SimulateFull(ctx, it.prog, it.cfg)
-				ms := float64(time.Since(r0).Nanoseconds()) / 1e6
-				mu.Lock()
-				latencies = append(latencies, ms)
-				if err != nil {
-					res.Errors++
-					log.Printf("braidload: %s: %v", it.key, err)
-				} else {
-					sources[r.Source]++
-					byBackend[r.Backend]++
-					if want, ok := expected[it.key]; ok {
-						res.Verified++
-						if !bytes.Equal(want, r.RawStats) {
-							res.Mismatches++
-							res.Errors++
-							log.Printf("braidload: %s: stats differ from local simulation", it.key)
-						}
-					}
-					res.Instructions += r.Stats.Retired
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	res.Seconds = time.Since(t0).Seconds()
-	finish(res, latencies, total)
-	ps := pool.Snapshot()
-	res.Pool = &ps
-	res.Metrics = map[string]any{}
-	for _, b := range pool.Backends() {
-		if m := scrapeMetrics(client, b); m != nil {
-			res.Metrics[b] = m
-		}
-	}
-	return res
 }
 
 // verifyResponse is the response shape braidload decodes: Stats stays raw so
@@ -345,10 +188,12 @@ type verifyResponse struct {
 	Stats  json.RawMessage `json:"stats"`
 }
 
-func run(client *http.Client, addr string, mix []mixItem, conc, total int, expected map[string][]byte) *loadResult {
+// run sends total requests, cycling over mix, from conc clients. want, if
+// not nil, holds the Stats JSON each mix request must be answered with.
+func run(client *http.Client, addr string, mix []service.SimRequest, conc, total int, want [][]byte) *loadResult {
 	bodies := make([][]byte, len(mix))
-	for i, it := range mix {
-		data, err := json.Marshal(&it.req)
+	for i := range mix {
+		data, err := json.Marshal(&mix[i])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -373,23 +218,23 @@ func run(client *http.Client, addr string, mix []mixItem, conc, total int, expec
 				if i >= total {
 					return
 				}
-				it := mix[i%len(mix)]
+				k := i % len(mix)
 				r0 := time.Now()
-				vr, err := post(client, addr, bodies[i%len(mix)])
+				vr, err := post(client, addr, bodies[k])
 				ms := float64(time.Since(r0).Nanoseconds()) / 1e6
 				mu.Lock()
 				latencies = append(latencies, ms)
 				if err != nil {
 					res.Errors++
-					log.Printf("braidload: %s: %v", it.key, err)
+					log.Printf("braidload: %s: %v", mixKey(&mix[k]), err)
 				} else {
 					sources[vr.Source]++
-					if want, ok := expected[it.key]; ok {
+					if want != nil {
 						res.Verified++
-						if !bytes.Equal(want, vr.Stats) {
+						if !bytes.Equal(want[k], vr.Stats) {
 							res.Mismatches++
 							res.Errors++
-							log.Printf("braidload: %s: stats differ from local simulation", it.key)
+							log.Printf("braidload: %s: stats differ from local simulation", mixKey(&mix[k]))
 						}
 					}
 					var st uarch.Stats
@@ -403,31 +248,18 @@ func run(client *http.Client, addr string, mix []mixItem, conc, total int, expec
 	}
 	wg.Wait()
 	res.Seconds = time.Since(t0).Seconds()
-	finish(res, latencies, total)
-	return res
-}
 
-// finish fills in the latency quantiles and rate figures of a completed run.
-func finish(res *loadResult, latencies []float64, total int) {
 	sort.Float64s(latencies)
 	quant := func(q float64) float64 {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(latencies)))
-		if i >= len(latencies) {
-			i = len(latencies) - 1
-		}
-		return latencies[i]
+		return latencies[min(int(q*float64(len(latencies))), len(latencies)-1)]
 	}
 	res.P50MS, res.P90MS, res.P99MS = quant(0.50), quant(0.90), quant(0.99)
-	if n := len(latencies); n > 0 {
-		res.MaxMS = latencies[n-1]
-	}
+	res.MaxMS = latencies[len(latencies)-1]
 	if res.Seconds > 0 {
 		res.RPS = float64(total) / res.Seconds
 		res.AggregateMIPS = float64(res.Instructions) / res.Seconds / 1e6
 	}
+	return res
 }
 
 func post(client *http.Client, addr string, body []byte) (*verifyResponse, error) {

@@ -1,11 +1,10 @@
 // Package chaos is a programmable fault-injecting reverse proxy for braidd
 // backends. A Proxy sits between a client pool and one real backend and
 // consults a Schedule on every request: the schedule decides whether the
-// request passes through untouched or suffers one of a menu of faults —
-// overload statuses, raw connection resets, added latency, slow-loris
-// dribbles, truncated bodies, or corrupted-but-well-formed JSON. Soak tests
-// and the braidchaos CLI both build on it, so there is exactly one
-// fault-injection implementation to keep honest.
+// request passes through untouched or suffers one of three faults — an
+// overload status, a raw connection reset, or corrupted-but-well-formed
+// JSON. Soak tests and the braidchaos CLI both build on it, so there is
+// exactly one fault-injection implementation to keep honest.
 package chaos
 
 import (
@@ -33,15 +32,6 @@ const (
 	// Reset hijacks the connection and closes it with SO_LINGER 0, so the
 	// client sees a TCP RST rather than a graceful FIN.
 	Reset
-	// Latency sleeps Fault.Delay, then forwards the request untouched.
-	Latency
-	// SlowLoris forwards the request, then dribbles the response one byte
-	// every Fault.Delay for Fault.KeepBytes bytes and resets the connection.
-	SlowLoris
-	// Truncate forwards the request and relays the response's headers with
-	// the true Content-Length, but delivers only Fault.KeepBytes body bytes
-	// before closing, so the client reads an unexpected EOF.
-	Truncate
 	// Corrupt forwards the request and relays the response intact except for
 	// one digit inside the "stats" object flipped to a different digit: the
 	// body stays the same length and stays valid JSON, so only an end-to-end
@@ -51,7 +41,7 @@ const (
 	nKinds = iota
 )
 
-var kindNames = [nKinds]string{"pass", "status", "reset", "latency", "slowloris", "truncate", "corrupt"}
+var kindNames = [nKinds]string{"pass", "status", "reset", "corrupt"}
 
 func (k Kind) String() string {
 	if k >= 0 && int(k) < nKinds {
@@ -72,12 +62,6 @@ func ParseKind(s string) (Fault, error) {
 		return Fault{Kind: Status, Status: http.StatusServiceUnavailable}, nil
 	case "reset", "rst":
 		return Fault{Kind: Reset}, nil
-	case "latency":
-		return Fault{Kind: Latency, Delay: 100 * time.Millisecond}, nil
-	case "slowloris":
-		return Fault{Kind: SlowLoris, Delay: 10 * time.Millisecond}, nil
-	case "truncate":
-		return Fault{Kind: Truncate}, nil
 	case "corrupt":
 		return Fault{Kind: Corrupt}, nil
 	}
@@ -87,10 +71,8 @@ func ParseKind(s string) (Fault, error) {
 // Fault is one scheduled outcome for one request.
 type Fault struct {
 	Kind       Kind
-	Status     int           // Status faults: HTTP code (default 503)
-	RetryAfter string        // Status faults: Retry-After header value, if nonempty
-	Delay      time.Duration // Latency: added delay; SlowLoris: per-byte delay
-	KeepBytes  int           // Truncate/SlowLoris: body bytes delivered (default 12)
+	Status     int    // Status faults: HTTP code (default 503)
+	RetryAfter string // Status faults: Retry-After header value, if nonempty
 }
 
 // Schedule decides the fault for one request. n is the 1-based sequence
@@ -178,13 +160,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(status)
 	case Reset:
 		reset(w)
-	case Latency:
-		time.Sleep(f.Delay)
-		p.rp.ServeHTTP(w, r)
-	case SlowLoris:
-		p.slowLoris(w, r, f)
-	case Truncate:
-		p.truncate(w, r, f)
 	case Corrupt:
 		p.corrupt(w, r)
 	default:
@@ -211,8 +186,8 @@ func reset(w http.ResponseWriter) {
 	conn.Close()
 }
 
-// roundTrip performs the upstream request manually, so body-mangling faults
-// can rewrite the response before relaying it.
+// roundTrip performs the upstream request manually, so the corrupt fault can
+// rewrite the response before relaying it.
 func (p *Proxy) roundTrip(r *http.Request) (*http.Response, []byte, error) {
 	u := *p.backend
 	u.Path = r.URL.Path
@@ -232,83 +207,6 @@ func (p *Proxy) roundTrip(r *http.Request) (*http.Response, []byte, error) {
 		return nil, nil, err
 	}
 	return resp, body, nil
-}
-
-func keepBytes(f Fault, n int) int {
-	k := f.KeepBytes
-	if k <= 0 {
-		k = 12
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// slowLoris relays the response status line and headers, then dribbles a few
-// body bytes with a delay between each and resets the connection: the client
-// is strung along exactly as long as its per-attempt timeout allows.
-func (p *Proxy) slowLoris(w http.ResponseWriter, r *http.Request, f Fault) {
-	resp, body, err := p.roundTrip(r)
-	if err != nil {
-		reset(w)
-		return
-	}
-	hj, ok := w.(http.Hijacker)
-	if !ok {
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
-	conn, bw, err := hj.Hijack()
-	if err != nil {
-		return
-	}
-	defer conn.Close()
-	fmt.Fprintf(bw, "HTTP/1.1 %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n",
-		resp.Status, len(body))
-	bw.Flush()
-	delay := f.Delay
-	if delay <= 0 {
-		delay = 5 * time.Millisecond
-	}
-	for i := 0; i < keepBytes(f, len(body)); i++ {
-		if _, err := bw.Write(body[i : i+1]); err != nil {
-			return
-		}
-		bw.Flush()
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(delay):
-		}
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetLinger(0)
-	}
-}
-
-// truncate relays the response headers with the full Content-Length but only
-// KeepBytes of body, then closes: the client reads an unexpected EOF.
-func (p *Proxy) truncate(w http.ResponseWriter, r *http.Request, f Fault) {
-	resp, body, err := p.roundTrip(r)
-	if err != nil {
-		reset(w)
-		return
-	}
-	hj, ok := w.(http.Hijacker)
-	if !ok {
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
-	conn, bw, err := hj.Hijack()
-	if err != nil {
-		return
-	}
-	defer conn.Close()
-	fmt.Fprintf(bw, "HTTP/1.1 %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n",
-		resp.Status, len(body))
-	bw.Write(body[:keepBytes(f, len(body))])
-	bw.Flush()
 }
 
 // corrupt relays the response intact — status, every header (integrity

@@ -365,6 +365,28 @@ func TestPassingCanaryKeepsFlakyBackendEjected(t *testing.T) {
 	}
 }
 
+// TestVerifyFailureEjects: a backend that re-signs wrong Stats passes the
+// body digest, so with VerifyEvery 1 only local re-simulation catches it. A
+// failed verification ejects the backend that answered, so no more points
+// reach it than the jobs that had one in flight: the cooldown outlasts the
+// sweep, so no trial reaches it either.
+func TestVerifyFailureEjects(t *testing.T) {
+	sw := &fleetSweep{dyn: 1500, jobs: 2, points: widthPoints(false)}
+	out := runFleet(t, sw, faultWrong, fleetPolicy{requestPath: true, verify: 1, tune: func(p *Pool) {
+		p.cooldown = time.Minute
+	}})
+	if out.Ejections == 0 {
+		t.Error("a backend failing verification was never ejected")
+	}
+	if out.flagged > sw.jobs {
+		t.Errorf("%d points failed verification, want at most %d (one per job)", out.flagged, sw.jobs)
+	}
+	if out.wrong != 0 || out.differ != out.flagged {
+		t.Errorf("%d wrong results accepted and %d points failed otherwise, want 0 and 0",
+			out.wrong, out.differ-out.flagged-out.wrong)
+	}
+}
+
 var ablationOut = flag.String("ablation", "", "run the fleet ablation matrix and write it to this JSON file")
 
 // TestFleetAblation measures what each ejection path buys under four fault

@@ -69,8 +69,9 @@ func canaryRequest() ([]byte, []byte, error) {
 // attempt, and grants it no trial while canaries keep failing. A 429 is no
 // verdict: the backend is busy, not broken. A passing canary reinstates
 // nothing: only an answered attempt puts a backend back in rotation (see
-// health). The verdicts surface in Snapshot().Healthy and Ejections and in
-// the braidload/braidbench pool summaries.
+// health). A point that fails -remote-verify ejects its backend the same
+// way. The verdicts surface in Snapshot().Healthy and Ejections and in the
+// pool line braidbench and braidtune print.
 //
 // The prober stops when ctx is done or the returned stop function is called
 // (stop waits for the probe goroutine to exit).

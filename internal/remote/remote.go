@@ -8,11 +8,11 @@
 // transient failures — 429 overload, 5xx, connection errors — retry with
 // exponential backoff and jitter (honoring Retry-After) and fail over to the
 // program's next-ranked backend, so a backend killed mid-sweep costs latency,
-// not the sweep; a backend that fails three attempts in a row, or the health
-// prober's known-answer canary, is ejected from rotation until an attempt
-// after a cooldown is answered; optional hedged requests duplicate a
-// straggler onto the next backend after the pool's observed p95; and a
-// verify mode cross-checks a deterministic sample of remote Stats
+// not the sweep; a backend that fails three attempts in a row, the health
+// prober's known-answer canary, or a verified point is ejected from rotation
+// until an attempt after a cooldown is answered; optional hedged requests
+// duplicate a straggler onto the next backend after the pool's observed p95;
+// and a verify mode cross-checks a deterministic sample of remote Stats
 // bit-for-bit against local simulation.
 //
 // The pool implements experiments.Runner (SimulateSampled), so a Workloads suite
@@ -379,6 +379,12 @@ func (p *Pool) run(ctx context.Context, prog *isa.Program, cfg uarch.Config, sp 
 				return nil, fmt.Errorf("remote: %w", ctxSentinel(ctx))
 			}
 			p.verifyFailures.Add(1)
+			var ve *VerifyError
+			if i := slices.Index(p.backends, res.Backend); errors.As(err, &ve) && i >= 0 {
+				// The backend signed wrong Stats: eject it, as a failed
+				// canary does, so routing skips it until a trial.
+				p.health[i].eject(time.Now())
+			}
 			return nil, err
 		}
 		res.Verified = true
@@ -630,13 +636,13 @@ func (p *Pool) observeLatency(d time.Duration) {
 var errAllEjected = errors.New("every backend is ejected")
 
 // health is one backend's place in rotation. A backend is ejected (taken
-// out of rotation) after ejectAfter consecutive failed attempts, or when
-// the prober fails it. Routing then skips it until the pool's cooldown has
-// passed, and grants it one trial attempt per cooldown from then on, so a
-// trial whose caller never reports (it was canceled mid-flight) expires
-// after another cooldown. Only an answer to an attempt that started after
-// the ejection puts it back in rotation; a failed attempt leaves it
-// ejected.
+// out of rotation) after ejectAfter consecutive failed attempts, when the
+// prober fails it, or when one of its answers fails verification. Routing
+// then skips it until the pool's cooldown has passed, and grants it one
+// trial attempt per cooldown from then on, so a trial whose caller never
+// reports (it was canceled mid-flight) expires after another cooldown. Only
+// an answer to an attempt that started after the ejection puts it back in
+// rotation; a failed attempt leaves it ejected.
 type health struct {
 	mu        sync.Mutex
 	ejected   bool

@@ -185,7 +185,7 @@ func programKey(req *SimRequest, braided bool) (progKey, error) {
 // replay state for it) with every earlier one. The configuration half still
 // resolves, validates and hashes per request.
 func (s *Server) build(req *SimRequest) (*Built, error) {
-	return build(req, Limits{MaxCycles: s.cfg.MaxCycles, MaxSimTime: s.cfg.MaxSimTime}, s.cachedProgram)
+	return build(req, Limits{}, s.cachedProgram)
 }
 
 // cachedProgram returns the program half for req's source, building and

@@ -33,38 +33,33 @@ import (
 // its own copy: it imports this package, not the other way around.
 const bodySHAHeader = "X-Braid-Body-SHA256"
 
-// Config sizes the server. Zero fields take the documented defaults.
+// Config sizes the server. A zero Workers takes GOMAXPROCS.
 type Config struct {
-	Workers      int           // concurrent simulations (default GOMAXPROCS)
-	QueueDepth   int           // admitted-but-waiting requests beyond Workers (default 4*Workers)
-	CacheEntries int           // LRU result-cache capacity (default 1024; negative disables)
-	MaxCycles    uint64        // per-request simulated-cycle ceiling (default 50M)
-	MaxSimTime   time.Duration // per-request wall-clock ceiling (default 30s)
-	MaxBodyBytes int64         // request-body limit (default 8 MiB)
-	AccessLog    io.Writer     // structured JSON access log (nil: disabled)
+	Workers   int       // concurrent simulations
+	AccessLog io.Writer // structured JSON access log (nil: disabled)
+
+	// queueDepth is the number of admitted requests that may wait beyond
+	// Workers: 0 takes 4*Workers and a negative value none. Only tests set
+	// it.
+	queueDepth int
 }
+
+// The server's fixed bounds: result-cache entries and the request-body
+// limit. A request's cycle and wall-clock ceilings are Build's defaults.
+const (
+	resultCacheEntries = 1024
+	maxBodyBytes       = 8 << 20
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.Workers
+	if c.queueDepth == 0 {
+		c.queueDepth = 4 * c.Workers
 	}
-	if c.QueueDepth < 0 {
-		c.QueueDepth = 0
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 1024
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = defaultMaxCycles
-	}
-	if c.MaxSimTime <= 0 {
-		c.MaxSimTime = defaultMaxSimTime
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
+	if c.queueDepth < 0 {
+		c.queueDepth = 0
 	}
 	return c
 }
@@ -100,8 +95,8 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
-		cache:   newResultCache(cfg.CacheEntries),
+		adm:     newAdmission(cfg.Workers, cfg.queueDepth),
+		cache:   newResultCache(resultCacheEntries),
 		flights: newFlightGroup(),
 		met:     newMetrics(time.Now()),
 
@@ -254,14 +249,27 @@ func (s *Server) runSim(ctx context.Context, b *Built) (*simResult, error) {
 			}
 		}
 
+		// A request that missed the cache just before the previous leader
+		// stored its result, and joined just after that flight ended, leads
+		// a new flight: look again before simulating the key twice.
+		if st, est, ok := s.cache.get(key); ok {
+			s.flights.complete(key, fl, st, est, nil, 0)
+			s.met.cacheHits.Add(1)
+			return &simResult{st: st, est: est, source: "cache"}, nil
+		}
+
 		s.met.cacheMiss.Add(1)
 		st, est, simMS, err := s.lead(ctx, key, b)
+		if err == nil {
+			// Store before the flight ends, so a follower's next request,
+			// or one arriving as the flight ends, finds the result cached.
+			s.cache.put(key, st, est)
+		}
 		s.flights.complete(key, fl, st, est, err, simMS)
 		if err != nil {
 			s.classifyFailure(err)
 			return nil, err
 		}
-		s.cache.put(key, st, est)
 		s.met.simRuns.Add(1)
 		s.met.simInstrs.Add(int64(st.Retired))
 		s.met.simCycles.Add(int64(st.Cycles))
@@ -369,10 +377,10 @@ func simErrorBody(err error) (int, ErrorBody) {
 }
 
 // retryAfter estimates when a shed client should try again: the queue ahead
-// of it, paced by the configured per-request ceiling, floored at one second.
+// of it, paced by the per-request wall-clock ceiling, floored at one second.
 func (s *Server) retryAfter() string {
 	secs := int64(1)
-	if est := int64(s.cfg.MaxSimTime/time.Second) * int64(s.adm.waiting()+1) / int64(s.cfg.Workers); est > secs {
+	if est := int64(defaultMaxSimTime/time.Second) * int64(s.adm.waiting()+1) / int64(s.cfg.Workers); est > secs {
 		secs = est
 	}
 	return strconv.FormatInt(secs, 10)
@@ -402,7 +410,7 @@ func (s *Server) response(b *Built, res *simResult) SimResponse {
 }
 
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	return decodeJSON(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), dst)
+	return decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
 }
 
 // decodeJSON decodes one request body strictly: unknown fields are errors.

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,7 +155,7 @@ func getURL(t *testing.T, url string) (*http.Response, []byte) {
 // arriving while the worker is busy is shed with 429 and a Retry-After
 // hint, and the in-flight request still completes.
 func TestQueueFullSheds429(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: -1})
+	svc := New(Config{Workers: 1, queueDepth: -1})
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	svc.testHookSimStart = func(_ context.Context, key string) {
@@ -207,7 +208,7 @@ func TestQueueFullSheds429(t *testing.T) {
 // the leader's run instead of simulating again, and both get the same
 // Stats.
 func TestCoalescing(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 4})
+	svc := New(Config{Workers: 1, queueDepth: 4})
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	svc.testHookSimStart = func(_ context.Context, key string) {
@@ -606,7 +607,7 @@ func TestSimFaultMapsTo422(t *testing.T) {
 // caller is still waiting. The follower re-elects itself, runs the
 // simulation, and gets a 200.
 func TestLeaderAbortReelection(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 4})
+	svc := New(Config{Workers: 1, queueDepth: 4})
 	var calls atomic.Int32
 	started := make(chan string, 2)
 	svc.testHookSimStart = func(ctx context.Context, key string) {
@@ -692,7 +693,7 @@ func TestCacheReturnsCopies(t *testing.T) {
 // flight leaders only. Followers are coalesced, repeats are hits, and the
 // three counters add up to the requests served.
 func TestMissAccountingLeaderOnly(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueDepth: 4})
+	svc := New(Config{Workers: 1, queueDepth: 4})
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	svc.testHookSimStart = func(_ context.Context, key string) {
@@ -744,6 +745,45 @@ func TestMissAccountingLeaderOnly(t *testing.T) {
 	}
 	if got := hits + miss + coal; got != 4 {
 		t.Errorf("hits+misses+coalesced = %d, want 4 (one per simulate request)", got)
+	}
+}
+
+// TestIdenticalRequestsSimulateOnce: identical requests racing on a fresh
+// server simulate their key once. A leader stores its result before its
+// flight ends, and a request that wins a flight looks in the cache again
+// before it simulates. Without the first, a follower's next request can
+// arrive between the two and simulate the key again; without the second, so
+// can a request that missed the cache just before the store and joined just
+// after the flight ended.
+func TestIdenticalRequestsSimulateOnce(t *testing.T) {
+	const rounds, clients, requests = 500, 32, 10
+	for round := 0; round < rounds; round++ {
+		svc := New(Config{Workers: 2})
+		b, err := svc.build(&SimRequest{Kernel: "dot", Core: "inorder", Width: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < requests; i++ {
+					if _, err := svc.runSim(context.Background(), b); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		runs, miss := svc.met.simRuns.Value(), svc.met.cacheMiss.Value()
+		if runs != 1 || miss != runs {
+			t.Fatalf("round %d: sim_runs_total = %d and cache_misses = %d, want 1 and 1", round, runs, miss)
+		}
+		if got := svc.met.cacheHits.Value() + miss + svc.met.coalesced.Value(); got != clients*requests {
+			t.Fatalf("round %d: hits+misses+coalesced = %d, want %d", round, got, clients*requests)
+		}
 	}
 }
 

@@ -116,9 +116,11 @@ func TestLoadExitStatus(t *testing.T) {
 }
 
 // TestFailedVerificationRemovesCheckpoint: a sweep over a backend that
-// answers every point with wrong, correctly signed Stats fails verification
-// on the points -remote-verify samples and journals the rest. Finish must
-// remove the checkpoint, or -resume would restore those wrong results.
+// answers every point with wrong, correctly signed Stats journals the points
+// -remote-verify does not sample until one it samples fails verification
+// and ejects the backend. Finish must remove the checkpoint, or -resume
+// would restore those wrong results. At -remote-verify 3 the first three
+// benchmarks go unsampled.
 func TestFailedVerificationRemovesCheckpoint(t *testing.T) {
 	lying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body := []byte(`{"stats":{"Cycles":1,"Retired":1},"source":"run"}` + "\n")
@@ -130,7 +132,7 @@ func TestFailedVerificationRemovesCheckpoint(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	s := AddSuite(fs)
-	if err := fs.Parse([]string{"-dyn", "2000", "-j", "1", "-remote", lying.URL, "-remote-verify", "2", "-checkpoint", ckpt}); err != nil {
+	if err := fs.Parse([]string{"-dyn", "2000", "-j", "1", "-remote", lying.URL, "-remote-verify", "3", "-checkpoint", ckpt}); err != nil {
 		t.Fatal(err)
 	}
 	sw, err := s.Load(context.Background(), "test")
@@ -141,17 +143,17 @@ func TestFailedVerificationRemovesCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	flagged, journaled := 0, 0
-	for _, b := range sw.Benches[:8] {
+	for _, b := range sw.Benches {
 		_, err := sw.IPC(b, false, uarch.OutOfOrderConfig(8))
 		var ve *remote.VerifyError
-		switch {
-		case errors.As(err, &ve):
+		if errors.As(err, &ve) {
 			flagged++
-		case err != nil:
-			t.Fatal(err)
-		default:
-			journaled++
+			break // the backend is ejected: no later point reaches it
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		journaled++
 	}
 	if flagged == 0 || journaled == 0 {
 		t.Fatalf("%d points failed verification and %d were journaled; want some of each", flagged, journaled)
